@@ -73,11 +73,9 @@ from .decisions import (
     Decision6,
     Effect,
     PairValue,
-    PairValue9,
     V6_LATTICES,
     arrow,
     delta,
-    delta_inverse,
     delta_seq,
     glb3,
     leq_pair,
@@ -112,13 +110,9 @@ from .policy import (
     Target,
     TraceNode,
     eval_match,
-    eval_policy,
-    eval_policyset,
-    eval_rule,
     eval_target,
     evaluate,
     rule_decision,
-    rule_decision_cases,
     weaken_to_indeterminate,
 )
 from .requests import CATEGORIES, AttributeTerm, Request

@@ -9,9 +9,12 @@ Subcommands::
 
 Exit codes: 0 permit, 1 deny, 2 not applicable, 3 indeterminate,
 64 usage error, 65 unreadable or unparseable data, 70 an exhaustive
-check found a counterexample. Results go to stdout, diagnostics to
-stderr. Structured output is one JSON object per line with a fixed
-key order.
+check found a counterexample. Input that is not UTF-8, a policy node
+using ``all-permit`` (defined only under the pair encoding), a number
+too long to convert and nesting deeper than ``textio.MAX_NESTING`` are
+all data errors: exit 65 with a one-line diagnostic. Results go to
+stdout, diagnostics to stderr. Structured output is one JSON object
+per line with a fixed key order.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _cmd_eval(args) -> int:
     try:
         policy_text = Path(args.policy).read_text(encoding="utf-8")
         request_text = Path(args.request).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"xpdp: cannot read input: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:

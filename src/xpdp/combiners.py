@@ -3,7 +3,8 @@
 Every standard algorithm exists twice: once over six-valued decisions
 (a least upper bound in a purpose-built lattice, plus two duplicate
 detection cases for only-one-applicable) and once over the pairwise
-[deny, permit] encoding (a case analysis over componentwise maxima).
+[deny, permit] encoding (a case analysis over componentwise maxima of
+``PairValue`` levels, 0, 1/2 and 1 stored as the ints 0, 1 and 2).
 ``check_equivalence`` enumerates decision sequences exhaustively and
 confirms the two formulations agree through the pair encoding of the
 six-valued result.
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 from .decisions import (
     HALF,
     ONE,
-    PAIR6_BY_LEVEL,
     ZERO,
     Decision6,
     PairValue,
@@ -107,60 +107,43 @@ def combine_o1a_v6(decisions: Sequence[Decision6]) -> Decision6:
     return lub_order("o1a", decisions)
 
 
-# Interned results; the case analyses work on the small-int component
-# levels (0, 1/2, 1 as 0, 1, 2) rather than on Fractions.
-_PAIR_NA = PairValue(ZERO, ZERO)
-_PAIR_INDET_D = PairValue(HALF, ZERO)
-_PAIR_INDET_P = PairValue(ZERO, HALF)
-_PAIR_INDET_DP = PairValue(HALF, HALF)
-_PAIR_DENY = PairValue(ONE, ZERO)
-_PAIR_PERMIT = PairValue(ZERO, ONE)
-
-
-def _narrow(m) -> PairValue:
-    narrowed = PAIR6_BY_LEVEL.get((m.deny_level, m.permit_level))
-    if narrowed is None:
-        raise InvalidInputError(f"combined value {m} has no six-valued form")
-    return narrowed
-
-
 def combine_po_pair(values: Sequence[PairValue]) -> PairValue:
     m = max_pair(values)
-    if m.permit_level == 2:
-        return _PAIR_PERMIT
-    if m.permit_level == 1 and m.deny_level >= 1:
-        return _PAIR_INDET_DP
-    return _narrow(m)
+    if m.permit == ONE:
+        return PairValue(ZERO, ONE)
+    if m.permit == HALF and m.deny >= HALF:
+        return PairValue(HALF, HALF)
+    return m
 
 
 def combine_do_pair(values: Sequence[PairValue]) -> PairValue:
     m = max_pair(values)
-    if m.deny_level == 2:
-        return _PAIR_DENY
-    if m.deny_level == 1 and m.permit_level >= 1:
-        return _PAIR_INDET_DP
-    return _narrow(m)
+    if m.deny == ONE:
+        return PairValue(ONE, ZERO)
+    if m.deny == HALF and m.permit >= HALF:
+        return PairValue(HALF, HALF)
+    return m
 
 
 def combine_fa_pair(values: Sequence[PairValue]) -> PairValue:
     for v in values:
-        if v.deny_level or v.permit_level:
+        if v.deny or v.permit:
             return v
-    return _PAIR_NA
+    return PairValue(ZERO, ZERO)
 
 
 def combine_o1a_pair(values: Sequence[PairValue]) -> PairValue:
     values = tuple(values)  # consumed twice
     m = max_pair(values)
-    if m.deny_level >= 1 and m.permit_level >= 1:
-        return _PAIR_INDET_DP
-    if m.permit_level == 0 and m.deny_level >= 1:
-        if sum(1 for v in values if v.deny_level >= 1) >= 2:
-            return _PAIR_INDET_D
-    if m.deny_level == 0 and m.permit_level >= 1:
-        if sum(1 for v in values if v.permit_level >= 1) >= 2:
-            return _PAIR_INDET_P
-    return _narrow(m)
+    if m.deny >= HALF and m.permit >= HALF:
+        return PairValue(HALF, HALF)
+    if m.permit == ZERO and m.deny >= HALF:
+        if sum(1 for v in values if v.deny >= HALF) >= 2:
+            return PairValue(HALF, ZERO)
+    if m.deny == ZERO and m.permit >= HALF:
+        if sum(1 for v in values if v.permit >= HALF) >= 2:
+            return PairValue(ZERO, HALF)
+    return m
 
 
 def combine_all_permit(values: Sequence[PairValue]) -> PairValue:
@@ -170,9 +153,10 @@ def combine_all_permit(values: Sequence[PairValue]) -> PairValue:
     minimum [1,1] and maximum [0,0] of nothing cannot both be [0,1].
     """
     values = tuple(values)  # consumed twice
-    if min_pair(values) == _PAIR_PERMIT and max_pair(values) == _PAIR_PERMIT:
-        return _PAIR_PERMIT
-    return _PAIR_DENY
+    permit = PairValue(ZERO, ONE)
+    if min_pair(values) == permit and max_pair(values) == permit:
+        return permit
+    return PairValue(ONE, ZERO)
 
 
 _V6_COMBINERS: dict[CombinerId, Callable] = {

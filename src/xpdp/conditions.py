@@ -253,7 +253,7 @@ def kleene_eval(
         result = Decision3.TOP
         for child in expr.children:
             value = kleene_eval(child, binding, request)
-            if value.rank < result.rank:
+            if value < result:
                 result = value
             if result is Decision3.BOTTOM:
                 break
@@ -262,7 +262,7 @@ def kleene_eval(
         result = Decision3.BOTTOM
         for child in expr.children:
             value = kleene_eval(child, binding, request)
-            if value.rank > result.rank:
+            if value > result:
                 result = value
             if result is Decision3.TOP:
                 break
@@ -287,6 +287,6 @@ def eval_condition(expr: ConditionExpr, request: Request) -> Decision3:
         value = kleene_eval(expr, dict(zip(names, combo)), request)
         if value is Decision3.TOP:
             return value
-        if value.rank > best.rank:
+        if value > best:
             best = value
     return best

@@ -3,11 +3,14 @@
 Three families of values flow through evaluation:
 
 * ``Decision3`` -- three-valued outcomes of match, target and condition
-  checks, totally ordered BOTTOM <= INDET <= TOP;
+  checks, an ``IntEnum`` totally ordered BOTTOM < INDET < TOP;
 * ``Decision6`` -- six-valued policy decisions that split applicable and
   indeterminate outcomes by effect;
-* ``PairValue`` / ``PairValue9`` -- the numeric [deny, permit] encoding
-  over {0, 1/2, 1}, ordered componentwise.
+* ``PairValue`` -- the numeric [deny, permit] encoding over {0, 1/2, 1},
+  ordered componentwise. Each component is stored as its level, the int
+  ``ZERO``, ``HALF`` or ``ONE`` (0, 1, 2), and printed as 0, 1/2 or 1.
+  All nine points are legal; ``PAIR6_VALUES``, the image of ``delta``,
+  holds the six the standard combining algorithms produce.
 
 The three six-element decision lattices used by the combining
 algorithms are stored as explicit cover relations, transcribed rather
@@ -18,28 +21,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError, UnknownLatticeError
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
+# Component levels of a pair value: 0, 1/2 and 1.
+ZERO = 0
+HALF = 1
+ONE = 2
 
 _LEVELS = (ZERO, HALF, ONE)
+_LEVEL_TEXT = ("0", "1/2", "1")
 
 
-class Decision3(enum.Enum):
+class Decision3(enum.IntEnum):
     """Three-valued outcome: no, cannot tell, yes."""
 
     BOTTOM = 0
     INDET = 1
     TOP = 2
-
-    @property
-    def rank(self) -> int:
-        return self.value
 
     @property
     def token(self) -> str:
@@ -55,12 +55,12 @@ _D3_TOKENS = {
 
 def glb3(values: Iterable[Decision3]) -> Decision3:
     """Greatest lower bound; an empty collection yields TOP."""
-    return min(values, key=lambda v: v.rank, default=Decision3.TOP)
+    return min(values, default=Decision3.TOP)
 
 
 def lub3(values: Iterable[Decision3]) -> Decision3:
     """Least upper bound; an empty collection yields BOTTOM."""
-    return max(values, key=lambda v: v.rank, default=Decision3.BOTTOM)
+    return max(values, default=Decision3.BOTTOM)
 
 
 class Effect(enum.Enum):
@@ -124,86 +124,27 @@ def sigma(x: Decision3, effect: Effect) -> Decision6:
     return Decision6.INDET_P if effect is Effect.PERMIT else Decision6.INDET_D
 
 
-def _level_text(value: Fraction) -> str:
-    return str(value)
+@dataclass(frozen=True, repr=False)
+class PairValue:
+    """A [deny, permit] value; each component is a level ZERO, HALF or ONE."""
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class PairValue9:
-    """A [deny, permit] value with components drawn from {0, 1/2, 1}.
-
-    All nine component combinations are legal, including the conflict
-    value [1,1]; the order is componentwise.
-    """
-
-    deny: Fraction
-    permit: Fraction
+    deny: int
+    permit: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deny", Fraction(self.deny))
-        object.__setattr__(self, "permit", Fraction(self.permit))
-        if (self.deny, self.permit) not in self._legal():
+        if self.deny not in _LEVELS or self.permit not in _LEVELS:
             raise InvalidInputError(
-                f"illegal {type(self).__name__} components "
-                f"[{self.deny},{self.permit}]"
+                f"pair components are levels 0, 1 or 2, got ({self.deny!r}, {self.permit!r})"
             )
-        # Small-int ranks of the components (0, 1/2, 1 -> 0, 1, 2); the
-        # combiner hot paths compare these instead of Fractions.
-        object.__setattr__(self, "deny_level", _LEVELS.index(self.deny))
-        object.__setattr__(self, "permit_level", _LEVELS.index(self.permit))
-
-    @classmethod
-    def _legal(cls) -> frozenset:
-        return _LEGAL_9
-
-    def __eq__(self, other: object) -> bool:
-        # PairValue narrows PairValue9; equality is by components so the
-        # same point compares equal across the two types.
-        if isinstance(other, PairValue9):
-            return self.deny == other.deny and self.permit == other.permit
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.deny, self.permit))
 
     def __str__(self) -> str:
-        return f"[{_level_text(self.deny)},{_level_text(self.permit)}]"
+        return f"[{_LEVEL_TEXT[self.deny]},{_LEVEL_TEXT[self.permit]}]"
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}{self}"
+        return f"PairValue{self}"
 
 
-_LEGAL_9 = frozenset((d, p) for d in _LEVELS for p in _LEVELS)
-_LEGAL_6 = frozenset(
-    [(ZERO, ZERO), (HALF, ZERO), (ZERO, HALF), (HALF, HALF), (ONE, ZERO), (ZERO, ONE)]
-)
-
-
-class PairValue(PairValue9):
-    """The six-member restriction of ``PairValue9`` actually reachable
-    by the standard combining algorithms."""
-
-    @classmethod
-    def _legal(cls) -> frozenset:
-        return _LEGAL_6
-
-    def widen(self) -> PairValue9:
-        return PairValue9(self.deny, self.permit)
-
-
-PAIR6_VALUES = tuple(
-    PairValue(d, p) for d in _LEVELS for p in _LEVELS if (d, p) in _LEGAL_6
-)
-PAIR9_VALUES = tuple(PairValue9(d, p) for d in _LEVELS for p in _LEVELS)
-
-# Interned instances indexed by component levels, for the hot paths.
-PAIR9_BY_LEVEL = tuple(
-    tuple(PairValue9(_LEVELS[d], _LEVELS[p]) for p in range(3)) for d in range(3)
-)
-PAIR6_BY_LEVEL = {
-    (v.deny_level, v.permit_level): v for v in PAIR6_VALUES
-}
-
+PAIR9_VALUES = tuple(PairValue(d, p) for d in _LEVELS for p in _LEVELS)
 
 _DELTA: Mapping[Decision6, PairValue] = {
     Decision6.NOT_APPLICABLE: PairValue(ZERO, ZERO),
@@ -214,7 +155,7 @@ _DELTA: Mapping[Decision6, PairValue] = {
     Decision6.PERMIT: PairValue(ZERO, ONE),
 }
 
-_DELTA_INVERSE = {(v.deny, v.permit): k for k, v in _DELTA.items()}
+PAIR6_VALUES = tuple(v for v in PAIR9_VALUES if v in _DELTA.values())
 
 
 def delta(x: Decision6) -> PairValue:
@@ -226,40 +167,27 @@ def delta_seq(decisions: Iterable[Decision6]) -> tuple[PairValue, ...]:
     return tuple(_DELTA[d] for d in decisions)
 
 
-def delta_inverse(value: PairValue) -> Decision6:
-    decision = _DELTA_INVERSE.get((value.deny, value.permit))
-    if decision is None:
-        raise InvalidInputError(f"{value} has no six-valued counterpart")
-    return decision
-
-
-def leq_pair(a: PairValue9, b: PairValue9) -> bool:
+def leq_pair(a: PairValue, b: PairValue) -> bool:
     """Componentwise order on pair values, with 0 <= 1/2 <= 1."""
     return a.deny <= b.deny and a.permit <= b.permit
 
 
-def max_pair(values: Iterable[PairValue9]) -> PairValue9:
+def max_pair(values: Iterable[PairValue]) -> PairValue:
     """Componentwise maximum; the empty collection yields [0,0]."""
-    deny = 0
-    permit = 0
-    for v in values:
-        if v.deny_level > deny:
-            deny = v.deny_level
-        if v.permit_level > permit:
-            permit = v.permit_level
-    return PAIR9_BY_LEVEL[deny][permit]
+    values = tuple(values)  # consumed twice
+    return PairValue(
+        max((v.deny for v in values), default=ZERO),
+        max((v.permit for v in values), default=ZERO),
+    )
 
 
-def min_pair(values: Iterable[PairValue9]) -> PairValue9:
+def min_pair(values: Iterable[PairValue]) -> PairValue:
     """Componentwise minimum; the empty collection yields [1,1]."""
-    deny = 2
-    permit = 2
-    for v in values:
-        if v.deny_level < deny:
-            deny = v.deny_level
-        if v.permit_level < permit:
-            permit = v.permit_level
-    return PAIR9_BY_LEVEL[deny][permit]
+    values = tuple(values)  # consumed twice
+    return PairValue(
+        min((v.deny for v in values), default=ONE),
+        min((v.permit for v in values), default=ONE),
+    )
 
 
 class FiniteLattice:

@@ -6,10 +6,10 @@ targets, targets and conditions feed rules, rule decisions feed the
 policy's combining algorithm, and so on to the root. An optional trace
 records every intermediate value on the way.
 
-Rule evaluation is implemented twice on purpose: once as the literal
-three-case analysis and once as the composed gate-and-lift form. They
-agree on all inputs; the test suite compares them exhaustively and the
-evaluator uses the composed form.
+Rules are decided by the composed gate-and-lift form; the test suite
+checks it exhaustively against the literal three-case analysis.
+Policies and policy sets accept only the four standard combining
+algorithms, the ones defined over six-valued decisions.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .combiners import CombinerId, combine
+from .combiners import STANDARD_COMBINERS, CombinerId, combine
 from .conditions import ConditionExpr, check_range_restriction, eval_condition
 from .decisions import Decision3, Decision6, Effect, arrow, glb3, lub3, sigma
-from .errors import InvalidInputError, SourceSpan
+from .errors import EncodingUnsupportedError, InvalidInputError, SourceSpan
 from .requests import AttributeTerm, Request
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -30,6 +30,14 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 def _check_name(name: str) -> None:
     if not _NAME_RE.match(name):
         raise InvalidInputError(f"not a usable node name: {name!r}")
+
+
+def _check_combiner(combiner: CombinerId) -> None:
+    if combiner not in STANDARD_COMBINERS:
+        raise EncodingUnsupportedError(
+            f"{combiner} is not defined over six-valued decisions; "
+            "use p-o, d-o, f-a or o-1-a"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,7 @@ class Policy:
 
     def __post_init__(self) -> None:
         _check_name(self.name)
+        _check_combiner(self.combiner)
         if not self.rules:
             raise InvalidInputError(f"policy {self.name!r} needs at least one rule")
 
@@ -120,6 +129,7 @@ class PolicySet:
 
     def __post_init__(self) -> None:
         _check_name(self.name)
+        _check_combiner(self.combiner)
         kinds = {type(c) for c in self.children}
         if len(kinds) > 1:
             raise InvalidInputError(
@@ -159,27 +169,6 @@ def rule_decision(target_value: Decision3, condition_value: Decision3, effect: E
     return sigma(arrow(target_value, condition_value), effect)
 
 
-def rule_decision_cases(
-    target_value: Decision3, condition_value: Decision3, effect: Effect
-) -> Decision6:
-    """Literal case analysis of rule evaluation; equals ``rule_decision``."""
-    if target_value is Decision3.TOP and condition_value is Decision3.TOP:
-        return Decision6.PERMIT if effect is Effect.PERMIT else Decision6.DENY
-    if (
-        target_value is Decision3.TOP and condition_value is Decision3.BOTTOM
-    ) or target_value is Decision3.BOTTOM:
-        return Decision6.NOT_APPLICABLE
-    return Decision6.INDET_P if effect is Effect.PERMIT else Decision6.INDET_D
-
-
-def eval_rule(rule: Rule, request: Request) -> Decision6:
-    return rule_decision(
-        eval_target(rule.target, request),
-        eval_condition(rule.condition, request),
-        rule.effect,
-    )
-
-
 _WEAKEN = {
     Decision6.PERMIT: Decision6.INDET_P,
     Decision6.DENY: Decision6.INDET_D,
@@ -198,22 +187,15 @@ def weaken_to_indeterminate(value: Decision6) -> Decision6:
     return weakened
 
 
-def _node_result(
-    target_value: Decision3,
-    combined: Decision6,
-    inputs: tuple[Decision6, ...],
-) -> Decision6:
-    # Case order matters: an indeterminate target weakens an applicable
-    # or indeterminate combination; an unmatched target, or a matched
-    # one whose members were all inapplicable, is inapplicable; anything
-    # else passes the combination through (including the combined
-    # NOT_APPLICABLE under an indeterminate target).
+def _node_result(target_value: Decision3, combined: Decision6) -> Decision6:
+    # An indeterminate target weakens an applicable or indeterminate
+    # combination; an unmatched target is inapplicable; anything else
+    # passes the combination through. Members that are all inapplicable
+    # need no case of their own: every standard combiner maps them to
+    # NOT_APPLICABLE.
     if target_value is Decision3.INDET and combined is not Decision6.NOT_APPLICABLE:
         return weaken_to_indeterminate(combined)
-    if target_value is Decision3.BOTTOM or (
-        target_value is Decision3.TOP
-        and all(v is Decision6.NOT_APPLICABLE for v in inputs)
-    ):
+    if target_value is Decision3.BOTTOM:
         return Decision6.NOT_APPLICABLE
     return combined
 
@@ -285,7 +267,7 @@ class EvalTrace:
         return self.root.to_obj()
 
 
-def _eval_rule_node(
+def _rule_node(
     rule: Rule, request: Request, path: tuple[int, ...], want_trace: bool
 ) -> tuple[Decision6, Optional[TraceNode]]:
     target_value = eval_target(rule.target, request)
@@ -317,7 +299,7 @@ def _eval_node(
     if isinstance(node, Policy):
         kind = "policy"
         for i, rule in enumerate(node.rules):
-            value, trace = _eval_rule_node(rule, request, path + (i,), want_trace)
+            value, trace = _rule_node(rule, request, path + (i,), want_trace)
             inputs.append(value)
             if trace is not None:
                 child_traces.append(trace)
@@ -329,7 +311,7 @@ def _eval_node(
             if trace is not None:
                 child_traces.append(trace)
     combined = combine(node.combiner, "v6", tuple(inputs))
-    result = _node_result(target_value, combined, tuple(inputs))
+    result = _node_result(target_value, combined)
     if not want_trace:
         return result, None
     trace_node = TraceNode(
@@ -345,16 +327,6 @@ def _eval_node(
         children=tuple(child_traces),
     )
     return result, trace_node
-
-
-def eval_policy(policy: Policy, request: Request) -> Decision6:
-    decision, _ = _eval_node(policy, request, (), False)
-    return decision
-
-
-def eval_policyset(policy_set: PolicySet, request: Request) -> Decision6:
-    decision, _ = _eval_node(policy_set, request, (), False)
-    return decision
 
 
 def evaluate(

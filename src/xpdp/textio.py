@@ -11,7 +11,10 @@ with ``/\\`` and ``\\/`` (conjunction binds tighter) and normalize into
 the fixed three-level target shape; nesting the grammar cannot express
 is rejected. Conditions add ``not``, comparisons and fact atoms;
 identifiers starting with an uppercase letter are variables. ``#``
-starts a line comment.
+starts a line comment. Only the four standard combining algorithms are
+accepted in a policy document; ``all-permit`` is rejected at its token.
+Nesting (policy sets, parenthesised target and condition groups, and
+``not``) is bounded by ``MAX_NESTING``; deeper input is a parse error.
 
 Requests are brace-wrapped fact lists; a term prefixed ``error:`` lands
 in the request's error-attribute set instead of its facts:
@@ -25,12 +28,13 @@ the package's finite orders as a DOT Hasse diagram (cover edges only).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, NoReturn
 
 from . import altlogics
-from .combiners import CombinerId
+from .combiners import STANDARD_COMBINERS, CombinerId
 from .conditions import (
     And,
     Atom,
@@ -66,6 +70,10 @@ from .errors import (
 )
 from .policy import AllOf, AnyOf, NULL_TARGET, Policy, PolicyNode, PolicySet, Rule, Target
 from .requests import CATEGORIES, AttributeTerm, Request
+
+# Deepest nesting of policy sets, parenthesised groups and ``not`` a
+# document may use; the parser, evaluator and serializer all recurse on it.
+MAX_NESTING = 100
 
 # Words with a fixed meaning in condition position; they cannot double
 # as predicate or constant identifiers there.
@@ -164,6 +172,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -193,11 +202,27 @@ class _Parser:
     def _at_word(self, word: str) -> bool:
         return self.cur.kind == "IDENT" and self.cur.text == word
 
+    def _number(self, token: _Token) -> int:
+        try:
+            return int(token.text)
+        except ValueError:  # past the interpreter's int digit limit
+            self._fail(f"number with {len(token.text)} digits is too long", token.span)
+
+    def _nested(self, parse: Callable, token: _Token):
+        """Run ``parse`` one nesting level deeper than the caller."""
+        if self._depth == MAX_NESTING:
+            self._fail(f"nesting deeper than {MAX_NESTING} levels", token.span)
+        self._depth += 1
+        try:
+            return parse()
+        finally:
+            self._depth -= 1
+
     # -- policy documents -------------------------------------------------
 
     def policy_node(self) -> PolicyNode:
         if self._at_word("policyset"):
-            return self.policyset()
+            return self._nested(self.policyset, self.cur)
         if self._at_word("policy"):
             return self.policy()
         self._fail("expected 'policyset' or 'policy'")
@@ -320,6 +345,12 @@ class _Parser:
         if token.kind == "COMBINER":
             self._advance()
             combiner = CombinerId.from_token(token.text)
+            if combiner not in STANDARD_COMBINERS:
+                self._fail(
+                    f"{token.text} is only defined under the pair encoding; "
+                    "a policy needs p-o, d-o, f-a or o-1-a",
+                    token.span,
+                )
         elif token.kind == "IDENT":
             raise UnknownCombinerError(
                 f"unknown combining algorithm: {token.text!r}", token.span
@@ -365,7 +396,7 @@ class _Parser:
     def _tatom(self):
         if self.cur.kind == "LPAREN":
             open_paren = self._advance()
-            inner = self._texpr()
+            inner = self._nested(self._texpr, open_paren)
             self._expect("RPAREN")
             return _TGroup(inner, open_paren.span)
         token = self._expect("IDENT", "a category match")
@@ -384,7 +415,7 @@ class _Parser:
         token = self.cur
         if token.kind == "NUMBER":
             self._advance()
-            return int(token.text)
+            return self._number(token)
         if token.kind == "IDENT":
             if token.text[0].isupper():
                 self._fail(f"variables are not allowed here, found {token.text!r}")
@@ -464,14 +495,14 @@ class _Parser:
     def _cnot(self) -> ConditionExpr:
         if self._at_word("not"):
             token = self._advance()
-            return Not(self._cnot(), span=token.span)
+            return Not(self._nested(self._cnot, token), span=token.span)
         return self._cprimary()
 
     def _cprimary(self) -> ConditionExpr:
         token = self.cur
         if token.kind == "LPAREN":
             self._advance()
-            inner = self._cor()
+            inner = self._nested(self._cor, token)
             self._expect("RPAREN")
             return inner
         if self._at_word("true"):
@@ -504,7 +535,7 @@ class _Parser:
         token = self.cur
         if token.kind == "NUMBER":
             self._advance()
-            return token, int(token.text), None
+            return token, self._number(token), None
         if token.kind != "IDENT":
             self._fail(f"expected a term, found {token.text or 'end of input'!r}")
         self._advance()
@@ -543,7 +574,7 @@ class _Parser:
         token = self.cur
         if token.kind == "NUMBER":
             self._advance()
-            return int(token.text)
+            return self._number(token)
         if token.kind == "IDENT":
             self._advance()
             if token.text[0].isupper():
@@ -670,7 +701,9 @@ def _cond_text(expr: ConditionExpr, parent_level: int = 0) -> str:
     elif isinstance(expr, Compare):
         text = f"{_operand_text(expr.left)} {expr.op} {_operand_text(expr.right)}"
     elif isinstance(expr, Not):
-        text = f"not {_cond_text(expr.expr, _COND_LEVEL_NOT)}"
+        # "not not a" parses as nested negation; parentheses would add a
+        # nesting level per "not" and could push the text past MAX_NESTING.
+        text = f"not {_cond_text(expr.expr, _COND_LEVEL_AND)}"
     elif isinstance(expr, And):
         text = " /\\ ".join(_cond_text(c, _COND_LEVEL_AND) for c in expr.children)
     elif isinstance(expr, Or):
@@ -691,12 +724,16 @@ def _target_text(target: Target) -> str:
         return "null"
     parts = []
     for any_of in target.any_ofs:
+        # A lone any-of of several all-ofs reads the same without
+        # parentheses, and an unneeded group would add a nesting level
+        # that could push the text past MAX_NESTING.
+        bare = len(any_of.all_ofs) > 1 and len(target.any_ofs) == 1
         single = len(any_of.all_ofs) == 1 and len(any_of.all_ofs[0].matches) == 1
         body = " \\/ ".join(
             " /\\ ".join(_match_text(m) for m in all_of.matches)
             for all_of in any_of.all_ofs
         )
-        parts.append(body if single else f"({body})")
+        parts.append(body if single or bare else f"({body})")
     return " /\\ ".join(parts)
 
 
@@ -762,7 +799,7 @@ def _lattice_views() -> dict[str, _LatticeView]:
     views: dict[str, _LatticeView] = {
         "l3": _LatticeView(
             tuple(Decision3),
-            lambda a, b: a.rank <= b.rank,
+            operator.le,
             lambda v: v.token,
         ),
         "pair6": _LatticeView(PAIR6_VALUES, leq_pair, str),

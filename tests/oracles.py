@@ -10,8 +10,25 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from xpdp import Decision6
+from xpdp import (
+    Decision3,
+    Decision6,
+    Effect,
+    InvalidInputError,
+    PairValue,
+    Policy,
+    PolicySet,
+    Request,
+    Rule,
+    delta,
+    eval_condition,
+    eval_target,
+    evaluate,
+    rule_decision,
+    weaken_to_indeterminate,
+)
 
+D3 = Decision3
 D6 = Decision6
 
 
@@ -144,3 +161,56 @@ def swap_effects(value: Decision6) -> Decision6:
         D6.INDET_DP: D6.INDET_DP,
         D6.NOT_APPLICABLE: D6.NOT_APPLICABLE,
     }[value]
+
+
+def delta_inverse(value: PairValue) -> Decision6:
+    """The decision a six-point pair value encodes; the other three of
+    the nine points have none."""
+    for decision in D6:
+        if delta(decision) == value:
+            return decision
+    raise InvalidInputError(f"{value} has no six-valued counterpart")
+
+
+def rule_decision_cases(
+    target_value: Decision3, condition_value: Decision3, effect: Effect
+) -> Decision6:
+    """Literal case analysis of rule evaluation; equals ``rule_decision``."""
+    if target_value is D3.TOP and condition_value is D3.TOP:
+        return D6.PERMIT if effect is Effect.PERMIT else D6.DENY
+    if (
+        target_value is D3.TOP and condition_value is D3.BOTTOM
+    ) or target_value is D3.BOTTOM:
+        return D6.NOT_APPLICABLE
+    return D6.INDET_P if effect is Effect.PERMIT else D6.INDET_D
+
+
+def eval_rule(rule: Rule, request: Request) -> Decision6:
+    return rule_decision(
+        eval_target(rule.target, request),
+        eval_condition(rule.condition, request),
+        rule.effect,
+    )
+
+
+def eval_policy(policy: Policy, request: Request) -> Decision6:
+    return evaluate(policy, request)[0]
+
+
+def eval_policyset(policy_set: PolicySet, request: Request) -> Decision6:
+    return evaluate(policy_set, request)[0]
+
+
+def node_result_with_blank_case(
+    target_value: Decision3, combined: Decision6, inputs: tuple[Decision6, ...]
+) -> Decision6:
+    """How a policy node combines its target with its members' combined
+    decision, including a separate case for members that are all
+    NotApplicable under a matched target."""
+    if target_value is D3.INDET and combined is not D6.NOT_APPLICABLE:
+        return weaken_to_indeterminate(combined)
+    if target_value is D3.BOTTOM or (
+        target_value is D3.TOP and all(v is D6.NOT_APPLICABLE for v in inputs)
+    ):
+        return D6.NOT_APPLICABLE
+    return combined

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from hypothesis import strategies as st
 
 from xpdp import (
@@ -13,7 +15,6 @@ from xpdp import (
     BoolLiteral,
     CATEGORIES,
     Compare,
-    CombinerId,
     Effect,
     FunctionValue,
     NULL_TARGET,
@@ -23,6 +24,7 @@ from xpdp import (
     PolicySet,
     Request,
     Rule,
+    STANDARD_COMBINERS,
     Target,
     Variable,
     atom_variables,
@@ -44,14 +46,7 @@ variables = st.sampled_from(("X", "Y", "Z")).map(Variable)
 constants = st.one_of(idents, st.integers(min_value=0, max_value=99))
 comparison_ops = st.sampled_from(("=", "!=", "<", "<=", ">", ">="))
 effects = st.sampled_from(tuple(Effect))
-node_combiners = st.sampled_from(
-    (
-        CombinerId.PERMIT_OVERRIDES,
-        CombinerId.DENY_OVERRIDES,
-        CombinerId.FIRST_APPLICABLE,
-        CombinerId.ONLY_ONE_APPLICABLE,
-    )
-)
+node_combiners = st.sampled_from(STANDARD_COMBINERS)
 
 
 @st.composite
@@ -100,13 +95,10 @@ def _compares(var_pool):
     return st.builds(Compare, _operands(var_pool), comparison_ops, _operands(var_pool))
 
 
-@st.composite
-def conditions(draw, allow_not: bool = True):
-    """A condition whose comparison variables are all anchored by atoms."""
-    var_pool = tuple(
-        Variable(name)
-        for name in draw(st.lists(st.sampled_from(("X", "Y")), unique=True, max_size=2))
-    )
+@functools.lru_cache(maxsize=None)
+def _condition_bodies(var_pool: tuple[Variable, ...], allow_not: bool):
+    # Built once per variable pool: Hypothesis validates a strategy the
+    # first time it is drawn from, and st.recursive is costly to validate.
     base = st.one_of(
         st.builds(BoolLiteral, st.booleans()),
         _atoms(var_pool),
@@ -118,7 +110,17 @@ def conditions(draw, allow_not: bool = True):
     ]
     if allow_not:
         extenders.append(lambda c: st.builds(Not, c))
-    expr = draw(st.recursive(base, lambda c: st.one_of(*(e(c) for e in extenders)), max_leaves=6))
+    return st.recursive(base, lambda c: st.one_of(*(e(c) for e in extenders)), max_leaves=6)
+
+
+@st.composite
+def conditions(draw, allow_not: bool = True):
+    """A condition whose comparison variables are all anchored by atoms."""
+    var_pool = tuple(
+        Variable(name)
+        for name in draw(st.lists(st.sampled_from(("X", "Y")), unique=True, max_size=2))
+    )
+    expr = draw(_condition_bodies(var_pool, allow_not))
     # Anchor every comparison variable with an atom so the range
     # restriction holds by construction.
     missing = sorted(compare_variables(expr) - atom_variables(expr))

@@ -35,7 +35,6 @@ from xpdp import (
     parse_policy,
     parse_request,
     rule_decision,
-    rule_decision_cases,
     serialize_policy,
     sigma,
 )
@@ -48,6 +47,7 @@ from oracles import (
     deny_overrides_behaviour,
     least_upper_bound,
     permit_overrides_behaviour,
+    rule_decision_cases,
 )
 
 D3 = Decision3

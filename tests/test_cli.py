@@ -1,7 +1,13 @@
 """Command-line behaviour: output, exit codes, failure paths."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpdp import CombinerId, PairValue, ZERO
 from xpdp.cli import (
@@ -89,6 +95,39 @@ class TestEval:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("xpdp:")
+
+    def test_non_utf8_request(self, capsys, tmp_path):
+        req = tmp_path / "latin1.req"
+        req.write_bytes(b"{ subject(doctor), action(read) \xff }\n")
+        code, out, err = run(capsys, "eval", "--policy", POLICY, "--request", str(req))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("xpdp: cannot read input:")
+        assert err.count("\n") == 1
+
+    def test_all_permit_policy(self, capsys, tmp_path):
+        pol = tmp_path / "all_permit.pol"
+        pol.write_text(Path(POLICY).read_text().replace("d-o", "all-permit", 1))
+        code, out, err = run(capsys, "eval", "--policy", str(pol), "--request", READ_REQ)
+        assert (code, out) == (EXIT_DATA, "")
+        assert "all-permit" in err
+        assert err.count("\n") == 1
+
+    def test_over_long_number(self, capsys, tmp_path):
+        req = tmp_path / "big.req"
+        req.write_text("{ subject(doctor), n(" + "9" * 5000 + ") }")
+        code, out, err = run(capsys, "eval", "--policy", POLICY, "--request", str(req))
+        assert (code, out) == (EXIT_DATA, "")
+        assert "too long" in err
+        assert err.count("\n") == 1
+
+    def test_over_deep_policy_set(self, capsys, tmp_path):
+        pol = tmp_path / "deep.pol"
+        head = "policyset S { target: null; combiner: p-o; children: [ "
+        pol.write_text(head * 2000 + " ]; }" * 2000)
+        code, out, err = run(capsys, "eval", "--policy", str(pol), "--request", READ_REQ)
+        assert (code, out) == (EXIT_DATA, "")
+        assert "nesting deeper than" in err
+        assert err.count("\n") == 1
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "--policy", POLICY)
@@ -211,3 +250,56 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+def _mutations(sample: bytes):
+    """``sample`` with a few bytes overwritten, mostly by DSL punctuation
+    and letters so that some mutants still parse, and maybe truncated."""
+    values = st.one_of(st.sampled_from(b"(),;:{}[]/\\ aXY1-"), st.integers(0, 255))
+    edits = st.lists(st.tuples(st.integers(0, len(sample) - 1), values), max_size=4)
+    ends = st.one_of(st.none(), st.integers(0, len(sample)))
+
+    def apply(args):
+        changes, end = args
+        data = bytearray(sample)
+        for index, value in changes:
+            data[index] = value
+        return bytes(data[:end])
+
+    return st.tuples(edits, ends).map(apply)
+
+
+_SAMPLE_POLICY = Path(POLICY).read_bytes()
+_SAMPLE_REQUESTS = [p.read_bytes() for p in sorted(SAMPLES.glob("*.req"))]
+_policy_inputs = st.one_of(st.binary(max_size=200), _mutations(_SAMPLE_POLICY))
+_request_inputs = st.one_of(st.binary(max_size=80), *map(_mutations, _SAMPLE_REQUESTS))
+# Fuzz one file against an intact sample, or both at once.
+_eval_inputs = st.one_of(
+    st.tuples(_policy_inputs, st.sampled_from(_SAMPLE_REQUESTS)),
+    st.tuples(st.just(_SAMPLE_POLICY), _request_inputs),
+    st.tuples(_policy_inputs, _request_inputs),
+)
+_CLI_EXIT_CODES = {
+    EXIT_PERMIT, EXIT_DENY, EXIT_NOT_APPLICABLE, EXIT_INDETERMINATE, EXIT_USAGE, EXIT_DATA,
+}
+
+
+class TestEvalFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_eval_inputs, st.booleans())
+    def test_any_bytes_give_a_documented_exit_code(self, inputs, trace):
+        policy, request = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            pol, req = Path(tmp, "p.pol"), Path(tmp, "r.req")
+            pol.write_bytes(policy)
+            req.write_bytes(request)
+            argv = ["eval", "--policy", str(pol), "--request", str(req)]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + ["--trace"] * trace)
+        assert code in _CLI_EXIT_CODES
+        if code == EXIT_DATA:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

@@ -12,6 +12,8 @@ from xpdp import (
     HALF,
     InvalidInputError,
     ONE,
+    PAIR6_VALUES,
+    PAIR9_VALUES,
     PairValue,
     STANDARD_COMBINERS,
     ZERO,
@@ -218,4 +220,12 @@ class TestAlgebraicProperties:
         for seq in _sequences(3):
             for fn in (combine_po_pair, combine_do_pair, combine_fa_pair, combine_o1a_pair):
                 result = fn(delta_seq(seq))
-                assert isinstance(result, PairValue)
+                assert result in PAIR6_VALUES
+
+    def test_case_analyses_land_in_the_six_from_any_nine_point_input(self):
+        # The override and only-one case analyses return a six-point
+        # value even for inputs outside delta's image, so their final
+        # pass-through of the componentwise maximum needs no narrowing.
+        for seq in _sequences(3, PAIR9_VALUES):
+            for fn in (combine_po_pair, combine_do_pair, combine_o1a_pair):
+                assert fn(seq) in PAIR6_VALUES, (fn.__name__, seq)

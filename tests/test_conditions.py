@@ -111,8 +111,8 @@ class TestKleeneLaws:
             ea, eb = GROUND_ATOMS[a], GROUND_ATOMS[b]
             conj = kleene_eval(And((ea, eb)), {}, GROUND_REQUEST)
             disj = kleene_eval(Or((ea, eb)), {}, GROUND_REQUEST)
-            assert conj is min(a, b, key=lambda v: v.rank)
-            assert disj is max(a, b, key=lambda v: v.rank)
+            assert conj is min(a, b)
+            assert disj is max(a, b)
 
     def test_commutative_idempotent(self):
         for a, b in itertools.product(D3, repeat=2):

@@ -6,6 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
+from oracles import (
+    eval_policy,
+    eval_policyset,
+    eval_rule,
+    node_result_with_blank_case,
+    rule_decision_cases,
+)
 from xpdp import (
     AllOf,
     And,
@@ -18,6 +25,7 @@ from xpdp import (
     Decision3,
     Decision6,
     Effect,
+    EncodingUnsupportedError,
     FunctionValue,
     InvalidInputError,
     NULL_TARGET,
@@ -27,22 +35,20 @@ from xpdp import (
     PolicySet,
     Request,
     Rule,
+    STANDARD_COMBINERS,
     Target,
     TRUE_CONDITION,
     Variable,
     arrow,
     combine,
     eval_match,
-    eval_policy,
-    eval_policyset,
-    eval_rule,
     eval_target,
     evaluate,
     rule_decision,
-    rule_decision_cases,
     sigma,
     weaken_to_indeterminate,
 )
+from xpdp.policy import _node_result
 
 D3 = Decision3
 D6 = Decision6
@@ -124,7 +130,7 @@ class TestMatchAndTarget:
                     continue
                 raised = list(statuses)
                 raised[i] = order[order.index(status) + 1]
-                assert realized(tuple(raised)).rank >= base.rank
+                assert realized(tuple(raised)) >= base
 
     def test_non_category_match_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -237,6 +243,28 @@ class TestPolicyEvaluation:
     def test_needs_rules(self):
         with pytest.raises(InvalidInputError):
             Policy("p", NULL_TARGET, (), CombinerId.DENY_OVERRIDES)
+
+    def test_all_permit_rejected(self):
+        # all-permit has no six-valued formulation, so no node can use it.
+        rules = (rule_with_value("r", Effect.PERMIT, D3.TOP),)
+        with pytest.raises(EncodingUnsupportedError):
+            Policy("p", NULL_TARGET, rules, CombinerId.ALL_PERMIT)
+        with pytest.raises(EncodingUnsupportedError):
+            PolicySet("ps", NULL_TARGET, (), CombinerId.ALL_PERMIT)
+
+
+class TestNodeResult:
+    def test_all_inapplicable_members_need_no_case(self):
+        # Every standard combiner already maps all-NotApplicable members
+        # to NotApplicable, so the node result equals the one with that
+        # case spelled out, for every member sequence up to length 5.
+        for combiner in STANDARD_COMBINERS:
+            for length in range(6):
+                for inputs in itertools.product(tuple(D6), repeat=length):
+                    combined = combine(combiner, "v6", inputs)
+                    for target_value in D3:
+                        expected = node_result_with_blank_case(target_value, combined, inputs)
+                        assert _node_result(target_value, combined) is expected
 
 
 def policy_with_value(name, effect, value):

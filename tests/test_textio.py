@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from xpdp import (
     And,
     ArityError,
+    Decision6,
     PolicyEngineError,
     AttributeTerm,
     BoolLiteral,
@@ -25,6 +26,7 @@ from xpdp import (
     UnknownLatticeError,
     Variable,
     emit_lattice_dot,
+    evaluate,
     parse_policy,
     parse_request,
     serialize_policy,
@@ -32,6 +34,7 @@ from xpdp import (
 
 import strategies
 from oracles import ORDERS
+from xpdp.textio import MAX_NESTING
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -80,6 +83,14 @@ class TestParsePolicy:
         text2 = MINIMAL.replace("combiner: d-o", "combiner: shuffle")
         with pytest.raises(UnknownCombinerError):
             parse_policy(text2)
+
+    def test_all_permit_rejected_at_its_token(self):
+        text = MINIMAL.replace("d-o", "all-permit")
+        with pytest.raises(ParseError) as err:
+            parse_policy(text)
+        span = err.value.span
+        assert text[span.start:span.end] == "all-permit"
+        assert "pair encoding" in str(err.value)
 
     def test_mixed_children_rejected(self):
         text = """
@@ -241,6 +252,13 @@ class TestParseRequest:
         with pytest.raises(EmptyRequestError):
             parse_request("{ error:subject(nurse) }")
 
+    def test_over_long_number_rejected(self):
+        text = "{ subject(a), n(" + "9" * 5000 + ") }"
+        with pytest.raises(ParseError) as err:
+            parse_request(text)
+        assert err.value.span.start == text.index("9")
+        assert "too long" in str(err.value)
+
     def test_numeric_arguments(self):
         req = parse_request("{ age(p, 17) }")
         assert AttributeTerm("age", ("p", 17)) in req.facts
@@ -267,6 +285,18 @@ class TestSerialize:
         assert once == twice
         assert once.endswith("\n")
         assert "\r" not in once
+
+    def test_no_unneeded_parentheses(self):
+        text = with_condition("not (not ok(x)) /\\ not (a(x) \\/ b(x))")
+        text = with_target("(subject(a) \\/ subject(b))", text)
+        node = parse_policy(text)
+        out = serialize_policy(node)
+        assert "condition: not not ok(x) /\\ not (a(x) \\/ b(x));" in out
+        assert "target: subject(a) \\/ subject(b);" in out
+        assert "target: (subject(a) /\\ subject(b));" in serialize_policy(
+            parse_policy(with_target("(subject(a) /\\ subject(b))"))
+        )
+        assert parse_policy(out) == node
 
     def test_empty_children_emitted(self):
         node = parse_policy("policyset PS { target: null; combiner: p-o; children: []; }")
@@ -377,3 +407,79 @@ class TestParserRobustness:
             parse_request(text)
         except PolicyEngineError:
             pass
+
+
+def nested_sets(depth: int) -> str:
+    """``depth`` policy sets, one inside the other, around one policy."""
+    inner = (
+        "policy P { target: subject(a) \\/ subject(b); combiner: d-o; rules: ["
+        " rule R { effect: permit; target: null; condition: true; } ]; }"
+    )
+    head = "policyset S { target: null; combiner: p-o; children: [ "
+    return head * depth + inner + " ]; }" * depth
+
+
+def with_condition(condition: str, text: str = MINIMAL) -> str:
+    return text.replace("condition: true", f"condition: {condition}")
+
+
+def with_target(target: str, text: str = MINIMAL) -> str:
+    return text.replace("target: null; condition", f"target: {target}; condition")
+
+
+REQUEST = parse_request("{ subject(a), ok(x) }")
+
+
+class TestNestingBound:
+    """Nesting of policy sets, parenthesised groups and ``not`` is
+    bounded; at the bound a document parses, evaluates with a trace and
+    serializes, one level past it is a parse error at the deepest level."""
+
+    def _check_accepted(self, text, decision):
+        node = parse_policy(text)
+        result, trace = evaluate(node, REQUEST, with_trace=True)
+        assert result is decision
+        assert trace.to_obj()["result"] == decision.canonical
+        assert trace.lines()
+        assert parse_policy(serialize_policy(node)) == node
+
+    def _check_rejected(self, text, offending):
+        with pytest.raises(ParseError) as err:
+            parse_policy(text)
+        span = err.value.span
+        assert "nesting deeper than" in str(err.value)
+        assert text[span.start:span.end] == offending
+        assert text[: span.start].count(offending) == MAX_NESTING
+
+    def test_policy_sets(self):
+        self._check_accepted(nested_sets(MAX_NESTING), Decision6.PERMIT)
+        self._check_rejected(nested_sets(MAX_NESTING + 1), "policyset")
+
+    def test_not_chain(self):
+        self._check_accepted(with_condition("not " * MAX_NESTING + "ok(x)"), Decision6.PERMIT)
+        self._check_rejected(with_condition("not " * (MAX_NESTING + 1) + "ok(x)"), "not")
+
+    def test_condition_groups(self):
+        deep = "(" * MAX_NESTING + "ok(x)" + ")" * MAX_NESTING
+        self._check_accepted(with_condition(deep), Decision6.PERMIT)
+        self._check_rejected(with_condition("(" + deep + ")"), "(")
+
+    def test_target_groups(self):
+        deep = "(" * MAX_NESTING + "subject(a)" + ")" * MAX_NESTING
+        self._check_accepted(with_target(deep), Decision6.PERMIT)
+        self._check_rejected(with_target("(" + deep + ")"), "(")
+
+    def test_kinds_share_one_bound(self):
+        half = MAX_NESTING // 2
+        text = nested_sets(half).replace(
+            "condition: true", "condition: " + "not " * (MAX_NESTING - half) + "ok(x)"
+        )
+        parse_policy(text)
+        with pytest.raises(ParseError):
+            parse_policy(text.replace("condition: ", "condition: not "))
+
+    def test_far_past_the_bound(self):
+        with pytest.raises(ParseError):
+            parse_policy(nested_sets(2000))
+        with pytest.raises(ParseError):
+            parse_policy(with_condition("not " * 3000 + "ok(x)"))
