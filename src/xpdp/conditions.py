@@ -12,6 +12,22 @@ denotes the value ``v`` of a fact ``f(t,v)`` in the request. A missing
 or error-marked function fact makes the comparison indeterminate, as
 does comparing values of different types: evaluation errors surface as
 indeterminacy, never as exceptions.
+
+Evaluation is a conjunctive-query join rather than a walk over every
+binding. ``compile_condition`` plans a condition once, when its rule is
+built: it checks the range restriction, sorts the free variables and
+records, for each variable, the positions at which it occurs in the
+atoms of the top-level conjunction (nested conjunctions flattened).
+``index_request`` indexes a request once per evaluation: its constants
+and the argument tuples of its facts and error attributes by name and
+arity. ``eval_condition`` then draws each variable's candidates from
+the tuples that can ground the atoms it occurs in, intersected with the
+request's constants, and evaluates only the bindings in the product of
+those pools. A binding outside them grounds a top-level conjunct to
+neither a fact nor an error attribute, so the conjunction is false and,
+false being the identity of the existential join, the result is the
+same. Variables that occur only under ``not``, ``\\/`` or in comparisons
+range over all the request's constants.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .decisions import Decision3, lub3
 from .errors import InvalidInputError, SourceSpan, UnboundVariableError
@@ -152,14 +168,17 @@ def free_variables(expr: ConditionExpr) -> frozenset[str]:
     return atom_variables(expr) | compare_variables(expr)
 
 
-def check_range_restriction(expr: ConditionExpr) -> None:
+def check_range_restriction(expr: ConditionExpr) -> frozenset[str]:
     """Every comparison variable must also occur in some atom, or there
-    is nothing to bind it against."""
-    unbound = compare_variables(expr) - atom_variables(expr)
+    is nothing to bind it against. Returns the free variables, which
+    are then exactly the atom variables."""
+    bound = atom_variables(expr)
+    unbound = compare_variables(expr) - bound
     if unbound:
         raise UnboundVariableError(
             f"comparison variables bound by no atom: {', '.join(sorted(unbound))}"
         )
+    return bound
 
 
 def _ground(term: Term, binding: Binding) -> Constant:
@@ -270,21 +289,110 @@ def kleene_eval(
     raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
-def eval_condition(expr: ConditionExpr, request: Request) -> Decision3:
-    """Evaluate a condition existentially over all variable bindings.
+def _conjuncts(expr: ConditionExpr) -> Iterator[ConditionExpr]:
+    """The members of the top-level conjunction, nested ones flattened;
+    any other expression is a conjunction of one."""
+    if isinstance(expr, And):
+        for child in expr.children:
+            yield from _conjuncts(child)
+    else:
+        yield expr
 
-    Free variables range over the constants occurring in the request's
-    facts; the result is the least upper bound of the per-binding
-    outcomes, so any TOP binding wins, then any INDET one.
+
+@dataclass(frozen=True)
+class ConditionPlan:
+    """A condition with what its evaluation needs worked out once.
+
+    ``variables`` are the free variables, sorted. ``sources[i]`` holds
+    the ``(atom, position)`` pairs at which ``variables[i]`` occurs in a
+    top-level positive conjunct atom; it is empty for a variable that
+    occurs only under ``not``, ``\\/`` or in comparisons.
     """
-    check_range_restriction(expr)
-    names = sorted(free_variables(expr))
-    if not names:
-        return kleene_eval(expr, {}, request)
-    constants = request.constants()
+
+    expr: ConditionExpr
+    variables: tuple[str, ...]
+    sources: tuple[tuple[tuple[Atom, int], ...], ...]
+
+
+def compile_condition(expr: ConditionExpr) -> ConditionPlan:
+    """Plan a condition for evaluation; raises ``UnboundVariableError``
+    when it breaks the range restriction."""
+    variables = tuple(sorted(check_range_restriction(expr)))
+    atoms = [c for c in _conjuncts(expr) if isinstance(c, Atom)]
+    sources = tuple(
+        tuple(
+            (atom, i)
+            for atom in atoms
+            for i, term in enumerate(atom.terms)
+            if isinstance(term, Variable) and term.name == name
+        )
+        for name in variables
+    )
+    return ConditionPlan(expr, variables, sources)
+
+
+@dataclass(frozen=True)
+class RequestIndex:
+    """A request prepared for condition evaluation, once per evaluation.
+
+    ``domain`` is ``request.constants()``, the range of a variable no
+    top-level atom binds. ``tuples`` maps a ``(name, arity)`` signature
+    to the argument tuples of the facts and error attributes with it.
+    """
+
+    request: Request
+    domain: tuple[Constant, ...]
+    tuples: Mapping[tuple[str, int], tuple[tuple[Constant, ...], ...]]
+
+
+def index_request(request: Request) -> RequestIndex:
+    """Index a request for ``eval_condition``; done once per evaluation."""
+    tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
+    for term in itertools.chain(request.facts, request.error_attributes):
+        tuples.setdefault((term.name, len(term.args)), []).append(term.args)
+    return RequestIndex(
+        request,
+        request.constants(),
+        {key: tuple(rows) for key, rows in tuples.items()},
+    )
+
+
+def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:
+    """Whether some binding grounds ``atom`` to exactly ``args``: its
+    constants agree and each variable takes one value throughout."""
+    seen: dict[str, Constant] = {}
+    for term, arg in zip(atom.terms, args):
+        if isinstance(term, Variable):
+            if seen.setdefault(term.name, arg) != arg:
+                return False
+        elif term != arg:
+            return False
+    return True
+
+
+def _candidates(
+    sources: tuple[tuple[Atom, int], ...], index: RequestIndex
+) -> tuple[Constant, ...]:
+    """The values of one variable under which every atom it binds can
+    ground to a fact or an error attribute, in the domain's order."""
+    allowed = set(index.domain)
+    for atom, position in sources:
+        rows = index.tuples.get((atom.name, len(atom.terms)), ())
+        allowed &= {args[position] for args in rows if _grounds(atom, args)}
+    return tuple(c for c in index.domain if c in allowed)
+
+
+def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
+    """Evaluate a planned condition existentially over variable bindings.
+
+    The result is the least upper bound of the per-binding outcomes, so
+    any TOP binding wins, then any INDET one. Only bindings drawn from
+    each variable's candidates are tried; the others are all BOTTOM.
+    """
+    pools = [_candidates(sources, index) for sources in plan.sources]
     best = Decision3.BOTTOM
-    for combo in itertools.product(constants, repeat=len(names)):
-        value = kleene_eval(expr, dict(zip(names, combo)), request)
+    for combo in itertools.product(*pools):
+        value = kleene_eval(plan.expr, dict(zip(plan.variables, combo)), index.request)
         if value is Decision3.TOP:
             return value
         if value > best:

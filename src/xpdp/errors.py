@@ -30,12 +30,24 @@ class InvalidInputError(PolicyEngineError, ValueError):
     """A value outside an operation's declared domain."""
 
 
-class UnknownCombinerError(PolicyEngineError):
-    """A combining-algorithm id that is not registered."""
+class _LocatedError(PolicyEngineError):
+    """An error that may carry a source location, printed before the
+    message as ``line:column``."""
 
     def __init__(self, message: str, span: SourceSpan | None = None):
         super().__init__(message)
+        self.message = message
         self.span = span
+
+    def __str__(self) -> str:
+        if self.span is None:
+            return self.message
+        return f"{self.span}: {self.message}"
+
+
+class UnknownCombinerError(_LocatedError):
+    """A combining-algorithm id that is not registered; read from a
+    document, it carries the span of the offending token."""
 
 
 class EncodingUnsupportedError(PolicyEngineError):
@@ -54,18 +66,8 @@ class UnboundVariableError(PolicyEngineError):
     """A comparison variable that no atom of the same condition binds."""
 
 
-class ParseError(PolicyEngineError):
+class ParseError(_LocatedError):
     """Malformed DSL input; carries the offending source location."""
-
-    def __init__(self, message: str, span: SourceSpan | None = None):
-        super().__init__(message)
-        self.message = message
-        self.span = span
-
-    def __str__(self) -> str:
-        if self.span is None:
-            return self.message
-        return f"{self.span}: {self.message}"
 
 
 class ArityError(ParseError):

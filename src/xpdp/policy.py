@@ -7,7 +7,10 @@ policy's combining algorithm, and so on to the root. An optional trace
 records every intermediate value on the way.
 
 Rules are decided by the composed gate-and-lift form; the test suite
-checks it exhaustively against the literal three-case analysis.
+checks it exhaustively against the literal three-case analysis. A rule
+plans its condition once, when it is built (``compile_condition``), and
+``evaluate`` indexes the request once (``index_request``) and hands the
+index down the walk.
 Policies and policy sets accept only the four standard combining
 algorithms, the ones defined over six-valued decisions.
 """
@@ -19,7 +22,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .combiners import STANDARD_COMBINERS, CombinerId, combine
-from .conditions import ConditionExpr, check_range_restriction, eval_condition
+from .conditions import (
+    ConditionExpr,
+    ConditionPlan,
+    RequestIndex,
+    compile_condition,
+    eval_condition,
+    index_request,
+)
 from .decisions import Decision3, Decision6, Effect, arrow, glb3, lub3, sigma
 from .errors import EncodingUnsupportedError, InvalidInputError, SourceSpan
 from .requests import AttributeTerm, Request
@@ -98,10 +108,11 @@ class Rule:
     target: Target
     condition: ConditionExpr
     span: SourceSpan | None = field(default=None, compare=False)
+    plan: ConditionPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
-        check_range_restriction(self.condition)
+        object.__setattr__(self, "plan", compile_condition(self.condition))
 
 
 @dataclass(frozen=True)
@@ -268,10 +279,10 @@ class EvalTrace:
 
 
 def _rule_node(
-    rule: Rule, request: Request, path: tuple[int, ...], want_trace: bool
+    rule: Rule, index: RequestIndex, path: tuple[int, ...], want_trace: bool
 ) -> tuple[Decision6, Optional[TraceNode]]:
-    target_value = eval_target(rule.target, request)
-    condition_value = eval_condition(rule.condition, request)
+    target_value = eval_target(rule.target, index.request)
+    condition_value = eval_condition(rule.plan, index)
     result = rule_decision(target_value, condition_value, rule.effect)
     if not want_trace:
         return result, None
@@ -291,22 +302,22 @@ def _rule_node(
 
 
 def _eval_node(
-    node: PolicyNode, request: Request, path: tuple[int, ...], want_trace: bool
+    node: PolicyNode, index: RequestIndex, path: tuple[int, ...], want_trace: bool
 ) -> tuple[Decision6, Optional[TraceNode]]:
-    target_value = eval_target(node.target, request)
+    target_value = eval_target(node.target, index.request)
     inputs: list[Decision6] = []
     child_traces: list[TraceNode] = []
     if isinstance(node, Policy):
         kind = "policy"
         for i, rule in enumerate(node.rules):
-            value, trace = _rule_node(rule, request, path + (i,), want_trace)
+            value, trace = _rule_node(rule, index, path + (i,), want_trace)
             inputs.append(value)
             if trace is not None:
                 child_traces.append(trace)
     else:
         kind = "policyset"
         for i, child in enumerate(node.children):
-            value, trace = _eval_node(child, request, path + (i,), want_trace)
+            value, trace = _eval_node(child, index, path + (i,), want_trace)
             inputs.append(value)
             if trace is not None:
                 child_traces.append(trace)
@@ -337,6 +348,6 @@ def evaluate(
     Returns the decision and, when requested, a trace whose root result
     equals the returned decision.
     """
-    decision, trace_node = _eval_node(root, request, (), with_trace)
+    decision, trace_node = _eval_node(root, index_request(request), (), with_trace)
     trace = EvalTrace(trace_node) if trace_node is not None else None
     return decision, trace

@@ -47,7 +47,6 @@ from .conditions import (
     Or,
     Term,
     Variable,
-    check_range_restriction,
 )
 from .decisions import (
     PAIR6_VALUES,
@@ -316,19 +315,18 @@ class _Parser:
         self._expect("COLON")
         condition_start = self.cur.span
         condition = self.condition()
-        try:
-            check_range_restriction(condition)
-        except UnboundVariableError as exc:
-            raise ParseError(str(exc), condition_start) from None
         self._maybe_semi()
         self._expect("RBRACE")
-        return Rule(
-            name=name.text,
-            effect=effect,
-            target=target,
-            condition=condition,
-            span=self._span_from(start),
-        )
+        try:
+            return Rule(
+                name=name.text,
+                effect=effect,
+                target=target,
+                condition=condition,
+                span=self._span_from(start),
+            )
+        except UnboundVariableError as exc:
+            raise ParseError(str(exc), condition_start) from None
 
     def _maybe_semi(self) -> None:
         if self.cur.kind == "SEMI":

@@ -8,9 +8,11 @@ other.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from xpdp import (
+    ConditionExpr,
     Decision3,
     Decision6,
     Effect,
@@ -20,10 +22,12 @@ from xpdp import (
     PolicySet,
     Request,
     Rule,
+    check_range_restriction,
     delta,
-    eval_condition,
     eval_target,
     evaluate,
+    free_variables,
+    kleene_eval,
     rule_decision,
     weaken_to_indeterminate,
 )
@@ -185,10 +189,26 @@ def rule_decision_cases(
     return D6.INDET_P if effect is Effect.PERMIT else D6.INDET_D
 
 
+def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
+    """A condition's value by brute force: the least upper bound of its
+    value under every binding of its free variables to the request's
+    constants, stopping at the first TOP."""
+    check_range_restriction(expr)
+    names = sorted(free_variables(expr))
+    best = D3.BOTTOM
+    for combo in itertools.product(request.constants(), repeat=len(names)):
+        value = kleene_eval(expr, dict(zip(names, combo)), request)
+        if value is D3.TOP:
+            return value
+        if value > best:
+            best = value
+    return best
+
+
 def eval_rule(rule: Rule, request: Request) -> Decision6:
     return rule_decision(
         eval_target(rule.target, request),
-        eval_condition(rule.condition, request),
+        eval_condition_product(rule.condition, request),
         rule.effect,
     )
 

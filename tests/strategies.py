@@ -168,6 +168,64 @@ def policy_nodes():
     return st.one_of(policies(), policy_sets())
 
 
+# A few constants shared by the facts of join_requests, so that atoms
+# over the same predicate meet on common values.
+_JOIN_CONSTANTS = ("p", "q", "alpha", 0, 1)
+
+
+def _atoms_in(expr):
+    if isinstance(expr, Atom):
+        yield expr
+    elif isinstance(expr, Not):
+        yield from _atoms_in(expr.expr)
+    elif isinstance(expr, (And, Or)):
+        for child in expr.children:
+            yield from _atoms_in(child)
+
+
+@st.composite
+def join_requests(draw, condition):
+    """Requests with arity-1 to arity-3 facts and error attributes over a
+    small constant pool. Many of them are atoms of ``condition`` grounded
+    by a binding into that pool, so its atoms have facts to join on."""
+    pool = st.sampled_from(_JOIN_CONSTANTS)
+
+    def random_term(signature):
+        name, arity = signature
+        return st.lists(pool, min_size=arity, max_size=arity).map(
+            lambda args: AttributeTerm(name, tuple(args))
+        )
+
+    def grounded(atom):
+        binding = st.fixed_dictionaries({name: pool for name in ("X", "Y", "Z")})
+        return binding.map(
+            lambda b: AttributeTerm(
+                atom.name,
+                tuple(b[t.name] if isinstance(t, Variable) else t for t in atom.terms),
+            )
+        )
+
+    term = st.tuples(idents, st.integers(1, 3)).flatmap(random_term)
+    atoms = list(_atoms_in(condition))
+    if atoms:
+        term = st.one_of(term, st.sampled_from(atoms).flatmap(grounded))
+    facts = frozenset(draw(st.lists(term, min_size=1, max_size=8)))
+    errors = frozenset(draw(st.lists(term, max_size=3))) - facts
+    return Request(facts=facts, error_attributes=errors)
+
+
+@st.composite
+def join_conditions(draw):
+    """A conjunction of one to three atoms over shared variables and the
+    join constants, with a generated condition as its last member."""
+    term = st.one_of(variables, st.sampled_from(_JOIN_CONSTANTS))
+    atom = st.builds(
+        Atom, st.sampled_from(("r", "s", "t")), st.lists(term, min_size=1, max_size=3).map(tuple)
+    )
+    atoms = draw(st.lists(atom, min_size=1, max_size=3))
+    return And(tuple(atoms) + (draw(conditions()),))
+
+
 @st.composite
 def requests(draw):
     terms = draw(

@@ -2,22 +2,27 @@
 
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xpdp.cli
 from xpdp import CombinerId, PairValue, ZERO
 from xpdp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DATA,
     EXIT_DENY,
     EXIT_INDETERMINATE,
+    EXIT_INTERNAL,
     EXIT_NOT_APPLICABLE,
     EXIT_PERMIT,
     EXIT_USAGE,
+    MAX_EQUIVALENCE_LENGTH,
     main,
 )
 
@@ -104,6 +109,33 @@ class TestEval:
         assert err.startswith("xpdp: cannot read input:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("option", ["--policy", "--request"])
+    def test_non_utf8_input_names_option_and_path(self, capsys, tmp_path, option):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"{ subject(doctor) \xff }\n")
+        inputs = {"--policy": POLICY, "--request": READ_REQ, option: str(bad)}
+        code, out, err = run(capsys, "eval", *(x for kv in inputs.items() for x in kv))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"xpdp: cannot read input: {option} {bad}: ")
+        assert err.count("\n") == 1
+
+    def test_unknown_combiner_has_location(self, capsys, tmp_path):
+        pol = tmp_path / "shuffle.pol"
+        pol.write_text(Path(POLICY).read_text().replace("combiner: d-o", "combiner: shuffle", 1))
+        code, out, err = run(capsys, "eval", "--policy", str(pol), "--request", READ_REQ)
+        assert (code, out) == (EXIT_DATA, "")
+        assert re.fullmatch(r"xpdp: \d+:\d+: unknown combining algorithm: 'shuffle'\n", err)
+
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(xpdp.cli, "evaluate", broken)
+        code, out, err = run(capsys, "eval", "--policy", POLICY, "--request", READ_REQ)
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "xpdp: internal error: RuntimeError('engine fault')\n"
+        assert EXIT_INTERNAL not in (0, 1, 2, 3, EXIT_USAGE, EXIT_DATA, EXIT_CHECK_FAILED)
+
     def test_all_permit_policy(self, capsys, tmp_path):
         pol = tmp_path / "all_permit.pol"
         pol.write_text(Path(POLICY).read_text().replace("d-o", "all-permit", 1))
@@ -171,6 +203,12 @@ class TestCheckEquivalence:
         code, _, err = run(capsys, "check-equivalence", "--max-len", "-1")
         assert code == EXIT_USAGE
         assert "max-len" in err
+
+    def test_length_above_bound(self, capsys):
+        too_long = str(MAX_EQUIVALENCE_LENGTH + 1)
+        code, out, err = run(capsys, "check-equivalence", "--max-len", too_long)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"xpdp: error: --max-len must be <= {MAX_EQUIVALENCE_LENGTH}\n"
 
     def test_mutated_combiner_is_caught(self, capsys, monkeypatch):
         # A deliberately broken pair-side implementation must surface as

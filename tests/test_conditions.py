@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xpdp.conditions
 from xpdp import (
     And,
     Atom,
@@ -19,12 +21,15 @@ from xpdp import (
     UnboundVariableError,
     Variable,
     check_range_restriction,
+    compile_condition,
     eval_condition,
     free_variables,
+    index_request,
     kleene_eval,
 )
 
 import strategies
+from oracles import eval_condition_product
 
 D3 = Decision3
 X = Variable("X")
@@ -33,6 +38,10 @@ Y = Variable("Y")
 
 def request(facts, errors=()):
     return Request(facts=frozenset(facts), error_attributes=frozenset(errors))
+
+
+def condition_value(expr, req):
+    return eval_condition(compile_condition(expr), index_request(req))
 
 
 # One request realizing all three atom outcomes: yes(a) holds, err(a)
@@ -162,7 +171,7 @@ RECORD_CONDITION = And(
 
 class TestEvalCondition:
     def test_true_is_top(self):
-        assert eval_condition(BoolLiteral(True), GROUND_REQUEST) is D3.TOP
+        assert condition_value(BoolLiteral(True), GROUND_REQUEST) is D3.TOP
 
     def test_satisfying_binding_exists(self):
         req = request(
@@ -171,7 +180,7 @@ class TestEvalCondition:
                 AttributeTerm("patient_record", ("id", "p")),
             ]
         )
-        assert eval_condition(RECORD_CONDITION, req) is D3.TOP
+        assert condition_value(RECORD_CONDITION, req) is D3.TOP
 
     def test_guardian_binding(self):
         req = request(
@@ -182,7 +191,7 @@ class TestEvalCondition:
                 AttributeTerm("guardian", ("g", "p")),
             ]
         )
-        assert eval_condition(RECORD_CONDITION, req) is D3.TOP
+        assert condition_value(RECORD_CONDITION, req) is D3.TOP
 
     def test_no_satisfying_binding(self):
         cond = And(
@@ -199,7 +208,7 @@ class TestEvalCondition:
                 AttributeTerm("patient", ("id", "p")),
             ]
         )
-        assert eval_condition(cond, req) is D3.BOTTOM
+        assert condition_value(cond, req) is D3.BOTTOM
 
     def test_indeterminate_binding_reported(self):
         req = request(
@@ -207,12 +216,12 @@ class TestEvalCondition:
             [AttributeTerm("flagged", ("p",))],
         )
         cond = And((Atom("patient", ("id", X)), Atom("flagged", (X,))))
-        assert eval_condition(cond, req) is D3.INDET
+        assert condition_value(cond, req) is D3.INDET
 
     def test_range_restriction_enforced(self):
         bad = Compare(X, "<", 5)
         with pytest.raises(UnboundVariableError):
-            eval_condition(bad, GROUND_REQUEST)
+            compile_condition(bad)
         with pytest.raises(UnboundVariableError):
             check_range_restriction(bad)
 
@@ -221,7 +230,7 @@ class TestEvalCondition:
 
 
 def _added_facts_keep_top(condition, req, extra_fact):
-    before = eval_condition(condition, req)
+    before = condition_value(condition, req)
     if before is not D3.TOP:
         return
     if extra_fact in req.error_attributes:
@@ -230,7 +239,7 @@ def _added_facts_keep_top(condition, req, extra_fact):
         facts=req.facts | {extra_fact},
         error_attributes=req.error_attributes,
     )
-    assert eval_condition(condition, grown) is D3.TOP
+    assert condition_value(condition, grown) is D3.TOP
 
 
 class TestMonotonicity:
@@ -243,3 +252,135 @@ class TestMonotonicity:
     def test_negation_free_top_is_stable_under_fact_growth(self, condition, req, donor):
         for fact in donor.facts:
             _added_facts_keep_top(condition, req, fact)
+
+
+def fact(name, *args):
+    return AttributeTerm(name, args)
+
+
+@pytest.fixture
+def bindings_tried(monkeypatch):
+    """The bindings eval_condition hands to kleene_eval; the calls
+    kleene_eval makes on sub-expressions are not counted."""
+    tried = []
+    depth = [0]
+    inner = xpdp.conditions.kleene_eval
+
+    def counting(expr, binding, req):
+        if depth[0] == 0:
+            tried.append(dict(binding))
+        depth[0] += 1
+        try:
+            return inner(expr, binding, req)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(xpdp.conditions, "kleene_eval", counting)
+    return tried
+
+
+class TestJoin:
+    """eval_condition draws bindings from the atoms of the top-level
+    conjunction and must agree with the cross product over all
+    constants."""
+
+    def check(self, expr, req, expected, tried=None):
+        assert eval_condition_product(expr, req) is expected
+        if tried is not None:
+            tried.clear()  # forget the oracle's calls
+        assert condition_value(expr, req) is expected
+
+    def test_plan(self):
+        plan = compile_condition(RECORD_CONDITION)
+        assert plan.variables == ("X", "Y")
+        assert plan.sources == (
+            ((RECORD_CONDITION.children[0], 1),),
+            ((RECORD_CONDITION.children[1], 1),),
+        )
+
+    def test_index(self):
+        req = request([fact("r", "a", "b"), fact("r", "c")], [fact("r", "d", "e")])
+        index = index_request(req)
+        assert index.domain == req.constants() == ("a", "b", "c")
+        assert sorted(index.tuples[("r", 2)]) == [("a", "b"), ("d", "e")]
+        assert index.tuples[("r", 1)] == (("c",),)
+
+    def test_error_constant_outside_domain(self, bindings_tried):
+        # z occurs only in an error attribute, so no variable ranges over
+        # it: badge(X) stays BOTTOM instead of INDET.
+        req = request([fact("subject", "a")], [fact("badge", "z")])
+        self.check(Atom("badge", (X,)), req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == []
+
+    def test_error_constant_inside_domain(self):
+        req = request([fact("subject", "z")], [fact("badge", "z")])
+        self.check(Atom("badge", (X,)), req, D3.INDET)
+
+    def test_repeated_variable(self, bindings_tried):
+        expr = Atom("r", (X, X))
+        req = request([fact("r", "a", "b"), fact("r", "c", "c")])
+        self.check(expr, req, D3.TOP, bindings_tried)
+        assert bindings_tried == [{"X": "c"}]
+        req = request([fact("r", "a", "b"), fact("r", "b", "a")])
+        self.check(expr, req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == []
+
+    def test_constant_inside_binding_atom(self, bindings_tried):
+        expr = And((Atom("patient", ("id", X)), Compare(X, "=", "q")))
+        req = request([fact("patient", "id", "p"), fact("patient", "other", "q")])
+        self.check(expr, req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [{"X": "p"}]
+
+    def test_nested_conjunctions_flattened(self, bindings_tried):
+        expr = And(
+            (
+                Atom("a", (X,)),
+                And((Atom("b", (Y,)), And((Atom("c", (X, Y)), Compare(X, "!=", Y))))),
+            )
+        )
+        plan = compile_condition(expr)
+        assert [len(s) for s in plan.sources] == [2, 2]
+        req = request(
+            [fact("a", "p"), fact("a", "q"), fact("b", "q"), fact("b", "r"), fact("c", "q", "r")]
+        )
+        self.check(expr, req, D3.TOP, bindings_tried)
+        assert bindings_tried == [{"X": "q", "Y": "r"}]
+
+    def test_variable_only_under_not(self, bindings_tried):
+        expr = Not(Atom("banned", (X,)))
+        assert compile_condition(expr).sources == ((),)
+        self.check(expr, request([fact("subject", "a"), fact("banned", "a")]), D3.BOTTOM)
+        req = request([fact("subject", "b"), fact("banned", "a")])
+        self.check(expr, req, D3.TOP, bindings_tried)
+        assert bindings_tried == [{"X": "a"}, {"X": "b"}]
+
+    def test_variable_only_under_or(self):
+        w = Variable("W")
+        expr = And(
+            (Atom("doctor", ("id", X)), Or((Atom("suspended", (X,)), Atom("revoked", (X, w)))))
+        )
+        plan = compile_condition(expr)
+        assert plan.variables == ("W", "X")
+        assert plan.sources[0] == ()
+        base = [fact("doctor", "id", "d"), fact("subject", "doctor")]
+        self.check(expr, request(base), D3.BOTTOM)
+        self.check(expr, request(base + [fact("revoked", "d", "2024")]), D3.TOP)
+        self.check(expr, request(base, [fact("revoked", "d", "id")]), D3.INDET)
+
+    def test_empty_candidate_pool_is_bottom(self, bindings_tried):
+        expr = And((Atom("doctor", ("id", X)), Atom("referral", (X, Y, Variable("Z")))))
+        req = request([fact("doctor", "id", "d"), fact("patient", "id", "p")])
+        self.check(expr, req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == []
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(strategies.conditions(), st.data())
+    def test_join_equals_cross_product(self, condition, data):
+        req = data.draw(st.one_of(strategies.requests(), strategies.join_requests(condition)))
+        assert condition_value(condition, req) is eval_condition_product(condition, req)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(strategies.join_conditions(), st.data())
+    def test_top_level_joins_equal_cross_product(self, condition, data):
+        req = data.draw(strategies.join_requests(condition))
+        assert condition_value(condition, req) is eval_condition_product(condition, req)
