@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .decisions import (
     HALF,
@@ -158,6 +158,18 @@ def combine_all_permit(values: Sequence[PairValue]) -> PairValue:
         return permit
     return PairValue(ONE, ZERO)
 
+
+# Member values that fix a combination whatever follows them: the top
+# of the combiner's lattice, and for first-applicable anything but
+# NotApplicable. Combining the members up to the first of these gives
+# the same value as combining them all. Tuples, not sets: membership
+# then compares identities instead of hashing enum members.
+ABSORBING: Mapping[CombinerId, tuple[Decision6, ...]] = {
+    CombinerId.PERMIT_OVERRIDES: (Decision6.PERMIT,),
+    CombinerId.DENY_OVERRIDES: (Decision6.DENY,),
+    CombinerId.FIRST_APPLICABLE: tuple(d for d in Decision6 if d is not Decision6.NOT_APPLICABLE),
+    CombinerId.ONLY_ONE_APPLICABLE: (Decision6.INDET_DP,),
+}
 
 _V6_COMBINERS: dict[CombinerId, Callable] = {
     CombinerId.PERMIT_OVERRIDES: combine_po_v6,

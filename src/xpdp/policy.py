@@ -1,10 +1,20 @@
 """The policy tree and its evaluation pipeline.
 
 A policy tree is a PolicySet of PolicySets or Policies, each Policy a
-non-empty sequence of Rules. Evaluation runs bottom-up: matches feed
-targets, targets and conditions feed rules, rule decisions feed the
-policy's combining algorithm, and so on to the root. An optional trace
-records every intermediate value on the way.
+non-empty sequence of Rules. Evaluation walks the tree top-down and
+decides each node from its target and its members' decisions: matches
+feed targets, targets and conditions feed rules, rule decisions feed
+the policy's combining algorithm, and so on to the root.
+
+The walk evaluates only what can change the decision. A rule's
+condition is evaluated only under a TOP target, because the rule
+decision gates the condition behind the target. A node whose target is
+BOTTOM is NotApplicable, so its members are not visited. A node stops
+visiting members at the first value that absorbs its combination (the
+top of the combiner's lattice, or any value but NotApplicable for
+first-applicable; ``combiners.ABSORBING``). An optional trace records
+every value the walk computed, and marks each node that left work
+undone with the reason (``TraceNode.skipped``).
 
 Rules are decided by the composed gate-and-lift form; the test suite
 checks it exhaustively against the literal three-case analysis. A rule
@@ -21,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .combiners import STANDARD_COMBINERS, CombinerId, combine
+from .combiners import ABSORBING, STANDARD_COMBINERS, CombinerId, combine
 from .conditions import (
     ConditionExpr,
     ConditionPlan,
@@ -30,7 +40,7 @@ from .conditions import (
     eval_condition,
     index_request,
 )
-from .decisions import Decision3, Decision6, Effect, arrow, glb3, lub3, sigma
+from .decisions import Decision3, Decision6, Effect, arrow, sigma
 from .errors import EncodingUnsupportedError, InvalidInputError, SourceSpan
 from .requests import AttributeTerm, Request
 
@@ -163,20 +173,45 @@ def eval_match(match: AttributeTerm, request: Request) -> Decision3:
 
 def eval_target(target: Target, request: Request) -> Decision3:
     """Meet over any-ofs of the join over all-ofs of the meet of matches;
-    the null target always matches."""
+    the null target always matches. A meet stops at BOTTOM and a join
+    at TOP."""
     if target.any_ofs is None:
         return Decision3.TOP
-    return glb3(
-        lub3(
-            glb3(eval_match(m, request) for m in all_of.matches)
-            for all_of in any_of.all_ofs
-        )
-        for any_of in target.any_ofs
-    )
+    # Facts and error attributes are disjoint, so a fact is a hit
+    # whatever the error set holds.
+    facts = request.facts
+    errors = request.error_attributes
+    result = Decision3.TOP
+    for any_of in target.any_ofs:
+        joined = Decision3.BOTTOM
+        for all_of in any_of.all_ofs:
+            met = Decision3.TOP
+            for m in all_of.matches:
+                if m in facts:
+                    continue
+                if m not in errors:
+                    met = Decision3.BOTTOM
+                    break
+                met = Decision3.INDET
+            if met is Decision3.TOP:
+                joined = met
+                break
+            if met is Decision3.INDET:
+                joined = met
+        if joined is Decision3.BOTTOM:
+            return joined
+        if joined is Decision3.INDET:
+            result = joined
+    return result
 
 
-def rule_decision(target_value: Decision3, condition_value: Decision3, effect: Effect) -> Decision6:
-    """Composed form: gate the condition behind the target, lift by effect."""
+def rule_decision(
+    target_value: Decision3, condition_value: Decision3 | None, effect: Effect
+) -> Decision6:
+    """Composed form: gate the condition behind the target, lift by effect.
+
+    The gate reads the condition only under a TOP target, so an
+    unevaluated condition (None) is fine under any other."""
     return sigma(arrow(target_value, condition_value), effect)
 
 
@@ -213,7 +248,18 @@ def _node_result(target_value: Decision3, combined: Decision6) -> Decision6:
 
 @dataclass(frozen=True)
 class TraceNode:
-    """Everything the evaluator knew at one node."""
+    """What the evaluator computed at one node.
+
+    ``skipped`` names work the walk left out, or is None. It is
+    ``"target"`` when the target was not TOP, so a rule's condition was
+    not evaluated (``condition_value`` is None), or the target was
+    BOTTOM, so a node's members were not visited (``inputs`` is empty
+    and ``combined`` is None). It is ``"decided"`` when a member's value
+    absorbed the node's combination and the members after it were not
+    visited. Unvisited members have no trace node; ``inputs`` holds the
+    visited members' results, in order, and ``combined`` is their
+    combination.
+    """
 
     path: tuple[int, ...]
     kind: str
@@ -225,6 +271,7 @@ class TraceNode:
     combined: Decision6 | None
     result: Decision6
     children: tuple["TraceNode", ...]
+    skipped: str | None = None
 
     def lines(self) -> list[str]:
         indent = "  " * len(self.path)
@@ -237,7 +284,10 @@ class TraceNode:
             inputs = ",".join(v.canonical for v in self.inputs)
             parts.append(f"combiner={self.combiner.token}")
             parts.append(f"inputs=[{inputs}]")
+        if self.combined is not None:
             parts.append(f"combined={self.combined.canonical}")
+        if self.skipped is not None:
+            parts.append(f"skipped={self.skipped}")
         parts.append(f"result={self.result.canonical}")
         out = [" ".join(parts)]
         for child in self.children:
@@ -256,7 +306,10 @@ class TraceNode:
         if self.combiner is not None:
             obj["combiner"] = self.combiner.token
             obj["inputs"] = [v.canonical for v in self.inputs]
+        if self.combined is not None:
             obj["combined"] = self.combined.canonical
+        if self.skipped is not None:
+            obj["skipped"] = self.skipped
         obj["result"] = self.result.canonical
         if self.children:
             obj["children"] = [c.to_obj() for c in self.children]
@@ -282,7 +335,10 @@ def _rule_node(
     rule: Rule, index: RequestIndex, path: tuple[int, ...], want_trace: bool
 ) -> tuple[Decision6, Optional[TraceNode]]:
     target_value = eval_target(rule.target, index.request)
-    condition_value = eval_condition(rule.plan, index)
+    if target_value is Decision3.TOP:
+        condition_value = eval_condition(rule.plan, index)
+    else:
+        condition_value = None
     result = rule_decision(target_value, condition_value, rule.effect)
     if not want_trace:
         return result, None
@@ -297,6 +353,7 @@ def _rule_node(
         combined=None,
         result=result,
         children=(),
+        skipped=None if condition_value is not None else "target",
     )
     return result, node
 
@@ -304,25 +361,31 @@ def _rule_node(
 def _eval_node(
     node: PolicyNode, index: RequestIndex, path: tuple[int, ...], want_trace: bool
 ) -> tuple[Decision6, Optional[TraceNode]]:
+    if isinstance(node, Policy):
+        kind, members, visit = "policy", node.rules, _rule_node
+    else:
+        kind, members, visit = "policyset", node.children, _eval_node
     target_value = eval_target(node.target, index.request)
     inputs: list[Decision6] = []
     child_traces: list[TraceNode] = []
-    if isinstance(node, Policy):
-        kind = "policy"
-        for i, rule in enumerate(node.rules):
-            value, trace = _rule_node(rule, index, path + (i,), want_trace)
-            inputs.append(value)
-            if trace is not None:
-                child_traces.append(trace)
+    combined: Decision6 | None = None
+    skipped: str | None = None
+    if target_value is Decision3.BOTTOM:
+        result = Decision6.NOT_APPLICABLE
+        skipped = "target"
     else:
-        kind = "policyset"
-        for i, child in enumerate(node.children):
-            value, trace = _eval_node(child, index, path + (i,), want_trace)
+        absorbing = ABSORBING[node.combiner]
+        for i, member in enumerate(members):
+            value, trace = visit(member, index, path + (i,), want_trace)
             inputs.append(value)
             if trace is not None:
                 child_traces.append(trace)
-    combined = combine(node.combiner, "v6", tuple(inputs))
-    result = _node_result(target_value, combined)
+            if value in absorbing:
+                if i + 1 < len(members):
+                    skipped = "decided"
+                break
+        combined = combine(node.combiner, "v6", tuple(inputs))
+        result = _node_result(target_value, combined)
     if not want_trace:
         return result, None
     trace_node = TraceNode(
@@ -336,6 +399,7 @@ def _eval_node(
         combined=combined,
         result=result,
         children=tuple(child_traces),
+        skipped=skipped,
     )
     return result, trace_node
 
@@ -346,7 +410,10 @@ def evaluate(
     """Evaluate a policy tree against a request.
 
     Returns the decision and, when requested, a trace whose root result
-    equals the returned decision.
+    equals the returned decision. Conditions under a target that is not
+    TOP, members of a node whose target is BOTTOM and members after an
+    absorbing value are not evaluated; the decision is the same as if
+    they were.
     """
     decision, trace_node = _eval_node(root, index_request(request), (), with_trace)
     trace = EvalTrace(trace_node) if trace_node is not None else None

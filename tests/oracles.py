@@ -22,12 +22,15 @@ from xpdp import (
     PolicySet,
     Request,
     Rule,
+    Target,
     check_range_restriction,
+    combine,
     delta,
-    eval_target,
-    evaluate,
+    eval_match,
     free_variables,
+    glb3,
     kleene_eval,
+    lub3,
     rule_decision,
     weaken_to_indeterminate,
 )
@@ -205,20 +208,69 @@ def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
     return best
 
 
+def eval_target_lattice(target: Target, request: Request) -> Decision3:
+    """A target's value as the lattice expression: the glb over any-ofs
+    of the lub over all-ofs of the glb of the match values. The null
+    target is TOP."""
+    if target.any_ofs is None:
+        return D3.TOP
+    return glb3(
+        lub3(
+            glb3(eval_match(m, request) for m in all_of.matches)
+            for all_of in any_of.all_ofs
+        )
+        for any_of in target.any_ofs
+    )
+
+
 def eval_rule(rule: Rule, request: Request) -> Decision6:
     return rule_decision(
-        eval_target(rule.target, request),
+        eval_target_lattice(rule.target, request),
         eval_condition_product(rule.condition, request),
         rule.effect,
     )
 
 
+def _exhaustive(node, request: Request, path: tuple[int, ...], results: dict) -> Decision6:
+    target_value = eval_target_lattice(node.target, request)
+    if isinstance(node, Policy):
+        inputs = []
+        for i, rule in enumerate(node.rules):
+            results[path + (i,)] = eval_rule(rule, request)
+            inputs.append(results[path + (i,)])
+    else:
+        inputs = [
+            _exhaustive(child, request, path + (i,), results)
+            for i, child in enumerate(node.children)
+        ]
+    inputs = tuple(inputs)
+    combined = combine(node.combiner, "v6", inputs)
+    results[path] = node_result_with_blank_case(target_value, combined, inputs)
+    return results[path]
+
+
+def evaluate_exhaustive(node: Policy | PolicySet, request: Request) -> Decision6:
+    """A tree's decision with nothing skipped: every target, every
+    condition (by brute force) and every member of every node is
+    evaluated, and each node combines all its members."""
+    return _exhaustive(node, request, (), {})
+
+
+def exhaustive_results(
+    node: Policy | PolicySet, request: Request
+) -> dict[tuple[int, ...], Decision6]:
+    """Every node's decision in the exhaustive walk, by trace path."""
+    results: dict = {}
+    _exhaustive(node, request, (), results)
+    return results
+
+
 def eval_policy(policy: Policy, request: Request) -> Decision6:
-    return evaluate(policy, request)[0]
+    return evaluate_exhaustive(policy, request)
 
 
 def eval_policyset(policy_set: PolicySet, request: Request) -> Decision6:
-    return evaluate(policy_set, request)[0]
+    return evaluate_exhaustive(policy_set, request)
 
 
 def node_result_with_blank_case(

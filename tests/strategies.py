@@ -151,11 +151,13 @@ def policies(draw):
 
 
 @st.composite
-def policy_sets(draw, depth: int = 2):
+def policy_sets(draw, depth: int = 2, width: int = 2):
+    """A policy set of up to ``width`` policy sets, or up to
+    ``width + 1`` policies, nested at most ``depth`` deep."""
     if depth > 0 and draw(st.booleans()):
-        children = tuple(draw(st.lists(policy_sets(depth=depth - 1), max_size=2)))
+        children = tuple(draw(st.lists(policy_sets(depth - 1, width), max_size=width)))
     else:
-        children = tuple(draw(st.lists(policies(), max_size=3)))
+        children = tuple(draw(st.lists(policies(), max_size=width + 1)))
     return PolicySet(
         name=draw(node_names),
         target=draw(targets()),
@@ -168,19 +170,47 @@ def policy_nodes():
     return st.one_of(policies(), policy_sets())
 
 
-# A few constants shared by the facts of join_requests, so that atoms
-# over the same predicate meet on common values.
+# A few constants shared by the facts of join_requests and requests_over,
+# so that atoms over the same predicate meet on common values.
 _JOIN_CONSTANTS = ("p", "q", "alpha", 0, 1)
 
 
-def _atoms_in(expr):
-    if isinstance(expr, Atom):
-        yield expr
-    elif isinstance(expr, Not):
-        yield from _atoms_in(expr.expr)
+def _leaves(expr):
+    """The atoms, comparisons and literals of a condition."""
+    if isinstance(expr, Not):
+        yield from _leaves(expr.expr)
     elif isinstance(expr, (And, Or)):
         for child in expr.children:
-            yield from _atoms_in(child)
+            yield from _leaves(child)
+    else:
+        yield expr
+
+
+def _atoms_in(expr):
+    return [leaf for leaf in _leaves(expr) if isinstance(leaf, Atom)]
+
+
+def _function_values(expr):
+    return [
+        op
+        for leaf in _leaves(expr)
+        if isinstance(leaf, Compare)
+        for op in (leaf.left, leaf.right)
+        if isinstance(op, FunctionValue)
+    ]
+
+
+def _ground(term, binding):
+    return binding[term.name] if isinstance(term, Variable) else term
+
+
+def _grounded(atom):
+    """The atom as a fact, its variables bound into the join constants."""
+    pool = st.sampled_from(_JOIN_CONSTANTS)
+    binding = st.fixed_dictionaries({name: pool for name in ("X", "Y", "Z")})
+    return binding.map(
+        lambda b: AttributeTerm(atom.name, tuple(_ground(t, b) for t in atom.terms))
+    )
 
 
 @st.composite
@@ -196,19 +226,10 @@ def join_requests(draw, condition):
             lambda args: AttributeTerm(name, tuple(args))
         )
 
-    def grounded(atom):
-        binding = st.fixed_dictionaries({name: pool for name in ("X", "Y", "Z")})
-        return binding.map(
-            lambda b: AttributeTerm(
-                atom.name,
-                tuple(b[t.name] if isinstance(t, Variable) else t for t in atom.terms),
-            )
-        )
-
     term = st.tuples(idents, st.integers(1, 3)).flatmap(random_term)
-    atoms = list(_atoms_in(condition))
+    atoms = _atoms_in(condition)
     if atoms:
-        term = st.one_of(term, st.sampled_from(atoms).flatmap(grounded))
+        term = st.one_of(term, st.sampled_from(atoms).flatmap(_grounded))
     facts = frozenset(draw(st.lists(term, min_size=1, max_size=8)))
     errors = frozenset(draw(st.lists(term, max_size=3))) - facts
     return Request(facts=facts, error_attributes=errors)
@@ -255,3 +276,69 @@ def requests(draw):
         if t not in facts
     )
     return Request(facts=facts, error_attributes=errors)
+
+
+def tree_nodes(node):
+    """The node, then every policy, policy set and rule under it."""
+    yield node
+    for member in node.rules if isinstance(node, Policy) else node.children:
+        if isinstance(member, Rule):
+            yield member
+        else:
+            yield from tree_nodes(member)
+
+
+def target_matches(target):
+    """Every category match in a target, in order."""
+    for any_of in target.any_ofs or ():
+        for all_of in any_of.all_ofs:
+            yield from all_of.matches
+
+
+# How requests_over files each term: as a fact twice as often as as an
+# error attribute, or not at all.
+_STATUSES = st.sampled_from(("fact", "fact", "error", "absent"))
+
+
+@st.composite
+def requests_over(draw, matches_seen, conditions_seen=()):
+    """Requests that hit, miss and error on the given category matches
+    and condition atoms. Each match, and each atom of a condition
+    grounded by one binding into the join constants per condition,
+    becomes a fact, an error attribute or nothing. So do a function
+    fact for each function value the conditions compare and a few
+    random category matches."""
+    pool = st.sampled_from(_JOIN_CONSTANTS)
+    terms = list(matches_seen) + draw(st.lists(matches(), max_size=2))
+    for condition in conditions_seen:
+        binding = draw(st.fixed_dictionaries({name: pool for name in ("X", "Y", "Z")}))
+        terms += [
+            AttributeTerm(atom.name, tuple(_ground(t, binding) for t in atom.terms))
+            for atom in _atoms_in(condition)
+        ]
+        terms += [
+            AttributeTerm(f.name, (_ground(f.arg, binding), draw(st.one_of(pool, constants))))
+            for f in _function_values(condition)
+        ]
+    facts, errors = set(), set()
+    for term in dict.fromkeys(terms):
+        status = draw(_STATUSES)
+        if status == "fact":
+            facts.add(term)
+        elif status == "error":
+            errors.add(term)
+    if not facts:
+        facts.add(AttributeTerm("pad", ("pad",)))
+    return Request(facts=frozenset(facts), error_attributes=frozenset(errors))
+
+
+def tree_requests(node):
+    """Requests over a tree's own vocabulary: the matches of its
+    targets and the atoms and function values of its conditions, so
+    that targets come out TOP, INDET and BOTTOM and conditions have
+    facts to join on."""
+    members = list(tree_nodes(node))
+    return requests_over(
+        [m for n in members for m in target_matches(n.target)],
+        [n.condition for n in members if isinstance(n, Rule)],
+    )

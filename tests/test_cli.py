@@ -76,6 +76,23 @@ class TestEval:
         assert len(lines) == 9
         assert any("rule RM2" in line and "result=Deny" in line for line in lines)
 
+    def test_trace_marks_skipped_conditions(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--policy", POLICY, "--request", WRITE_REQ, "--trace"
+        )
+        assert code == EXIT_DENY
+        rp1 = next(line for line in out.splitlines() if "rule RP1:" in line)
+        assert "skipped=target" in rp1
+        assert "condition=" not in rp1
+        code, out, _ = run(
+            capsys,
+            "eval", "--policy", POLICY, "--request", WRITE_REQ,
+            "--trace", "--format", "structured",
+        )
+        rp1 = json.loads(out)["trace"]["children"][0]["children"][0]
+        assert rp1["name"] == "RP1"
+        assert rp1["skipped"] == "target"
+
     def test_structured(self, capsys):
         code, out, _ = run(
             capsys,

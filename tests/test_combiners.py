@@ -30,6 +30,8 @@ from xpdp import (
     combine_po_v6,
     delta_seq,
 )
+from xpdp.combiners import ABSORBING
+from xpdp.decisions import V6_LATTICES
 
 from oracles import (
     deny_overrides_behaviour,
@@ -179,6 +181,33 @@ class TestCheckEquivalence:
             report = check_equivalence(cid, 6)
             assert report.sequences_checked == 55987
             assert report.ok
+
+
+class TestEarlyStop:
+    def test_absorbing_values(self):
+        assert ABSORBING[CombinerId.PERMIT_OVERRIDES] == (V6_LATTICES["po"].top,)
+        assert ABSORBING[CombinerId.DENY_OVERRIDES] == (V6_LATTICES["do"].top,)
+        assert ABSORBING[CombinerId.ONLY_ONE_APPLICABLE] == (V6_LATTICES["o1a"].top,)
+        assert set(ABSORBING[CombinerId.FIRST_APPLICABLE]) == set(D6) - {D6.NOT_APPLICABLE}
+        assert set(ABSORBING) == set(STANDARD_COMBINERS)
+
+    @pytest.mark.parametrize("combiner", STANDARD_COMBINERS)
+    def test_prefix_to_first_absorbing_value_decides(self, combiner):
+        # Combining up to and including the first absorbing member gives
+        # the value of the whole sequence, for every sequence up to
+        # length 5.
+        absorbing = ABSORBING[combiner]
+        stops = 0
+        for seq in _sequences(5):
+            stop = next((i for i, v in enumerate(seq) if v in absorbing), None)
+            if stop is None:
+                continue
+            stops += 1
+            prefix = combine(combiner, "v6", seq[: stop + 1])
+            assert prefix is combine(combiner, "v6", seq), seq
+            if combiner is not CombinerId.FIRST_APPLICABLE:
+                assert prefix is seq[stop]
+        assert stops > 0
 
 
 class TestBehaviourOracles:

@@ -1,15 +1,19 @@
 """Policy tree evaluation: matches, targets, rules, policies, traces."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from oracles import (
     eval_policy,
     eval_policyset,
     eval_rule,
+    eval_target_lattice,
+    exhaustive_results,
     node_result_with_blank_case,
     rule_decision_cases,
 )
@@ -48,6 +52,7 @@ from xpdp import (
     sigma,
     weaken_to_indeterminate,
 )
+from xpdp.combiners import ABSORBING
 from xpdp.policy import _node_result
 
 D3 = Decision3
@@ -181,6 +186,15 @@ def rule_with_value(name, effect, value):
     return Rule(name, effect, NULL_TARGET, condition)
 
 
+def decided(node, req):
+    """The decision of ``evaluate``, which must equal the exhaustive
+    oracle's."""
+    decision, _ = evaluate(node, req)
+    oracle = eval_policy if isinstance(node, Policy) else eval_policyset
+    assert decision is oracle(node, req)
+    return decision
+
+
 PAD = match("action", "pad")
 PLAIN_REQUEST = request([PAD], [AttributeTerm("oops", ("x",))])
 # subject(err) is an error attribute: targets over it are indeterminate.
@@ -199,7 +213,7 @@ class TestPolicyEvaluation:
             ),
             CombinerId.DENY_OVERRIDES,
         )
-        assert eval_policy(p, PLAIN_REQUEST) is D6.DENY
+        assert decided(p, PLAIN_REQUEST) is D6.DENY
 
     def test_unmatched_target_is_not_applicable(self):
         p = Policy(
@@ -208,7 +222,7 @@ class TestPolicyEvaluation:
             (rule_with_value("r1", Effect.DENY, D3.TOP),),
             CombinerId.DENY_OVERRIDES,
         )
-        assert eval_policy(p, PLAIN_REQUEST) is D6.NOT_APPLICABLE
+        assert decided(p, PLAIN_REQUEST) is D6.NOT_APPLICABLE
 
     def test_indeterminate_target_weakens(self):
         p = Policy(
@@ -217,7 +231,7 @@ class TestPolicyEvaluation:
             (rule_with_value("r1", Effect.PERMIT, D3.TOP),),
             CombinerId.PERMIT_OVERRIDES,
         )
-        assert eval_policy(p, ERRORED_REQUEST) is D6.INDET_P
+        assert decided(p, ERRORED_REQUEST) is D6.INDET_P
 
     def test_indeterminate_target_with_inapplicable_rules(self):
         p = Policy(
@@ -226,7 +240,7 @@ class TestPolicyEvaluation:
             (rule_with_value("r1", Effect.PERMIT, D3.BOTTOM),),
             CombinerId.PERMIT_OVERRIDES,
         )
-        assert eval_policy(p, ERRORED_REQUEST) is D6.NOT_APPLICABLE
+        assert decided(p, ERRORED_REQUEST) is D6.NOT_APPLICABLE
 
     def test_all_rules_inapplicable(self):
         p = Policy(
@@ -238,7 +252,7 @@ class TestPolicyEvaluation:
             ),
             CombinerId.FIRST_APPLICABLE,
         )
-        assert eval_policy(p, PLAIN_REQUEST) is D6.NOT_APPLICABLE
+        assert decided(p, PLAIN_REQUEST) is D6.NOT_APPLICABLE
 
     def test_needs_rules(self):
         with pytest.raises(InvalidInputError):
@@ -287,11 +301,11 @@ class TestPolicySetEvaluation:
             ),
             CombinerId.PERMIT_OVERRIDES,
         )
-        assert eval_policyset(ps, PLAIN_REQUEST) is D6.PERMIT
+        assert decided(ps, PLAIN_REQUEST) is D6.PERMIT
 
     def test_empty_children(self):
         ps = PolicySet("ps", NULL_TARGET, (), CombinerId.PERMIT_OVERRIDES)
-        assert eval_policyset(ps, PLAIN_REQUEST) is D6.NOT_APPLICABLE
+        assert decided(ps, PLAIN_REQUEST) is D6.NOT_APPLICABLE
 
     def test_indeterminate_target_preserves_weakened_result(self):
         ps = PolicySet(
@@ -303,7 +317,7 @@ class TestPolicySetEvaluation:
             ),
             CombinerId.ONLY_ONE_APPLICABLE,
         )
-        assert eval_policyset(ps, ERRORED_REQUEST) is D6.INDET_D
+        assert decided(ps, ERRORED_REQUEST) is D6.INDET_D
 
     def test_mixed_children_rejected(self):
         inner = PolicySet("inner", NULL_TARGET, (), CombinerId.PERMIT_OVERRIDES)
@@ -454,9 +468,12 @@ class TestWorkedExampleNarrative:
         rules = {n.name: n for p in trace.root.children for n in p.children}
         assert rules["RP3"].target_value is D3.TOP
         assert rules["RP3"].result is D6.PERMIT
-        for name in ("RP1", "RP2", "RM1", "RM2"):
+        for name in ("RP1", "RP2"):
             assert rules[name].target_value is D3.BOTTOM
             assert rules[name].result is D6.NOT_APPLICABLE
+        # P_patient_record's Permit decides the permit-overrides root, so
+        # P_medical_record and its rules RM1 and RM2 are never visited.
+        assert set(rules) == {"RP1", "RP2", "RP3"}
 
     def test_write_request_splits_on_the_condition(self):
         _, trace = evaluate(patient_policy_tree(), WRITE_REQUEST, with_trace=True)
@@ -476,8 +493,9 @@ class TestTrace:
 
     def test_replay_combiner_inputs(self):
         def walk(node):
-            if node.combiner is not None:
+            if node.combined is not None:
                 assert combine(node.combiner, "v6", node.inputs) is node.combined
+            if node.combiner is not None:
                 assert len(node.children) == len(node.inputs)
                 for child, value in zip(node.children, node.inputs):
                     assert child.result is value
@@ -492,20 +510,113 @@ class TestTrace:
         root = trace.root
         assert root.path == ()
         assert root.kind == "policyset"
-        assert [c.path for c in root.children] == [(0,), (1,)]
+        # The root stops after its first child's Permit.
+        assert [c.path for c in root.children] == [(0,)]
         assert root.children[0].children[2].kind == "rule"
         assert root.children[0].children[2].name == "RP3"
+        _, trace = evaluate(patient_policy_tree(), WRITE_REQUEST, with_trace=True)
+        assert [c.path for c in trace.root.children] == [(0,), (1,)]
+        assert [c.path for c in trace.root.children[1].children] == [(1, 0), (1, 1)]
 
     def test_text_and_structured_forms(self):
         _, trace = evaluate(patient_policy_tree(), READ_REQUEST, with_trace=True)
         lines = trace.lines()
-        assert len(lines) == 8  # 1 policy set + 2 policies + 5 rules
+        assert len(lines) == 5  # 1 policy set + 1 policy + 3 rules
         assert lines[0].startswith("/ policyset PS_patient:")
-        assert "result=Permit" in lines[0]
+        assert "skipped=decided result=Permit" in lines[0]
         obj = trace.to_obj()
         assert obj["kind"] == "policyset"
         assert obj["result"] == "Permit"
-        assert len(obj["children"]) == 2
+        assert obj["skipped"] == "decided"
+        assert len(obj["children"]) == 1
+
+    def test_skipped_markers(self):
+        _, trace = evaluate(patient_policy_tree(), WRITE_REQUEST, with_trace=True)
+        skipped = {n.name: n.skipped for p in trace.root.children for n in p.children}
+        assert skipped == {
+            "RP1": "target", "RP2": "target", "RP3": "target", "RM1": None, "RM2": None,
+        }
+        # RM2's Deny ends P_medical_record, but no member was left out.
+        assert [p.skipped for p in trace.root.children] == [None, None]
+        assert trace.root.skipped is None
+        rp1 = trace.root.children[0].children[0]
+        assert rp1.condition_value is None
+        assert rp1.lines()[0].endswith("target=bottom skipped=target result=NotApplicable")
+        assert "condition" not in rp1.to_obj()
+        assert rp1.to_obj()["skipped"] == "target"
+        rm1 = trace.root.children[1].children[0]
+        assert "skipped" not in rm1.lines()[0]
+        assert "skipped" not in rm1.to_obj()
+
+    def test_unmatched_node_is_not_visited(self):
+        p = Policy(
+            "p",
+            target_of(match("subject", "nobody")),
+            (rule_with_value("r1", Effect.DENY, D3.TOP),),
+            CombinerId.DENY_OVERRIDES,
+        )
+        ps = PolicySet("ps", NULL_TARGET, (p,), CombinerId.PERMIT_OVERRIDES)
+        _, trace = evaluate(ps, PLAIN_REQUEST, with_trace=True)
+        node = trace.root.children[0]
+        assert node.target_value is D3.BOTTOM
+        assert (node.inputs, node.combined, node.children) == ((), None, ())
+        assert node.skipped == "target"
+        assert node.result is D6.NOT_APPLICABLE
+        assert node.lines() == [
+            "  /0 policy p: target=bottom combiner=d-o inputs=[] skipped=target "
+            "result=NotApplicable"
+        ]
+        assert node.to_obj() == {
+            "path": [0], "kind": "policy", "name": "p", "target": "bottom",
+            "combiner": "d-o", "inputs": [], "skipped": "target",
+            "result": "NotApplicable",
+        }
+        assert trace.root.combined is D6.NOT_APPLICABLE
+        assert "combined=NotApplicable" in trace.root.lines()[0]
+
+    @pytest.mark.parametrize(
+        "combiner, values, visited",
+        [
+            (CombinerId.PERMIT_OVERRIDES, (D3.INDET, D3.TOP, D3.TOP), 2),
+            (CombinerId.DENY_OVERRIDES, (D3.BOTTOM, D3.TOP, D3.TOP), 2),
+            (CombinerId.FIRST_APPLICABLE, (D3.BOTTOM, D3.INDET, D3.TOP), 2),
+        ],
+    )
+    def test_node_stops_at_absorbing_value(self, combiner, values, visited):
+        effect = Effect.DENY if combiner is CombinerId.DENY_OVERRIDES else Effect.PERMIT
+        rules = tuple(
+            rule_with_value(f"r{i}", effect, value) for i, value in enumerate(values)
+        )
+        p = Policy("p", NULL_TARGET, rules, combiner)
+        decision, trace = evaluate(p, PLAIN_REQUEST, with_trace=True)
+        assert decision is eval_policy(p, PLAIN_REQUEST)
+        assert len(trace.root.children) == len(trace.root.inputs) == visited
+        assert trace.root.skipped == "decided"
+        assert "skipped=decided" in trace.lines()[0]
+
+    def test_only_one_applicable_stops_at_indeterminate_dp(self):
+        # p-o over Indeterminate{P} and Deny gives Indeterminate{DP}, the
+        # top of the only-one-applicable lattice.
+        mixed = Policy(
+            "mixed",
+            NULL_TARGET,
+            (
+                rule_with_value("ip", Effect.PERMIT, D3.INDET),
+                rule_with_value("d", Effect.DENY, D3.TOP),
+            ),
+            CombinerId.PERMIT_OVERRIDES,
+        )
+        ps = PolicySet(
+            "ps",
+            NULL_TARGET,
+            (mixed, policy_with_value("p2", Effect.PERMIT, D3.TOP)),
+            CombinerId.ONLY_ONE_APPLICABLE,
+        )
+        decision, trace = evaluate(ps, PLAIN_REQUEST, with_trace=True)
+        assert decision is D6.INDET_DP
+        assert decision is eval_policyset(ps, PLAIN_REQUEST)
+        assert trace.root.inputs == (D6.INDET_DP,)
+        assert trace.root.skipped == "decided"
 
 
 class TestEvaluationProperties:
@@ -518,7 +629,7 @@ class TestEvaluationProperties:
         assert trace.result is first
 
         def walk(t):
-            if t.combiner is not None:
+            if t.combined is not None:
                 assert combine(t.combiner, "v6", t.inputs) is t.combined
                 for child, value in zip(t.children, t.inputs):
                     assert child.result is value
@@ -526,3 +637,76 @@ class TestEvaluationProperties:
                 walk(child)
 
         walk(trace.root)
+
+
+def trees_with_requests():
+    # Policy sets up to three wide, so that a member other than the last
+    # can absorb an only-one-applicable set (Indeterminate{DP} before
+    # another member).
+    trees = st.one_of(strategies.policies(), strategies.policy_sets(width=3))
+    return trees.flatmap(lambda node: st.tuples(st.just(node), strategies.tree_requests(node)))
+
+
+class TestGatedEvaluation:
+    def test_equals_exhaustive_walk(self):
+        seen = Counter()
+
+        @settings(max_examples=1000, deadline=None, derandomize=True)
+        @given(trees_with_requests())
+        def check(case):
+            node, req = case
+            decision, trace = evaluate(node, req, with_trace=True)
+            assert evaluate(node, req)[0] is decision
+            expected = exhaustive_results(node, req)
+            assert decision is expected[()]
+
+            def walk(t):
+                assert t.result is expected[t.path]
+                if t.kind == "rule":
+                    assert (t.skipped is None) is (t.target_value is D3.TOP)
+                    assert (t.condition_value is None) is (t.skipped is not None)
+                else:
+                    seen[t.target_value] += 1
+                    assert (t.skipped == "target") is (t.target_value is D3.BOTTOM)
+                    if t.skipped == "target":
+                        assert (t.inputs, t.combined, t.children) == ((), None, ())
+                    else:
+                        assert combine(t.combiner, "v6", t.inputs) is t.combined
+                        assert [c.result for c in t.children] == list(t.inputs)
+                        # The walk stops at the first absorbing value.
+                        absorbing = ABSORBING[t.combiner]
+                        assert not any(v in absorbing for v in t.inputs[:-1])
+                    if t.skipped == "decided":
+                        assert t.inputs[-1] in absorbing
+                        seen[t.combiner] += 1
+                for child in t.children:
+                    walk(child)
+
+            walk(trace.root)
+
+        check()
+        for value in D3:
+            assert seen[value] > 0, f"no node target was {value.token}"
+        for combiner in STANDARD_COMBINERS:
+            assert seen[combiner] > 0, f"no early stop under {combiner.token}"
+
+    def test_target_loops_equal_lattice_form(self):
+        seen = Counter()
+        targets_and_requests = st.lists(strategies.targets(), min_size=1, max_size=4).flatmap(
+            lambda ts: st.tuples(
+                st.just(ts),
+                strategies.requests_over([m for t in ts for m in strategies.target_matches(t)]),
+            )
+        )
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(targets_and_requests)
+        def check(case):
+            targets, req = case
+            for target in targets:
+                value = eval_target(target, req)
+                assert value is eval_target_lattice(target, req)
+                seen[value] += 1
+
+        check()
+        assert all(seen[value] > 0 for value in D3)
