@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .decisions import Decision3, lub3
-from .errors import InvalidInputError, SourceSpan, UnboundVariableError
+from .errors import InvalidInputError, UnboundVariableError
 from .requests import AttributeTerm, Constant, Request
 
 COMPARISON_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
@@ -77,14 +77,12 @@ Binding = Mapping[str, Constant]
 @dataclass(frozen=True)
 class BoolLiteral:
     value: bool
-    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Atom:
     name: str
     terms: tuple[Term, ...]
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -96,7 +94,6 @@ class Compare:
     left: Operand
     op: str
     right: Operand
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in COMPARISON_OPERATORS:
@@ -106,13 +103,11 @@ class Compare:
 @dataclass(frozen=True)
 class Not:
     expr: "ConditionExpr"
-    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class And:
     children: tuple["ConditionExpr", ...]
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.children) < 2:
@@ -122,7 +117,6 @@ class And:
 @dataclass(frozen=True)
 class Or:
     children: tuple["ConditionExpr", ...]
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.children) < 2:

@@ -41,7 +41,7 @@ from .conditions import (
     index_request,
 )
 from .decisions import Decision3, Decision6, Effect, arrow, sigma
-from .errors import EncodingUnsupportedError, InvalidInputError, SourceSpan
+from .errors import EncodingUnsupportedError, InvalidInputError
 from .requests import AttributeTerm, Request
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -65,7 +65,6 @@ class AllOf:
     """Conjunction of category matches; all must hit."""
 
     matches: tuple[AttributeTerm, ...]
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.matches:
@@ -82,7 +81,6 @@ class AnyOf:
     """Disjunction of all-of groups; one hit suffices."""
 
     all_ofs: tuple[AllOf, ...]
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.all_ofs:
@@ -103,10 +101,6 @@ class Target:
         if self.any_ofs is not None and not self.any_ofs:
             raise InvalidInputError("a non-null target needs at least one any-of")
 
-    @property
-    def is_null(self) -> bool:
-        return self.any_ofs is None
-
 
 NULL_TARGET = Target(None)
 
@@ -117,7 +111,6 @@ class Rule:
     effect: Effect
     target: Target
     condition: ConditionExpr
-    span: SourceSpan | None = field(default=None, compare=False)
     plan: ConditionPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -131,7 +124,6 @@ class Policy:
     target: Target
     rules: tuple[Rule, ...]
     combiner: CombinerId
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -146,7 +138,6 @@ class PolicySet:
     target: Target
     children: tuple["PolicyNode", ...]
     combiner: CombinerId
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -159,16 +150,6 @@ class PolicySet:
 
 
 PolicyNode = Union[Policy, PolicySet]
-
-
-def eval_match(match: AttributeTerm, request: Request) -> Decision3:
-    """TOP when the request carries the attribute, INDET when the
-    attribute is marked erroneous, BOTTOM otherwise."""
-    if match in request.error_attributes:
-        return Decision3.INDET
-    if match in request.facts:
-        return Decision3.TOP
-    return Decision3.BOTTOM
 
 
 def eval_target(target: Target, request: Request) -> Decision3:

@@ -10,10 +10,10 @@ miss, which makes indeterminacy reproducible from the request text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
-from .errors import InvalidInputError, SourceSpan
+from .errors import InvalidInputError
 
 CATEGORIES = ("subject", "action", "resource", "environment")
 
@@ -26,7 +26,6 @@ class AttributeTerm:
 
     name: str
     args: tuple[Constant, ...]
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.args:

@@ -16,6 +16,11 @@ accepted in a policy document; ``all-permit`` is rejected at its token.
 Nesting (policy sets, parenthesised target and condition groups, and
 ``not``) is bounded by ``MAX_NESTING``; deeper input is a parse error.
 
+Source positions live only in parse errors. Tokens are plain
+``(kind, text, start)`` tuples, the syntax tree carries no positions,
+and a ``SourceSpan`` (line and column counted on ``"\\n"``) is built
+only for the error a parser raises.
+
 Requests are brace-wrapped fact lists; a term prefixed ``error:`` lands
 in the request's error-attribute set instead of its facts:
 
@@ -78,85 +83,80 @@ MAX_NESTING = 100
 # as predicate or constant identifiers there.
 RESERVED_CONDITION_WORDS = frozenset(["true", "false", "not"])
 
+# Fixed-text tokens, each listed before any token it is a prefix of.
+_SYMBOLS = {
+    "AND": "/\\",
+    "OR": "\\/",
+    "LE": "<=",
+    "GE": ">=",
+    "NE": "!=",
+    "EQ": "=",
+    "LT": "<",
+    "GT": ">",
+    "LBRACE": "{",
+    "RBRACE": "}",
+    "LBRACK": "[",
+    "RBRACK": "]",
+    "LPAREN": "(",
+    "RPAREN": ")",
+    "SEMI": ";",
+    "COMMA": ",",
+    "COLON": ":",
+}
+
 _TOKEN_SPEC = [
     ("WS", r"[ \t\r\n]+"),
     ("COMMENT", r"#[^\n]*"),
     ("COMBINER", r"(?:all-permit|o-1-a|p-o|d-o|f-a)(?![A-Za-z0-9_-])"),
     ("NUMBER", r"[0-9]+"),
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("AND", r"/\\"),
-    ("OR", r"\\/"),
-    ("LE", r"<="),
-    ("GE", r">="),
-    ("NE", r"!="),
-    ("EQ", r"="),
-    ("LT", r"<"),
-    ("GT", r">"),
-    ("LBRACE", r"\{"),
-    ("RBRACE", r"\}"),
-    ("LBRACK", r"\["),
-    ("RBRACK", r"\]"),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("SEMI", r";"),
-    ("COMMA", r","),
-    ("COLON", r":"),
+    *((kind, re.escape(text)) for kind, text in _SYMBOLS.items()),
+    ("UNEXPECTED", r"(?s:.)"),
 ]
 
 _MASTER_RE = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in _TOKEN_SPEC))
 
-_COMPARISON_KINDS = {"EQ": "=", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
+_COMPARISON_KINDS = {kind: _SYMBOLS[kind] for kind in ("EQ", "NE", "LT", "LE", "GT", "GE")}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
-
-
-def _lex(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    length = len(source)
-    while pos < length:
-        match = _MASTER_RE.match(source, pos)
-        if match is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {source[pos]!r}", span)
+def _lex(source: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``source`` as ``(kind, text, start)`` tuples,
+    ending with an empty ``EOF`` token at ``len(source)``."""
+    tokens = []
+    for match in _MASTER_RE.finditer(source):
         kind = match.lastgroup
-        text = match.group()
-        if kind not in ("WS", "COMMENT"):
-            span = SourceSpan(pos, match.end(), line, pos - line_start + 1)
-            tokens.append(_Token(kind, text, span))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = match.end()
-    tokens.append(_Token("EOF", "", SourceSpan(length, length, line, length - line_start + 1)))
+        if kind == "WS" or kind == "COMMENT":
+            continue
+        if kind == "UNEXPECTED":
+            raise ParseError(
+                f"unexpected character {match.group()!r}", _span_at(source, match.start())
+            )
+        tokens.append((kind, match.group(), match.start()))
+    tokens.append(("EOF", "", len(source)))
     return tokens
 
 
-# Intermediate target shapes before normalization into Target/AnyOf/AllOf.
-@dataclass(frozen=True)
-class _TMatch:
-    term: AttributeTerm
-    span: SourceSpan
+def _span_at(source: str, start: int) -> SourceSpan:
+    """The span of the token that starts at ``start`` (empty at the end
+    of input); line and column count lines on ``"\\n"`` only."""
+    match = _MASTER_RE.match(source, start)
+    end = match.end() if match else start
+    line_start = source.rfind("\n", 0, start) + 1
+    return SourceSpan(start, end, source.count("\n", 0, start) + 1, start - line_start + 1)
 
 
+# Intermediate target shapes before normalization into Target/AnyOf/AllOf;
+# a single match is its AttributeTerm.
 @dataclass(frozen=True)
 class _TAnd:
     items: tuple
-    span: SourceSpan
 
 
 @dataclass(frozen=True)
 class _TOr:
     items: tuple
-    span: SourceSpan
+    # Where a too-deep alternation is reported.
+    start: int
 
 
 @dataclass(frozen=True)
@@ -164,53 +164,67 @@ class _TGroup:
     # Parentheses matter to normalization: "(a /\ b)" is one all-of
     # group, while a bare "a /\ b" is two any-ofs.
     inner: object
-    span: SourceSpan
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    """Recursive descent over ``_lex`` tokens. Positions stay plain
+    offsets; a ``SourceSpan`` is built only for the error raised."""
+
+    def __init__(self, source: str):
+        self._source = source
+        self._tokens = _lex(source)
         self._index = 0
         self._depth = 0
 
     @property
-    def cur(self) -> _Token:
+    def cur(self) -> tuple[str, str, int]:
         return self._tokens[self._index]
 
-    def _advance(self) -> _Token:
+    @property
+    def kind(self) -> str:
+        return self._tokens[self._index][0]
+
+    def _advance(self) -> tuple[str, str, int]:
         token = self.cur
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self._index += 1
         return token
 
-    def _fail(self, message: str, span: SourceSpan | None = None) -> NoReturn:
-        raise ParseError(message, span or self.cur.span)
+    def _span(self, start: int) -> SourceSpan:
+        return _span_at(self._source, start)
 
-    def _expect(self, kind: str, what: str | None = None) -> _Token:
-        if self.cur.kind != kind:
-            shown = self.cur.text or "end of input"
-            self._fail(f"expected {what or kind}, found {shown!r}")
+    def _fail(self, message: str, start: int | None = None) -> NoReturn:
+        raise ParseError(message, self._span(self.cur[2] if start is None else start))
+
+    def _found(self) -> str:
+        return repr(self.cur[1] or "end of input")
+
+    def _expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        if self.kind != kind:
+            self._fail(f"expected {what or repr(_SYMBOLS[kind])}, found {self._found()}")
         return self._advance()
 
-    def _expect_word(self, word: str) -> _Token:
-        if self.cur.kind != "IDENT" or self.cur.text != word:
-            shown = self.cur.text or "end of input"
-            self._fail(f"expected '{word}', found {shown!r}")
+    def _expect_word(self, word: str) -> tuple[str, str, int]:
+        if not self._at_word(word):
+            self._fail(f"expected '{word}', found {self._found()}")
         return self._advance()
 
     def _at_word(self, word: str) -> bool:
-        return self.cur.kind == "IDENT" and self.cur.text == word
+        kind, text, _ = self.cur
+        return kind == "IDENT" and text == word
 
-    def _number(self, token: _Token) -> int:
+    def _number(self, token: tuple[str, str, int]) -> int:
+        _, text, start = token
         try:
-            return int(token.text)
+            return int(text)
         except ValueError:  # past the interpreter's int digit limit
-            self._fail(f"number with {len(token.text)} digits is too long", token.span)
+            self._fail(f"number with {len(text)} digits is too long", start)
 
-    def _nested(self, parse: Callable, token: _Token):
-        """Run ``parse`` one nesting level deeper than the caller."""
+    def _nested(self, parse: Callable, start: int):
+        """Run ``parse`` one nesting level deeper than the caller; ``start``
+        is the offset of the token that opens the level."""
         if self._depth == MAX_NESTING:
-            self._fail(f"nesting deeper than {MAX_NESTING} levels", token.span)
+            self._fail(f"nesting deeper than {MAX_NESTING} levels", start)
         self._depth += 1
         try:
             return parse()
@@ -221,13 +235,13 @@ class _Parser:
 
     def policy_node(self) -> PolicyNode:
         if self._at_word("policyset"):
-            return self._nested(self.policyset, self.cur)
+            return self._nested(self.policyset, self.cur[2])
         if self._at_word("policy"):
             return self.policy()
         self._fail("expected 'policyset' or 'policy'")
 
     def policyset(self) -> PolicySet:
-        start = self._expect_word("policyset")
+        self._expect_word("policyset")
         name = self._expect("IDENT", "a policy set name")
         self._expect("LBRACE")
         target = self._target_field()
@@ -236,11 +250,11 @@ class _Parser:
         self._expect("COLON")
         self._expect("LBRACK")
         children: list[PolicyNode] = []
-        spans: list[SourceSpan] = []
-        while self.cur.kind != "RBRACK":
-            spans.append(self.cur.span)
+        starts: list[int] = []
+        while self.kind != "RBRACK":
+            starts.append(self.cur[2])
             children.append(self.policy_node())
-            if self.cur.kind == "COMMA":
+            if self.kind == "COMMA":
                 self._advance()
             else:
                 break
@@ -254,18 +268,14 @@ class _Parser:
             )
             self._fail(
                 "a policy set may hold only policies or only policy sets",
-                spans[first_odd],
+                starts[first_odd],
             )
         return PolicySet(
-            name=name.text,
-            target=target,
-            children=tuple(children),
-            combiner=combiner,
-            span=self._span_from(start),
+            name=name[1], target=target, children=tuple(children), combiner=combiner
         )
 
     def policy(self) -> Policy:
-        start = self._expect_word("policy")
+        self._expect_word("policy")
         name = self._expect("IDENT", "a policy name")
         self._expect("LBRACE")
         target = self._target_field()
@@ -274,84 +284,65 @@ class _Parser:
         self._expect("COLON")
         self._expect("LBRACK")
         rules: list[Rule] = []
-        while self.cur.kind != "RBRACK":
+        while self.kind != "RBRACK":
             rules.append(self.rule())
-            if self.cur.kind == "COMMA":
+            if self.kind == "COMMA":
                 self._advance()
             else:
                 break
         close = self._expect("RBRACK")
         if not rules:
-            raise ArityError("a policy needs at least one rule", close.span)
+            raise ArityError("a policy needs at least one rule", self._span(close[2]))
         self._maybe_semi()
         self._expect("RBRACE")
-        return Policy(
-            name=name.text,
-            target=target,
-            rules=tuple(rules),
-            combiner=combiner,
-            span=self._span_from(start),
-        )
+        return Policy(name=name[1], target=target, rules=tuple(rules), combiner=combiner)
 
     def rule(self) -> Rule:
-        start = self._expect_word("rule")
+        self._expect_word("rule")
         name = self._expect("IDENT", "a rule name")
         self._expect("LBRACE")
         self._expect_word("effect")
         self._expect("COLON")
-        effect_token = self._expect("IDENT", "'permit' or 'deny'")
-        if effect_token.text == "permit":
+        _, effect_text, effect_start = self._expect("IDENT", "'permit' or 'deny'")
+        if effect_text == "permit":
             effect = Effect.PERMIT
-        elif effect_token.text == "deny":
+        elif effect_text == "deny":
             effect = Effect.DENY
         else:
-            self._fail(
-                f"expected 'permit' or 'deny', found {effect_token.text!r}",
-                effect_token.span,
-            )
+            self._fail(f"expected 'permit' or 'deny', found {effect_text!r}", effect_start)
         self._expect("SEMI")
         target = self._target_field()
         self._expect_word("condition")
         self._expect("COLON")
-        condition_start = self.cur.span
+        condition_start = self.cur[2]
         condition = self.condition()
         self._maybe_semi()
         self._expect("RBRACE")
         try:
-            return Rule(
-                name=name.text,
-                effect=effect,
-                target=target,
-                condition=condition,
-                span=self._span_from(start),
-            )
+            return Rule(name=name[1], effect=effect, target=target, condition=condition)
         except UnboundVariableError as exc:
-            raise ParseError(str(exc), condition_start) from None
+            raise ParseError(str(exc), self._span(condition_start)) from None
 
     def _maybe_semi(self) -> None:
-        if self.cur.kind == "SEMI":
+        if self.kind == "SEMI":
             self._advance()
-
-    def _span_from(self, start: _Token) -> SourceSpan:
-        end = self._tokens[self._index - 1].span
-        return SourceSpan(start.span.start, end.end, start.span.line, start.span.column)
 
     def _combiner_field(self) -> CombinerId:
         self._expect_word("combiner")
         self._expect("COLON")
-        token = self.cur
-        if token.kind == "COMBINER":
+        kind, text, start = self.cur
+        if kind == "COMBINER":
             self._advance()
-            combiner = CombinerId.from_token(token.text)
+            combiner = CombinerId.from_token(text)
             if combiner not in STANDARD_COMBINERS:
                 self._fail(
-                    f"{token.text} is only defined under the pair encoding; "
+                    f"{text} is only defined under the pair encoding; "
                     "a policy needs p-o, d-o, f-a or o-1-a",
-                    token.span,
+                    start,
                 )
-        elif token.kind == "IDENT":
+        elif kind == "IDENT":
             raise UnknownCombinerError(
-                f"unknown combining algorithm: {token.text!r}", token.span
+                f"unknown combining algorithm: {text!r}", self._span(start)
             )
         else:
             self._fail("expected a combining algorithm id")
@@ -372,9 +363,9 @@ class _Parser:
         return self._normalize_target(tree)
 
     def _texpr(self):
-        start = self.cur.span
+        start = self.cur[2]
         items = [self._tconj()]
-        while self.cur.kind == "OR":
+        while self.kind == "OR":
             self._advance()
             items.append(self._tconj())
         if len(items) == 1:
@@ -382,44 +373,42 @@ class _Parser:
         return _TOr(tuple(items), start)
 
     def _tconj(self):
-        start = self.cur.span
         items = [self._tatom()]
-        while self.cur.kind == "AND":
+        while self.kind == "AND":
             self._advance()
             items.append(self._tatom())
         if len(items) == 1:
             return items[0]
-        return _TAnd(tuple(items), start)
+        return _TAnd(tuple(items))
 
     def _tatom(self):
-        if self.cur.kind == "LPAREN":
-            open_paren = self._advance()
-            inner = self._nested(self._texpr, open_paren)
+        if self.kind == "LPAREN":
+            start = self._advance()[2]
+            inner = self._nested(self._texpr, start)
             self._expect("RPAREN")
-            return _TGroup(inner, open_paren.span)
-        token = self._expect("IDENT", "a category match")
-        if token.text not in CATEGORIES:
+            return _TGroup(inner)
+        _, category, start = self._expect("IDENT", "a category match")
+        if category not in CATEGORIES:
             self._fail(
-                f"matches use one of {', '.join(CATEGORIES)}; found {token.text!r}",
-                token.span,
+                f"matches use one of {', '.join(CATEGORIES)}; found {category!r}", start
             )
         self._expect("LPAREN")
         value = self._constant("a match value")
         self._expect("RPAREN")
-        term = AttributeTerm(token.text, (value,), span=token.span)
-        return _TMatch(term, token.span)
+        return AttributeTerm(category, (value,))
 
     def _constant(self, what: str):
         token = self.cur
-        if token.kind == "NUMBER":
+        kind, text, _ = token
+        if kind == "NUMBER":
             self._advance()
             return self._number(token)
-        if token.kind == "IDENT":
-            if token.text[0].isupper():
-                self._fail(f"variables are not allowed here, found {token.text!r}")
+        if kind == "IDENT":
+            if text[0].isupper():
+                self._fail(f"variables are not allowed here, found {text!r}")
             self._advance()
-            return token.text
-        self._fail(f"expected {what}, found {token.text or 'end of input'!r}")
+            return text
+        self._fail(f"expected {what}, found {self._found()}")
 
     @staticmethod
     def _ungroup(node):
@@ -428,22 +417,22 @@ class _Parser:
         return node
 
     def _all_of_from(self, disjunct) -> AllOf:
-        if isinstance(disjunct, _TMatch):
-            return AllOf((disjunct.term,), span=disjunct.span)
+        if isinstance(disjunct, AttributeTerm):
+            return AllOf((disjunct,))
         matches = []
         queue = list(disjunct.items)
         while queue:
             item = self._ungroup(queue.pop(0))
-            if isinstance(item, _TMatch):
-                matches.append(item.term)
+            if isinstance(item, AttributeTerm):
+                matches.append(item)
             elif isinstance(item, _TAnd):
                 queue[0:0] = item.items
             else:
                 self._fail(
                     "target nesting is deeper than target / any-of / all-of allows",
-                    item.span,
+                    item.start,
                 )
-        return AllOf(tuple(matches), span=disjunct.span)
+        return AllOf(tuple(matches))
 
     def _any_of_from(self, conjunct) -> AnyOf:
         node = self._ungroup(conjunct)
@@ -455,7 +444,7 @@ class _Parser:
                 pending[0:0] = disjunct.items
             else:
                 all_ofs.append(self._all_of_from(disjunct))
-        return AnyOf(tuple(all_ofs), span=conjunct.span)
+        return AnyOf(tuple(all_ofs))
 
     def _normalize_target(self, tree) -> Target:
         # Conjunction of disjunctions of conjunctions of matches; any
@@ -471,116 +460,98 @@ class _Parser:
         return self._cor()
 
     def _cor(self) -> ConditionExpr:
-        start = self.cur.span
         items = [self._cand()]
-        while self.cur.kind == "OR":
+        while self.kind == "OR":
             self._advance()
             items.append(self._cand())
         if len(items) == 1:
             return items[0]
-        return Or(tuple(items), span=start)
+        return Or(tuple(items))
 
     def _cand(self) -> ConditionExpr:
-        start = self.cur.span
         items = [self._cnot()]
-        while self.cur.kind == "AND":
+        while self.kind == "AND":
             self._advance()
             items.append(self._cnot())
         if len(items) == 1:
             return items[0]
-        return And(tuple(items), span=start)
+        return And(tuple(items))
 
     def _cnot(self) -> ConditionExpr:
         if self._at_word("not"):
-            token = self._advance()
-            return Not(self._nested(self._cnot, token), span=token.span)
+            start = self._advance()[2]
+            return Not(self._nested(self._cnot, start))
         return self._cprimary()
 
     def _cprimary(self) -> ConditionExpr:
-        token = self.cur
-        if token.kind == "LPAREN":
-            self._advance()
-            inner = self._nested(self._cor, token)
+        if self.kind == "LPAREN":
+            start = self._advance()[2]
+            inner = self._nested(self._cor, start)
             self._expect("RPAREN")
             return inner
         if self._at_word("true"):
             self._advance()
-            return BoolLiteral(True, span=token.span)
+            return BoolLiteral(True)
         if self._at_word("false"):
             self._advance()
-            return BoolLiteral(False, span=token.span)
+            return BoolLiteral(False)
         head = self._head()
-        if self.cur.kind in _COMPARISON_KINDS:
-            op_token = self._advance()
+        if self.kind in _COMPARISON_KINDS:
+            op = _COMPARISON_KINDS[self._advance()[0]]
             right = self._to_operand(self._head())
-            return Compare(
-                self._to_operand(head),
-                _COMPARISON_KINDS[op_token.kind],
-                right,
-                span=token.span,
-            )
+            return Compare(self._to_operand(head), op, right)
         # Without a comparison the only readable form is a fact atom.
         name, args = self._to_application(head)
-        return Atom(name, args, span=token.span)
+        return Atom(name, args)
 
     def _head(self):
         """Parse one term or one application ``f(t, ...)``.
 
-        Returns ``(token, value, args)`` where ``args`` is None for a
+        Returns ``(start, value, args)`` where ``args`` is None for a
         plain term; whether an application is an atom or a function
         value depends on what follows, so the caller decides.
         """
-        token = self.cur
-        if token.kind == "NUMBER":
-            self._advance()
-            return token, self._number(token), None
-        if token.kind != "IDENT":
-            self._fail(f"expected a term, found {token.text or 'end of input'!r}")
-        self._advance()
-        if token.text[0].isupper():
-            return token, Variable(token.text), None
-        if token.text in RESERVED_CONDITION_WORDS:
-            self._fail(f"{token.text!r} cannot be used as a term", token.span)
-        if self.cur.kind != "LPAREN":
-            return token, token.text, None
+        start = self.cur[2]
+        value = self._term()
+        # Only a constant name can be applied; numbers and variables cannot.
+        if not isinstance(value, str) or self.kind != "LPAREN":
+            return start, value, None
         self._advance()
         args: list[Term] = [self._term()]
-        while self.cur.kind == "COMMA":
+        while self.kind == "COMMA":
             self._advance()
             args.append(self._term())
         self._expect("RPAREN")
-        return token, token.text, tuple(args)
+        return start, value, tuple(args)
 
     def _to_operand(self, head) -> Operand:
-        token, value, args = head
+        start, value, args = head
         if args is None:
             return value
         if len(args) != 1:
-            raise ArityError("a function value takes exactly one argument", token.span)
+            raise ArityError("a function value takes exactly one argument", self._span(start))
         return FunctionValue(value, args[0])
 
     def _to_application(self, head):
-        token, value, args = head
+        start, value, args = head
         if args is None:
-            self._fail(
-                "a bare term is not a condition; expected an atom or comparison",
-                token.span,
-            )
+            self._fail("a bare term is not a condition; expected an atom or comparison", start)
         return value, args
 
     def _term(self) -> Term:
         token = self.cur
-        if token.kind == "NUMBER":
+        kind, text, start = token
+        if kind == "NUMBER":
             self._advance()
             return self._number(token)
-        if token.kind == "IDENT":
+        if kind == "IDENT":
             self._advance()
-            if token.text[0].isupper():
-                return Variable(token.text)
-            if token.text in RESERVED_CONDITION_WORDS:
-                self._fail(f"{token.text!r} cannot be used as a term", token.span)
-            return token.text
-        self._fail(f"expected a term, found {token.text or 'end of input'!r}")
+            if text[0].isupper():
+                return Variable(text)
+            if text in RESERVED_CONDITION_WORDS:
+                self._fail(f"{text!r} cannot be used as a term", start)
+            return text
+        self._fail(f"expected a term, found {self._found()}")
 
     # -- requests ------------------------------------------------------------
 
@@ -588,20 +559,19 @@ class _Parser:
         open_brace = self._expect("LBRACE")
         facts: set[AttributeTerm] = set()
         errors: set[AttributeTerm] = set()
-        spans: dict[AttributeTerm, SourceSpan] = {}
-        while self.cur.kind != "RBRACE":
+        # Each term's first occurrence, for the overlap diagnostic.
+        starts: dict[AttributeTerm, int] = {}
+        while self.kind != "RBRACE":
             is_error = False
-            token = self.cur
-            if self._at_word("error"):
-                nxt = self._tokens[self._index + 1]
-                if nxt.kind == "COLON":
-                    self._advance()
-                    self._advance()
-                    is_error = True
+            if self._at_word("error") and self._tokens[self._index + 1][0] == "COLON":
+                self._advance()
+                self._advance()
+                is_error = True
+            start = self.cur[2]
             term = self._request_term()
-            spans.setdefault(term, term.span or token.span)
+            starts.setdefault(term, start)
             (errors if is_error else facts).add(term)
-            if self.cur.kind == "COMMA":
+            if self.kind == "COMMA":
                 self._advance()
             else:
                 break
@@ -609,36 +579,35 @@ class _Parser:
         self._expect("EOF", "end of input")
         if not facts:
             raise EmptyRequestError(
-                "a request needs at least one attribute fact", open_brace.span
+                "a request needs at least one attribute fact", self._span(open_brace[2])
             )
         overlap = facts & errors
         if overlap:
             term = sorted(overlap, key=str)[0]
             raise ParseError(
                 f"attribute {term} listed both as a fact and as an error",
-                spans[term],
+                self._span(starts[term]),
             )
         return Request(facts=frozenset(facts), error_attributes=frozenset(errors))
 
     def _request_term(self) -> AttributeTerm:
-        name = self._expect("IDENT", "an attribute name")
+        _, name, start = self._expect("IDENT", "an attribute name")
         self._expect("LPAREN")
         args = [self._constant("an attribute argument")]
-        while self.cur.kind == "COMMA":
+        while self.kind == "COMMA":
             self._advance()
             args.append(self._constant("an attribute argument"))
         self._expect("RPAREN")
-        if name.text in CATEGORIES and len(args) != 1:
+        if name in CATEGORIES and len(args) != 1:
             raise ArityError(
-                f"category attribute {name.text!r} takes exactly one argument",
-                name.span,
+                f"category attribute {name!r} takes exactly one argument", self._span(start)
             )
-        return AttributeTerm(name.text, tuple(args), span=name.span)
+        return AttributeTerm(name, tuple(args))
 
 
 def parse_policy(text: str) -> PolicyNode:
     """Parse one policy or policy set document."""
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     node = parser.policy_node()
     parser._expect("EOF", "end of input")
     return node
@@ -646,7 +615,7 @@ def parse_policy(text: str) -> PolicyNode:
 
 def parse_request(text: str) -> Request:
     """Parse one brace-wrapped request."""
-    return _Parser(_lex(text)).request()
+    return _Parser(text).request()
 
 
 # -- serialization -------------------------------------------------------

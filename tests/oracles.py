@@ -12,6 +12,7 @@ import itertools
 from typing import Sequence
 
 from xpdp import (
+    AttributeTerm,
     ConditionExpr,
     Decision3,
     Decision6,
@@ -26,7 +27,6 @@ from xpdp import (
     check_range_restriction,
     combine,
     delta,
-    eval_match,
     free_variables,
     glb3,
     kleene_eval,
@@ -206,6 +206,16 @@ def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
         if value > best:
             best = value
     return best
+
+
+def eval_match(match: AttributeTerm, request: Request) -> Decision3:
+    """TOP when the request carries the attribute, INDET when the
+    attribute is marked erroneous, BOTTOM otherwise."""
+    if match in request.error_attributes:
+        return D3.INDET
+    if match in request.facts:
+        return D3.TOP
+    return D3.BOTTOM
 
 
 def eval_target_lattice(target: Target, request: Request) -> Decision3:

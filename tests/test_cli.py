@@ -118,6 +118,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("xpdp:")
 
+    def test_parse_error_names_punctuation(self, capsys, tmp_path):
+        req = tmp_path / "missing_brace.req"
+        req.write_text("{ subject(a) action(b) }")
+        code, out, err = run(capsys, "eval", "--policy", POLICY, "--request", str(req))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == "xpdp: 1:14: expected '}', found 'action'\n"
+
     def test_non_utf8_request(self, capsys, tmp_path):
         req = tmp_path / "latin1.req"
         req.write_bytes(b"{ subject(doctor), action(read) \xff }\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import strategies
 from oracles import (
+    eval_match,
     eval_policy,
     eval_policyset,
     eval_rule,
@@ -45,7 +46,6 @@ from xpdp import (
     Variable,
     arrow,
     combine,
-    eval_match,
     eval_target,
     evaluate,
     rule_decision,

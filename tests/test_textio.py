@@ -203,24 +203,6 @@ class TestParsePolicy:
         node = parse_policy("# leading\n" + MINIMAL + "\n# trailing")
         assert node.name == "P"
 
-    def test_parsed_nodes_carry_spans(self):
-        text = (SAMPLES / "patient_policy.pol").read_text()
-        node = parse_policy(text)
-        assert node.span is not None and node.span.line >= 1
-
-        def check(n):
-            assert n.span is not None
-            assert 0 <= n.span.start <= n.span.end <= len(text)
-            if isinstance(n, PolicySet):
-                for child in n.children:
-                    check(child)
-            else:
-                for rule in n.rules:
-                    assert rule.span is not None
-                    assert rule.condition.span is not None
-
-        check(node)
-
     def test_span_sanity(self):
         from xpdp import SourceSpan
 
@@ -258,6 +240,14 @@ class TestParseRequest:
             parse_request(text)
         assert err.value.span.start == text.index("9")
         assert "too long" in str(err.value)
+
+    def test_diagnostics_name_punctuation(self):
+        with pytest.raises(ParseError) as err:
+            parse_request("{ subject(a) action(b) }")
+        assert str(err.value) == "1:14: expected '}', found 'action'"
+        with pytest.raises(ParseError) as err:
+            parse_policy(MINIMAL.replace("effect: permit;", "effect: permit"))
+        assert str(err.value) == "6:29: expected ';', found 'target'"
 
     def test_numeric_arguments(self):
         req = parse_request("{ age(p, 17) }")
@@ -378,35 +368,49 @@ class TestLatticeDot:
             emit_lattice_dot("nope")
 
 
+def assert_locates(text: str, exc: PolicyEngineError) -> None:
+    """The error's span lies within ``text``, and its line and column,
+    with lines split on "\\n" only, point at ``text[span.start]`` (or at
+    the end of input)."""
+    span = exc.span
+    assert 0 <= span.start <= span.end <= len(text)
+    lines = text.split("\n")
+    assert 1 <= span.line <= len(lines)
+    assert 1 <= span.column <= len(lines[span.line - 1]) + 1
+    line_start = sum(len(line) + 1 for line in lines[: span.line - 1])
+    assert line_start + span.column - 1 == span.start
+
+
 class TestParserRobustness:
     """Whatever the input, the parsers either return a tree or raise one
-    of the package's own error types."""
+    of the package's own error types, located in the input."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=80))
     def test_policy_parser_total_on_junk(self, text):
         try:
             parse_policy(text)
-        except PolicyEngineError:
-            pass
+        except PolicyEngineError as exc:
+            assert_locates(text, exc)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     def test_policy_parser_total_on_sample_slices(self, a, b):
         text = (SAMPLES / "patient_policy.pol").read_text()
         lo, hi = sorted((a % (len(text) + 1), b % (len(text) + 1)))
+        text = text[:lo] + text[hi:]
         try:
-            parse_policy(text[:lo] + text[hi:])
-        except PolicyEngineError:
-            pass
+            parse_policy(text)
+        except PolicyEngineError as exc:
+            assert_locates(text, exc)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=60))
     def test_request_parser_total_on_junk(self, text):
         try:
             parse_request(text)
-        except PolicyEngineError:
-            pass
+        except PolicyEngineError as exc:
+            assert_locates(text, exc)
 
 
 def nested_sets(depth: int) -> str:
