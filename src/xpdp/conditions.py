@@ -327,27 +327,34 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
 
 @dataclass(frozen=True)
 class RequestIndex:
-    """A request prepared for condition evaluation, once per evaluation.
+    """A request prepared for evaluation, once per evaluation.
 
     ``domain`` is ``request.constants()``, the range of a variable no
     top-level atom binds. ``tuples`` maps a ``(name, arity)`` signature
     to the argument tuples of the facts and error attributes with it.
+    ``category_terms`` holds the category facts and error attributes,
+    the only terms a target match can hit.
     """
 
     request: Request
     domain: tuple[Constant, ...]
     tuples: Mapping[tuple[str, int], tuple[tuple[Constant, ...], ...]]
+    category_terms: tuple[AttributeTerm, ...]
 
 
 def index_request(request: Request) -> RequestIndex:
     """Index a request for ``eval_condition``; done once per evaluation."""
     tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
+    category_terms = []
     for term in itertools.chain(request.facts, request.error_attributes):
         tuples.setdefault((term.name, len(term.args)), []).append(term.args)
+        if term.is_category:
+            category_terms.append(term)
     return RequestIndex(
         request,
         request.constants(),
         {key: tuple(rows) for key, rows in tuples.items()},
+        tuple(category_terms),
     )
 
 

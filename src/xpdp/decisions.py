@@ -5,7 +5,8 @@ Three families of values flow through evaluation:
 * ``Decision3`` -- three-valued outcomes of match, target and condition
   checks, an ``IntEnum`` totally ordered BOTTOM < INDET < TOP;
 * ``Decision6`` -- six-valued policy decisions that split applicable and
-  indeterminate outcomes by effect;
+  indeterminate outcomes by effect, an ``IntEnum`` in a fixed member
+  order (not a lattice order);
 * ``PairValue`` -- the numeric [deny, permit] encoding over {0, 1/2, 1},
   ordered componentwise. Each component is stored as its level, the int
   ``ZERO``, ``HALF`` or ``ONE`` (0, 1, 2), and printed as 0, 1/2 or 1.
@@ -72,30 +73,33 @@ class Effect(enum.Enum):
         return self.value
 
 
-class Decision6(enum.Enum):
+class Decision6(enum.IntEnum):
     """Six-valued policy decision.
 
     Member order is the fixed enumeration order used wherever decision
-    sequences are enumerated, so reports stay reproducible.
+    sequences are enumerated, so reports stay reproducible. Members are
+    ints in that order, so lattice tables keyed by them hash in C.
+    NOT_APPLICABLE is 0 and therefore falsy: compare members by
+    identity, never by truth value.
     """
 
-    NOT_APPLICABLE = "NotApplicable"
-    INDET_D = "Indeterminate{D}"
-    INDET_P = "Indeterminate{P}"
-    INDET_DP = "Indeterminate{DP}"
-    DENY = "Deny"
-    PERMIT = "Permit"
+    NOT_APPLICABLE = 0
+    INDET_D = 1
+    INDET_P = 2
+    INDET_DP = 3
+    DENY = 4
+    PERMIT = 5
 
     @property
     def canonical(self) -> str:
-        return self.value
+        return _D6_NAMES[self]
 
     @classmethod
     def from_canonical(cls, text: str) -> "Decision6":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise InvalidInputError(f"unknown decision name: {text!r}")
+        member = _D6_BY_NAME.get(text)
+        if member is None:
+            raise InvalidInputError(f"unknown decision name: {text!r}")
+        return member
 
     @property
     def is_applicable(self) -> bool:
@@ -104,6 +108,17 @@ class Decision6(enum.Enum):
     @property
     def is_indeterminate(self) -> bool:
         return self in (Decision6.INDET_D, Decision6.INDET_P, Decision6.INDET_DP)
+
+
+_D6_NAMES = (
+    "NotApplicable",
+    "Indeterminate{D}",
+    "Indeterminate{P}",
+    "Indeterminate{DP}",
+    "Deny",
+    "Permit",
+)
+_D6_BY_NAME = {name: Decision6(i) for i, name in enumerate(_D6_NAMES)}
 
 
 def arrow(f: Decision3, g: Decision3) -> Decision3:

@@ -12,9 +12,25 @@ decision gates the condition behind the target. A node whose target is
 BOTTOM is NotApplicable, so its members are not visited. A node stops
 visiting members at the first value that absorbs its combination (the
 top of the combiner's lattice, or any value but NotApplicable for
-first-applicable; ``combiners.ABSORBING``). An optional trace records
-every value the walk computed, and marks each node that left work
-undone with the reason (``TraceNode.skipped``).
+first-applicable; ``combiners.ABSORBING``).
+
+A node visits only the members that can apply. When a policy or policy
+set is built it compiles a ``MemberGate``: each member with a non-null
+target is listed under one match from each all-of of one of its
+any-ofs, chosen so that as few siblings as possible share them. A
+target that is not BOTTOM needs, in every any-of, an all-of whose
+matches are all facts or error attributes, so one listed match of each
+such member is in the request. The node visits, in order, the members
+its request's category facts and error attributes hit, plus the
+null-target members. Every other member is NotApplicable, which every
+standard combiner ignores (the bottom of the p-o and d-o lattices,
+skipped by f-a, a blank to o-1-a), so leaving it out changes no value.
+
+An optional trace records every value the walk computed, and marks
+each node that left work undone with the reason (``TraceNode.skipped``).
+A member the gate left out is not evaluated, but it is traced as the
+node its BOTTOM target gives, and its NotApplicable is among its
+parent's inputs, so the trace is the same as without the gate.
 
 Rules are decided by the composed gate-and-lift form; the test suite
 checks it exhaustively against the literal three-case analysis. A rule
@@ -28,8 +44,9 @@ algorithms, the ones defined over six-valued decisions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .combiners import ABSORBING, STANDARD_COMBINERS, CombinerId, combine
 from .conditions import (
@@ -106,6 +123,65 @@ NULL_TARGET = Target(None)
 
 
 @dataclass(frozen=True)
+class MemberGate:
+    """A node's members indexed by target (see the module docstring).
+
+    ``keys`` maps a match to the positions of the members listed under
+    it; a member none of whose matches in ``keys`` is in the request has
+    a BOTTOM target. ``always`` holds the null-target members' positions.
+    """
+
+    keys: Mapping[AttributeTerm, tuple[int, ...]]
+    always: tuple[int, ...]
+
+    def visits(self, terms: Sequence[AttributeTerm]) -> Sequence[int]:
+        """The positions, in order, of the members whose target is not
+        BOTTOM for a request with the category facts and error
+        attributes ``terms``, plus perhaps some whose target is."""
+        if not self.keys:
+            return self.always
+        hits = set(self.always)
+        for term in terms:
+            positions = self.keys.get(term)
+            if positions is not None:
+                hits.update(positions)
+        return sorted(hits)
+
+
+def compile_gate(targets: Sequence[Target]) -> MemberGate:
+    """Index members by target. Each member is listed under the any-of,
+    and each all-of under the match, that the fewest siblings mention,
+    so a request hits as few members as it can."""
+    mentions: Counter[AttributeTerm] = Counter(
+        m
+        for target in targets
+        if target.any_ofs is not None
+        for any_of in target.any_ofs
+        for all_of in any_of.all_ofs
+        for m in all_of.matches
+    )
+    count = mentions.__getitem__
+    keys: dict[AttributeTerm, list[int]] = {}
+    always = []
+    for i, target in enumerate(targets):
+        if target.any_ofs is None:
+            always.append(i)
+            continue
+        best: list[AttributeTerm] = []
+        fewest = None
+        for any_of in target.any_ofs:
+            picks = [min(a.matches, key=count) for a in any_of.all_ofs]
+            hits = sum(map(count, picks))
+            if fewest is None or hits < fewest:
+                best, fewest = picks, hits
+        for m in best:
+            positions = keys.setdefault(m, [])
+            if not positions or positions[-1] != i:
+                positions.append(i)
+    return MemberGate({m: tuple(p) for m, p in keys.items()}, tuple(always))
+
+
+@dataclass(frozen=True)
 class Rule:
     name: str
     effect: Effect
@@ -124,12 +200,14 @@ class Policy:
     target: Target
     rules: tuple[Rule, ...]
     combiner: CombinerId
+    gate: MemberGate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
         _check_combiner(self.combiner)
         if not self.rules:
             raise InvalidInputError(f"policy {self.name!r} needs at least one rule")
+        object.__setattr__(self, "gate", compile_gate([r.target for r in self.rules]))
 
 
 @dataclass(frozen=True)
@@ -138,6 +216,7 @@ class PolicySet:
     target: Target
     children: tuple["PolicyNode", ...]
     combiner: CombinerId
+    gate: MemberGate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -147,6 +226,7 @@ class PolicySet:
             raise InvalidInputError(
                 f"policy set {self.name!r} mixes policies and policy sets"
             )
+        object.__setattr__(self, "gate", compile_gate([c.target for c in self.children]))
 
 
 PolicyNode = Union[Policy, PolicySet]
@@ -237,9 +317,10 @@ class TraceNode:
     BOTTOM, so a node's members were not visited (``inputs`` is empty
     and ``combined`` is None). It is ``"decided"`` when a member's value
     absorbed the node's combination and the members after it were not
-    visited. Unvisited members have no trace node; ``inputs`` holds the
-    visited members' results, in order, and ``combined`` is their
-    combination.
+    visited. Members after the stop have no trace node; ``inputs`` holds
+    the results of the members before it, in order, and ``combined`` is
+    their combination. A member the gate left out before the stop is
+    traced as its BOTTOM target makes it, without being evaluated.
     """
 
     path: tuple[int, ...]
@@ -339,6 +420,29 @@ def _rule_node(
     return result, node
 
 
+def _gated_out(member: Rule | PolicyNode, path: tuple[int, ...]) -> TraceNode:
+    """The trace node of a member the gate left out, as evaluating its
+    BOTTOM target would have built it."""
+    if isinstance(member, Rule):
+        kind, combiner = "rule", None
+    else:
+        kind = "policy" if isinstance(member, Policy) else "policyset"
+        combiner = member.combiner
+    return TraceNode(
+        path=path,
+        kind=kind,
+        name=member.name,
+        target_value=Decision3.BOTTOM,
+        condition_value=None,
+        combiner=combiner,
+        inputs=(),
+        combined=None,
+        result=Decision6.NOT_APPLICABLE,
+        children=(),
+        skipped="target",
+    )
+
+
 def _eval_node(
     node: PolicyNode, index: RequestIndex, path: tuple[int, ...], want_trace: bool
 ) -> tuple[Decision6, Optional[TraceNode]]:
@@ -356,8 +460,16 @@ def _eval_node(
         skipped = "target"
     else:
         absorbing = ABSORBING[node.combiner]
-        for i, member in enumerate(members):
-            value, trace = visit(member, index, path + (i,), want_trace)
+        visits = node.gate.visits(index.category_terms)
+        # A trace has a node for every member up to the stop; a member the
+        # gate leaves out gets the one its BOTTOM target would give.
+        gated_in = set(visits) if want_trace else None
+        for i in range(len(members)) if want_trace else visits:
+            if gated_in is not None and i not in gated_in:
+                inputs.append(Decision6.NOT_APPLICABLE)
+                child_traces.append(_gated_out(members[i], path + (i,)))
+                continue
+            value, trace = visit(members[i], index, path + (i,), want_trace)
             inputs.append(value)
             if trace is not None:
                 child_traces.append(trace)

@@ -10,7 +10,7 @@ miss, which makes indeterminacy reproducible from the request text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import InvalidInputError
@@ -20,12 +20,19 @@ CATEGORIES = ("subject", "action", "resource", "environment")
 Constant = Union[str, int]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class AttributeTerm:
-    """A named fact: a category attribute or an external-state predicate."""
+    """A named fact: a category attribute or an external-state predicate.
+
+    Terms are set members and dict keys on every evaluation, so the hash
+    is computed once, when the term is built. String hashes differ from
+    one process to the next, so a pickled term is rebuilt through the
+    constructor rather than restored with its old hash.
+    """
 
     name: str
     args: tuple[Constant, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.args:
@@ -38,6 +45,13 @@ class AttributeTerm:
             raise InvalidInputError(
                 f"category attribute {self.name!r} takes exactly one argument"
             )
+        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (AttributeTerm, (self.name, self.args))
 
     @property
     def is_category(self) -> bool:

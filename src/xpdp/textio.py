@@ -73,7 +73,7 @@ from .errors import (
     UnknownLatticeError,
 )
 from .policy import AllOf, AnyOf, NULL_TARGET, Policy, PolicyNode, PolicySet, Rule, Target
-from .requests import CATEGORIES, AttributeTerm, Request
+from .requests import CATEGORIES, AttributeTerm, Constant, Request
 
 # Deepest nesting of policy sets, parenthesised groups and ``not`` a
 # document may use; the parser, evaluator and serializer all recurse on it.
@@ -175,6 +175,9 @@ class _Parser:
         self._tokens = _lex(source)
         self._index = 0
         self._depth = 0
+        # Equal target matches share one term, so the dict lookups that
+        # build member gates find them by identity.
+        self._matches: dict[tuple[str, Constant], AttributeTerm] = {}
 
     @property
     def cur(self) -> tuple[str, str, int]:
@@ -395,7 +398,10 @@ class _Parser:
         self._expect("LPAREN")
         value = self._constant("a match value")
         self._expect("RPAREN")
-        return AttributeTerm(category, (value,))
+        term = self._matches.get((category, value))
+        if term is None:
+            term = self._matches[category, value] = AttributeTerm(category, (value,))
+        return term
 
     def _constant(self, what: str):
         token = self.cur

@@ -3,7 +3,9 @@
 Everything here is written directly from the prose descriptions of the
 algorithms and from the lattice diagrams, without going through the
 package's lattice machinery, so a bug in one side cannot hide in the
-other.
+other. The exception is ``evaluate_ungated``, the evaluator's walk
+without member gates, kept as the reference the gated walk's traces
+must equal.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from xpdp import (
     Decision3,
     Decision6,
     Effect,
+    EvalTrace,
     InvalidInputError,
     PairValue,
     Policy,
@@ -24,16 +27,21 @@ from xpdp import (
     Request,
     Rule,
     Target,
+    TraceNode,
     check_range_restriction,
     combine,
     delta,
+    eval_target,
     free_variables,
     glb3,
+    index_request,
     kleene_eval,
     lub3,
     rule_decision,
     weaken_to_indeterminate,
 )
+from xpdp.combiners import ABSORBING
+from xpdp.policy import _node_result, _rule_node
 
 D3 = Decision3
 D6 = Decision6
@@ -296,3 +304,57 @@ def node_result_with_blank_case(
     ):
         return D6.NOT_APPLICABLE
     return combined
+
+
+def _ungated(node, index, path: tuple[int, ...], want_trace: bool):
+    if isinstance(node, Policy):
+        kind, members, visit = "policy", node.rules, _rule_node
+    else:
+        kind, members, visit = "policyset", node.children, _ungated
+    target_value = eval_target(node.target, index.request)
+    inputs: list[Decision6] = []
+    child_traces: list[TraceNode] = []
+    combined = None
+    skipped = None
+    if target_value is D3.BOTTOM:
+        result = D6.NOT_APPLICABLE
+        skipped = "target"
+    else:
+        absorbing = ABSORBING[node.combiner]
+        for i, member in enumerate(members):
+            value, trace = visit(member, index, path + (i,), want_trace)
+            inputs.append(value)
+            if trace is not None:
+                child_traces.append(trace)
+            if value in absorbing:
+                if i + 1 < len(members):
+                    skipped = "decided"
+                break
+        combined = combine(node.combiner, "v6", tuple(inputs))
+        result = _node_result(target_value, combined)
+    if not want_trace:
+        return result, None
+    trace_node = TraceNode(
+        path=path,
+        kind=kind,
+        name=node.name,
+        target_value=target_value,
+        condition_value=None,
+        combiner=node.combiner,
+        inputs=tuple(inputs),
+        combined=combined,
+        result=result,
+        children=tuple(child_traces),
+        skipped=skipped,
+    )
+    return result, trace_node
+
+
+def evaluate_ungated(node: Policy | PolicySet, request: Request, with_trace: bool = False):
+    """``evaluate`` without member gates: a node whose target is not
+    BOTTOM visits every member, in order, up to the first absorbing
+    value. It shares everything else with ``evaluate`` (targets, rules,
+    combiners, trace nodes), so it is the reference for the gate alone:
+    the two must give equal decisions and equal traces."""
+    decision, trace_node = _ungated(node, index_request(request), (), with_trace)
+    return decision, EvalTrace(trace_node) if trace_node is not None else None

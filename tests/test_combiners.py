@@ -210,6 +210,20 @@ class TestEarlyStop:
         assert stops > 0
 
 
+class TestNotApplicableIsBlank:
+    @pytest.mark.parametrize("combiner", STANDARD_COMBINERS)
+    def test_dropping_not_applicable_changes_nothing(self, combiner):
+        # What lets a node skip the members its gate shows to be
+        # NotApplicable: removing NotApplicable entries leaves the
+        # combination unchanged, for every sequence up to length 5.
+        dropped = 0
+        for seq in _sequences(5):
+            kept = tuple(v for v in seq if v is not D6.NOT_APPLICABLE)
+            dropped += len(kept) < len(seq)
+            assert combine(combiner, "v6", kept) is combine(combiner, "v6", seq), seq
+        assert dropped > 0
+
+
 class TestBehaviourOracles:
     def test_permit_overrides_agrees(self):
         for seq in _sequences(4):

@@ -1,7 +1,12 @@
 """Policy tree evaluation: matches, targets, rules, policies, traces."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +19,7 @@ from oracles import (
     eval_policyset,
     eval_rule,
     eval_target_lattice,
+    evaluate_ungated,
     exhaustive_results,
     node_result_with_blank_case,
     rule_decision_cases,
@@ -48,10 +54,14 @@ from xpdp import (
     combine,
     eval_target,
     evaluate,
+    index_request,
+    parse_policy,
+    parse_request,
     rule_decision,
     sigma,
     weaken_to_indeterminate,
 )
+import xpdp.policy
 from xpdp.combiners import ABSORBING
 from xpdp.policy import _node_result
 
@@ -59,6 +69,7 @@ D3 = Decision3
 D6 = Decision6
 X = Variable("X")
 Y = Variable("Y")
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def request(facts, errors=()):
@@ -136,6 +147,28 @@ class TestMatchAndTarget:
                 raised = list(statuses)
                 raised[i] = order[order.index(status) + 1]
                 assert realized(tuple(raised)) >= base
+
+    def test_pickled_term_is_rehashed_in_a_new_process(self):
+        # A term caches its hash, and string hashes depend on the
+        # process's PYTHONHASHSEED; a term pickled by a process with
+        # another seed must still be found among this process's terms.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(xpdp.policy.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        script = (
+            "import pickle, sys\n"
+            "from xpdp import AttributeTerm\n"
+            "term = AttributeTerm('subject', ('doctor',))\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash(term), term)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        ).stdout
+        their_hash, term = pickle.loads(out)
+        fresh = parse_request("{ subject(doctor), action(read) }").facts
+        assert their_hash != hash(match("subject", "doctor"))
+        assert hash(term) == hash(match("subject", "doctor"))
+        assert term in fresh
 
     def test_non_category_match_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -659,36 +692,45 @@ class TestGatedEvaluation:
             assert evaluate(node, req)[0] is decision
             expected = exhaustive_results(node, req)
             assert decision is expected[()]
+            # Member gates change no trace line.
+            _, reference = evaluate_ungated(node, req, with_trace=True)
+            assert trace.lines() == reference.lines()
+            assert trace.to_obj() == reference.to_obj()
+            terms = index_request(req).category_terms
 
-            def walk(t):
+            def walk(t, n):
                 assert t.result is expected[t.path]
                 if t.kind == "rule":
                     assert (t.skipped is None) is (t.target_value is D3.TOP)
                     assert (t.condition_value is None) is (t.skipped is not None)
+                    return
+                members = n.rules if t.kind == "policy" else n.children
+                seen[t.target_value] += 1
+                assert (t.skipped == "target") is (t.target_value is D3.BOTTOM)
+                if t.skipped == "target":
+                    assert (t.inputs, t.combined, t.children) == ((), None, ())
                 else:
-                    seen[t.target_value] += 1
-                    assert (t.skipped == "target") is (t.target_value is D3.BOTTOM)
-                    if t.skipped == "target":
-                        assert (t.inputs, t.combined, t.children) == ((), None, ())
-                    else:
-                        assert combine(t.combiner, "v6", t.inputs) is t.combined
-                        assert [c.result for c in t.children] == list(t.inputs)
-                        # The walk stops at the first absorbing value.
-                        absorbing = ABSORBING[t.combiner]
-                        assert not any(v in absorbing for v in t.inputs[:-1])
-                    if t.skipped == "decided":
-                        assert t.inputs[-1] in absorbing
-                        seen[t.combiner] += 1
+                    assert combine(t.combiner, "v6", t.inputs) is t.combined
+                    assert [c.result for c in t.children] == list(t.inputs)
+                    # The walk stops at the first absorbing value.
+                    absorbing = ABSORBING[t.combiner]
+                    assert not any(v in absorbing for v in t.inputs[:-1])
+                    if len(n.gate.visits(terms)) < len(members):
+                        seen["gated out"] += 1
+                if t.skipped == "decided":
+                    assert t.inputs[-1] in absorbing
+                    seen[t.combiner] += 1
                 for child in t.children:
-                    walk(child)
+                    walk(child, members[child.path[-1]])
 
-            walk(trace.root)
+            walk(trace.root, node)
 
         check()
         for value in D3:
             assert seen[value] > 0, f"no node target was {value.token}"
         for combiner in STANDARD_COMBINERS:
             assert seen[combiner] > 0, f"no early stop under {combiner.token}"
+        assert seen["gated out"] > 0, "no member gate left a member out"
 
     def test_target_loops_equal_lattice_form(self):
         seen = Counter()
@@ -710,3 +752,77 @@ class TestGatedEvaluation:
 
         check()
         assert all(seen[value] > 0 for value in D3)
+
+
+def wide_gated_policy() -> PolicySet:
+    """A root over one d-o policy of 200 rules with distinct targets,
+    ``action(aI) /\\ resource(doc)``, every tenth rule an
+    ``action(aI) \\/ action(bI)`` disjunction, and a null-target rule
+    after every twentieth, whose false condition leaves it
+    NotApplicable."""
+    rules = []
+    for i in range(200):
+        if i % 20 == 0:
+            rules.append(rule_with_value(f"n{i}", Effect.PERMIT, D3.BOTTOM))
+        action = AnyOf((AllOf((match("action", f"a{i}"),)),))
+        if i % 10 == 5:
+            action = AnyOf(action.all_ofs + (AllOf((match("action", f"b{i}"),)),))
+        target = Target((action, AnyOf((AllOf((match("resource", "doc"),)),))))
+        effect = Effect.DENY if i % 5 == 0 else Effect.PERMIT
+        rules.append(Rule(f"r{i}", effect, target, TRUE_CONDITION))
+    wide = Policy(
+        "wide", target_of(match("subject", "s")), tuple(rules), CombinerId.DENY_OVERRIDES
+    )
+    return PolicySet("root", NULL_TARGET, (wide,), CombinerId.PERMIT_OVERRIDES)
+
+
+class TestMemberGate:
+    @pytest.mark.parametrize(
+        "request_file",
+        ["request_doctor_read.req", "request_doctor_write.req", "request_errored_read.req"],
+    )
+    def test_sample_traces_equal_ungated_walk(self, request_file):
+        node = parse_policy((SAMPLES / "patient_policy.pol").read_text())
+        req = parse_request((SAMPLES / request_file).read_text())
+        decision, trace = evaluate(node, req, with_trace=True)
+        expected, reference = evaluate_ungated(node, req, with_trace=True)
+        assert decision is expected
+        assert trace.lines() == reference.lines()
+        assert trace.to_obj() == reference.to_obj()
+
+    def test_keys_are_the_rarest_matches(self):
+        gate = wide_gated_policy().children[0].gate
+        nulls = tuple(i + i // 20 for i in range(0, 200, 20))
+        assert gate.always == nulls
+        assert gate.keys[match("action", "a57")] == (57 + 3,)
+        assert gate.keys[match("action", "b15")] == (15 + 1,)
+        assert match("resource", "doc") not in gate.keys
+
+    def test_visits_only_members_that_can_apply(self, monkeypatch):
+        # action(a57) makes r57 Permit; the errored action(b125) leaves
+        # r125, a deny rule, indeterminate through its disjunction.
+        root = wide_gated_policy()
+        req = request(
+            [match("subject", "s"), match("action", "a57"), match("resource", "doc")],
+            [match("action", "b125")],
+        )
+        calls = Counter()
+        eval_target = xpdp.policy.eval_target
+
+        def counted(target, request):
+            calls["eval_target"] += 1
+            return eval_target(target, request)
+
+        monkeypatch.setattr(xpdp.policy, "eval_target", counted)
+        decision, trace = evaluate(root, req, with_trace=True)
+        ancestors, hit, null_target = 2, 2, 10
+        assert calls["eval_target"] <= ancestors + hit + null_target
+        assert decision is D6.INDET_DP
+        assert decision is eval_policyset(root, req)
+        expected, reference = evaluate_ungated(root, req, with_trace=True)
+        assert decision is expected
+        assert trace.lines() == reference.lines()
+        assert trace.to_obj() == reference.to_obj()
+        values = {c.name: c.target_value for c in trace.root.children[0].children}
+        assert values["r57"] is D3.TOP and values["r125"] is D3.INDET
+        assert sum(v is not D3.BOTTOM for v in values.values()) == hit + null_target
