@@ -39,7 +39,7 @@ from typing import Iterator, Mapping, Union
 
 from .decisions import Decision3, lub3
 from .errors import InvalidInputError, UnboundVariableError
-from .requests import AttributeTerm, Constant, Request
+from .requests import CATEGORIES, AttributeTerm, Constant, Request
 
 COMPARISON_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 
@@ -348,7 +348,7 @@ def index_request(request: Request) -> RequestIndex:
     category_terms = []
     for term in itertools.chain(request.facts, request.error_attributes):
         tuples.setdefault((term.name, len(term.args)), []).append(term.args)
-        if term.is_category:
+        if term.name in CATEGORIES:  # term.is_category, without a call per fact
             category_terms.append(term)
     return RequestIndex(
         request,
