@@ -46,6 +46,11 @@ class CombinerId(enum.Enum):
     ONLY_ONE_APPLICABLE = "o-1-a"
     ALL_PERMIT = "all-permit"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality. It runs in C, where ``Enum.__hash__`` runs
+    # in Python on every lookup of ``ABSORBING`` and the combiner tables.
+    __hash__ = object.__hash__
+
     @property
     def token(self) -> str:
         return self.value

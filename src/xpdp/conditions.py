@@ -13,21 +13,41 @@ or error-marked function fact makes the comparison indeterminate, as
 does comparing values of different types: evaluation errors surface as
 indeterminacy, never as exceptions.
 
-Evaluation is a conjunctive-query join rather than a walk over every
-binding. ``compile_condition`` plans a condition once, when its rule is
-built: it checks the range restriction, sorts the free variables and
-records, for each variable, the positions at which it occurs in the
-atoms of the top-level conjunction (nested conjunctions flattened).
-``index_request`` indexes a request once per evaluation: its constants
-and the argument tuples of its facts and error attributes by name and
-arity. ``eval_condition`` then draws each variable's candidates from
-the tuples that can ground the atoms it occurs in, intersected with the
-request's constants, and evaluates only the bindings in the product of
-those pools. A binding outside them grounds a top-level conjunct to
-neither a fact nor an error attribute, so the conjunction is false and,
-false being the identity of the existential join, the result is the
-same. Variables that occur only under ``not``, ``\\/`` or in comparisons
-range over all the request's constants.
+Evaluation reads a keyed index of the request and tries only the
+bindings that can differ. ``index_request`` makes one pass over a
+request's facts and error attributes per evaluation. It keeps the
+argument tuples by name and arity, the ``(name, args)`` keys of the
+facts and of the error attributes, and the values of the facts
+``f(c,v)`` keyed by ``(f, c)``, with the ``(f, c)`` marked by an error
+attribute ``f(c,...)`` of any arity. ``kleene_eval`` answers an atom by
+looking its ground key up among the errors and then the facts, and a
+function operand by looking up its ``(f, c)`` key; it builds no terms.
+
+``compile_condition`` plans a condition once, when its rule is built:
+it checks the range restriction, sorts the free variables and gives each
+one of three binding rules.
+
+* A variable occurring in an atom of the top-level conjunction (nested
+  conjunctions flattened) is a join variable. It ranges over the values
+  under which every such atom can ground to a fact or an error
+  attribute. Any other value grounds a top-level conjunct to neither,
+  so the conjunction is false and, false being the identity of the
+  existential join, the result is the same.
+* A variable occurring only in atoms and as a function argument, never
+  bare in a comparison, ranges over the constants seen at its sites in
+  the request's rows plus one representative: the first constant of
+  the domain seen at none. Every unseen constant makes each of the
+  variable's atoms false and each of its lookups absent, whatever the
+  other variables are bound to, so all of them give one value. This is
+  the genericity behind active-domain evaluation (Abiteboul, Hull and
+  Vianu, *Foundations of Databases*, ch. 5), and it holds under ``not``
+  and ``\\/`` too.
+* A variable that is a bare comparison operand ranges over the whole
+  domain, the constants of the request's facts.
+
+``eval_condition`` evaluates the product of the variables' pools. A
+top-level atom whose name and arity match no row, or a join variable
+with no candidate, makes the condition false without a binding.
 """
 
 from __future__ import annotations
@@ -35,7 +55,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .decisions import Decision3, lub3
 from .errors import InvalidInputError, UnboundVariableError
@@ -128,34 +148,44 @@ ConditionExpr = Union[BoolLiteral, Atom, Compare, Not, And, Or]
 TRUE_CONDITION = BoolLiteral(True)
 
 
-def _operand_variables(op: Operand) -> frozenset[str]:
-    if isinstance(op, Variable):
-        return frozenset((op.name,))
-    if isinstance(op, FunctionValue):
-        return _operand_variables(op.arg)
-    return frozenset()
+def _leaves(expr: ConditionExpr) -> Iterator[Union[Atom, Compare]]:
+    """The atoms and comparisons of an expression, left to right."""
+    if isinstance(expr, (Atom, Compare)):
+        yield expr
+    elif isinstance(expr, Not):
+        yield from _leaves(expr.expr)
+    elif isinstance(expr, (And, Or)):
+        for child in expr.children:
+            yield from _leaves(child)
+
+
+def _operands(expr: ConditionExpr) -> Iterator[Operand]:
+    for leaf in _leaves(expr):
+        if isinstance(leaf, Compare):
+            yield leaf.left
+            yield leaf.right
 
 
 def atom_variables(expr: ConditionExpr) -> frozenset[str]:
     """Variables occurring inside atoms (the positions that bind)."""
-    if isinstance(expr, Atom):
-        names = [t.name for t in expr.terms if isinstance(t, Variable)]
-        return frozenset(names)
-    if isinstance(expr, Not):
-        return atom_variables(expr.expr)
-    if isinstance(expr, (And, Or)):
-        return frozenset().union(*(atom_variables(c) for c in expr.children))
-    return frozenset()
+    return frozenset(
+        term.name
+        for leaf in _leaves(expr)
+        if isinstance(leaf, Atom)
+        for term in leaf.terms
+        if isinstance(term, Variable)
+    )
 
 
 def compare_variables(expr: ConditionExpr) -> frozenset[str]:
-    if isinstance(expr, Compare):
-        return _operand_variables(expr.left) | _operand_variables(expr.right)
-    if isinstance(expr, Not):
-        return compare_variables(expr.expr)
-    if isinstance(expr, (And, Or)):
-        return frozenset().union(*(compare_variables(c) for c in expr.children))
-    return frozenset()
+    """Variables occurring in comparisons, bare or as a function argument."""
+    names = set()
+    for op in _operands(expr):
+        if isinstance(op, FunctionValue):
+            op = op.arg
+        if isinstance(op, Variable):
+            names.add(op.name)
+    return frozenset(names)
 
 
 def free_variables(expr: ConditionExpr) -> frozenset[str]:
@@ -208,64 +238,116 @@ def _compare_constants(a: Constant, op: str, b: Constant) -> Decision3:
     return Decision3.TOP if _COMPARE_FN[op](a, b) else Decision3.BOTTOM
 
 
+# A request's facts or error attributes, each as its ``(name, args)`` key.
+TermKey = tuple[str, tuple[Constant, ...]]
+
+
+@dataclass(slots=True)
+class RequestIndex:
+    """A request prepared for evaluation, once per evaluation, and only
+    read after that.
+
+    ``domain`` is ``request.constants()``, the constants variables range
+    over, and ``domain_set`` the same as a set. ``tuples`` maps a
+    ``(name, arity)`` signature to the argument tuples of the facts and
+    error attributes with it. ``facts`` and ``errors`` hold the
+    ``(name, args)`` keys of the facts and of the error attributes.
+    ``functions`` maps ``(f, c)`` to the values ``v`` of the facts
+    ``f(c,v)``, and ``function_errors`` holds ``(f, c)`` for every error
+    attribute ``f(c,...)``, of any arity. ``category_terms`` holds the
+    category facts and error attributes, the only terms a target match
+    can hit.
+    """
+
+    request: Request
+    domain: tuple[Constant, ...]
+    domain_set: frozenset[Constant]
+    tuples: dict[tuple[str, int], list[tuple[Constant, ...]]]
+    facts: set[TermKey]
+    errors: set[TermKey]
+    functions: dict[tuple[str, Constant], list[Constant]]
+    function_errors: set[tuple[str, Constant]]
+    category_terms: list[AttributeTerm]
+
+
+def index_request(request: Request) -> RequestIndex:
+    """Index a request for ``eval_condition``; done once per evaluation."""
+    tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
+    functions: dict[tuple[str, Constant], list[Constant]] = {}
+    facts = set()
+    errors = set()
+    function_errors = set()
+    category_terms = []
+    for term in request.facts:
+        name, args = term.name, term.args
+        facts.add((name, args))
+        tuples.setdefault((name, len(args)), []).append(args)
+        if len(args) == 2:
+            functions.setdefault((name, args[0]), []).append(args[1])
+        elif name in CATEGORIES:  # term.is_category, without a call per fact
+            category_terms.append(term)
+    for term in request.error_attributes:
+        name, args = term.name, term.args
+        errors.add((name, args))
+        tuples.setdefault((name, len(args)), []).append(args)
+        function_errors.add((name, args[0]))
+        if name in CATEGORIES:
+            category_terms.append(term)
+    domain = request.constants()
+    return RequestIndex(
+        request,
+        domain,
+        frozenset(domain),
+        tuples,
+        facts,
+        errors,
+        functions,
+        function_errors,
+        category_terms,
+    )
+
+
 def _operand_values(
-    op: Operand, binding: Binding, request: Request
-) -> tuple[list[Constant], bool]:
+    op: Operand, binding: Binding, index: RequestIndex
+) -> tuple[Sequence[Constant], bool]:
     """Resolve an operand to its candidate values plus an error flag.
 
     The flag is set when a function fact is absent or marked erroneous,
     in which case the comparison cannot fall below indeterminate.
     """
     if isinstance(op, FunctionValue):
-        arg = _ground(op.arg, binding)
-        values = [
-            fact.args[1]
-            for fact in request.facts
-            if fact.name == op.name and len(fact.args) == 2 and fact.args[0] == arg
-        ]
-        errored = any(
-            err.name == op.name and err.args and err.args[0] == arg
-            for err in request.error_attributes
-        )
-        return values, errored or not values
-    if isinstance(op, Variable):
-        return [_ground(op, binding)], False
-    return [op], False
+        key = (op.name, _ground(op.arg, binding))
+        values = index.functions.get(key, ())
+        return values, not values or key in index.function_errors
+    return (_ground(op, binding),), False
 
 
-def _eval_compare(
-    expr: Compare, binding: Binding, request: Request
-) -> Decision3:
-    lvals, lflag = _operand_values(expr.left, binding, request)
-    rvals, rflag = _operand_values(expr.right, binding, request)
+def _eval_compare(expr: Compare, binding: Binding, index: RequestIndex) -> Decision3:
+    lvals, lflag = _operand_values(expr.left, binding, index)
+    rvals, rflag = _operand_values(expr.right, binding, index)
     results = [_compare_constants(a, expr.op, b) for a in lvals for b in rvals]
     if lflag or rflag:
         results.append(Decision3.INDET)
     return lub3(results)
 
 
-def kleene_eval(
-    expr: ConditionExpr, binding: Binding, request: Request
-) -> Decision3:
+def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> Decision3:
     """Evaluate a condition under one binding, with strong Kleene
     connectives over three-valued atom and comparison outcomes."""
-    if isinstance(expr, BoolLiteral):
-        return Decision3.TOP if expr.value else Decision3.BOTTOM
     if isinstance(expr, Atom):
-        ground = AttributeTerm(expr.name, tuple(_ground(t, binding) for t in expr.terms))
-        if ground in request.error_attributes:
+        args = ()
+        for term in expr.terms:
+            args += (_ground(term, binding),)
+        key = (expr.name, args)
+        if key in index.errors:
             return Decision3.INDET
-        if ground in request.facts:
+        if key in index.facts:
             return Decision3.TOP
         return Decision3.BOTTOM
-    if isinstance(expr, Compare):
-        return _eval_compare(expr, binding, request)
-    if isinstance(expr, Not):
-        return _NOT3[kleene_eval(expr.expr, binding, request)]
     if isinstance(expr, And):
         result = Decision3.TOP
         for child in expr.children:
-            value = kleene_eval(child, binding, request)
+            value = kleene_eval(child, binding, index)
             if value < result:
                 result = value
             if result is Decision3.BOTTOM:
@@ -274,12 +356,18 @@ def kleene_eval(
     if isinstance(expr, Or):
         result = Decision3.BOTTOM
         for child in expr.children:
-            value = kleene_eval(child, binding, request)
+            value = kleene_eval(child, binding, index)
             if value > result:
                 result = value
             if result is Decision3.TOP:
                 break
         return result
+    if isinstance(expr, Not):
+        return _NOT3[kleene_eval(expr.expr, binding, index)]
+    if isinstance(expr, Compare):
+        return _eval_compare(expr, binding, index)
+    if isinstance(expr, BoolLiteral):
+        return Decision3.TOP if expr.value else Decision3.BOTTOM
     raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
@@ -293,19 +381,48 @@ def _conjuncts(expr: ConditionExpr) -> Iterator[ConditionExpr]:
         yield expr
 
 
+# Where a variable meets a request's rows: ``(name, arity, position)``
+# for an atom argument, and ``(f, None, 0)`` for the argument of a
+# function operand ``f(t)``, which reads the facts ``f(c,v)`` and the
+# error attributes ``f(c,...)`` of any arity.
+Site = tuple[str, Optional[int], int]
+
+
+def _sites(expr: ConditionExpr, name: str) -> tuple[Site, ...]:
+    sites: dict[Site, None] = {}
+    for leaf in _leaves(expr):
+        if isinstance(leaf, Atom):
+            for i, term in enumerate(leaf.terms):
+                if isinstance(term, Variable) and term.name == name:
+                    sites[(leaf.name, len(leaf.terms), i)] = None
+        else:
+            for op in (leaf.left, leaf.right):
+                arg = op.arg if isinstance(op, FunctionValue) else None
+                if isinstance(arg, Variable) and arg.name == name:
+                    sites[(op.name, None, 0)] = None
+    return tuple(sites)
+
+
 @dataclass(frozen=True)
 class ConditionPlan:
-    """A condition with what its evaluation needs worked out once.
+    """A condition with what its evaluation needs worked out once: one
+    binding rule per free variable (see the module docstring).
 
     ``variables`` are the free variables, sorted. ``sources[i]`` holds
     the ``(atom, position)`` pairs at which ``variables[i]`` occurs in a
-    top-level positive conjunct atom; it is empty for a variable that
-    occurs only under ``not``, ``\\/`` or in comparisons.
+    top-level positive conjunct atom; a variable with sources is a join
+    variable. For any other variable, ``sites[i]`` holds its sites, or
+    is None when it is a bare comparison operand and ranges over the
+    whole domain. ``signatures`` are the ``(name, arity)`` of the
+    top-level conjunct atoms: while one has no rows in a request, the
+    condition is false there.
     """
 
     expr: ConditionExpr
     variables: tuple[str, ...]
     sources: tuple[tuple[tuple[Atom, int], ...], ...]
+    sites: tuple[Optional[tuple[Site, ...]], ...]
+    signatures: tuple[tuple[str, int], ...]
 
 
 def compile_condition(expr: ConditionExpr) -> ConditionPlan:
@@ -322,40 +439,13 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
         )
         for name in variables
     )
-    return ConditionPlan(expr, variables, sources)
-
-
-@dataclass(frozen=True)
-class RequestIndex:
-    """A request prepared for evaluation, once per evaluation.
-
-    ``domain`` is ``request.constants()``, the range of a variable no
-    top-level atom binds. ``tuples`` maps a ``(name, arity)`` signature
-    to the argument tuples of the facts and error attributes with it.
-    ``category_terms`` holds the category facts and error attributes,
-    the only terms a target match can hit.
-    """
-
-    request: Request
-    domain: tuple[Constant, ...]
-    tuples: Mapping[tuple[str, int], tuple[tuple[Constant, ...], ...]]
-    category_terms: tuple[AttributeTerm, ...]
-
-
-def index_request(request: Request) -> RequestIndex:
-    """Index a request for ``eval_condition``; done once per evaluation."""
-    tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
-    category_terms = []
-    for term in itertools.chain(request.facts, request.error_attributes):
-        tuples.setdefault((term.name, len(term.args)), []).append(term.args)
-        if term.name in CATEGORIES:  # term.is_category, without a call per fact
-            category_terms.append(term)
-    return RequestIndex(
-        request,
-        request.constants(),
-        {key: tuple(rows) for key, rows in tuples.items()},
-        tuple(category_terms),
+    bare = {op.name for op in _operands(expr) if isinstance(op, Variable)}
+    sites = tuple(
+        () if joined else None if name in bare else _sites(expr, name)
+        for name, joined in zip(variables, sources)
     )
+    signatures = tuple(dict.fromkeys((atom.name, len(atom.terms)) for atom in atoms))
+    return ConditionPlan(expr, variables, sources, sites, signatures)
 
 
 def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:
@@ -371,29 +461,70 @@ def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:
     return True
 
 
+def _in_domain(values: set[Constant], index: RequestIndex) -> list[Constant]:
+    """The domain constants among ``values``, in the domain's order."""
+    values &= index.domain_set
+    if len(values) < 2:
+        return list(values)
+    return [c for c in index.domain if c in values]
+
+
 def _candidates(
     sources: tuple[tuple[Atom, int], ...], index: RequestIndex
-) -> tuple[Constant, ...]:
-    """The values of one variable under which every atom it binds can
+) -> list[Constant]:
+    """The values of a join variable under which every atom it binds can
     ground to a fact or an error attribute, in the domain's order."""
-    allowed = set(index.domain)
+    allowed: Optional[set[Constant]] = None
     for atom, position in sources:
         rows = index.tuples.get((atom.name, len(atom.terms)), ())
-        allowed &= {args[position] for args in rows if _grounds(atom, args)}
-    return tuple(c for c in index.domain if c in allowed)
+        values = {args[position] for args in rows if _grounds(atom, args)}
+        allowed = values if allowed is None else allowed & values
+        if not allowed:
+            return []
+    return _in_domain(allowed, index)
+
+
+def _active(sites: tuple[Site, ...], index: RequestIndex) -> list[Constant]:
+    """The domain constants seen at a variable's sites, in the domain's
+    order, then the first domain constant seen at none, which stands for
+    all of those."""
+    seen: set[Constant] = set()
+    for name, arity, position in sites:
+        if arity is None:
+            seen.update(args[0] for args in index.tuples.get((name, 2), ()))
+            seen.update(c for f, c in index.function_errors if f == name)
+        else:
+            seen.update(args[position] for args in index.tuples.get((name, arity), ()))
+    if not seen:
+        return [index.domain[0]]
+    representative = next((c for c in index.domain if c not in seen), None)
+    pool = _in_domain(seen, index)
+    return pool if representative is None else pool + [representative]
 
 
 def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
     """Evaluate a planned condition existentially over variable bindings.
 
     The result is the least upper bound of the per-binding outcomes, so
-    any TOP binding wins, then any INDET one. Only bindings drawn from
-    each variable's candidates are tried; the others are all BOTTOM.
+    any TOP binding wins, then any INDET one. Each variable takes only
+    the values its binding rule draws; every other binding gives BOTTOM
+    or repeats a value already tried.
     """
-    pools = [_candidates(sources, index) for sources in plan.sources]
+    for signature in plan.signatures:
+        if signature not in index.tuples:
+            return Decision3.BOTTOM
+    pools = []
+    for sources, sites in zip(plan.sources, plan.sites):
+        if sources:
+            pool = _candidates(sources, index)
+            if not pool:  # no binding grounds every top-level atom
+                return Decision3.BOTTOM
+        else:
+            pool = index.domain if sites is None else _active(sites, index)
+        pools.append(pool)
     best = Decision3.BOTTOM
     for combo in itertools.product(*pools):
-        value = kleene_eval(plan.expr, dict(zip(plan.variables, combo)), index.request)
+        value = kleene_eval(plan.expr, dict(zip(plan.variables, combo)), index)
         if value is Decision3.TOP:
             return value
         if value > best:

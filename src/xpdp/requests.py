@@ -85,6 +85,8 @@ class Request:
         """Constants occurring as fact arguments, deduplicated, in a
         deterministic order (strings before numbers)."""
         seen = {arg for fact in self.facts for arg in fact.args}
-        strings = sorted(a for a in seen if isinstance(a, str))
-        numbers = sorted(a for a in seen if not isinstance(a, str))
-        return tuple(strings) + tuple(numbers)
+        try:
+            return tuple(sorted(seen))  # all strings or all numbers
+        except TypeError:  # strings and numbers do not compare
+            strings = sorted([a for a in seen if isinstance(a, str)])
+            return (*strings, *sorted([a for a in seen if not isinstance(a, str)]))

@@ -14,13 +14,20 @@ import itertools
 from typing import Sequence
 
 from xpdp import (
+    And,
+    Atom,
     AttributeTerm,
+    BoolLiteral,
+    Compare,
     ConditionExpr,
     Decision3,
     Decision6,
     Effect,
     EvalTrace,
+    FunctionValue,
     InvalidInputError,
+    Not,
+    Or,
     PairValue,
     Policy,
     PolicySet,
@@ -28,6 +35,8 @@ from xpdp import (
     Rule,
     Target,
     TraceNode,
+    UnboundVariableError,
+    Variable,
     check_range_restriction,
     combine,
     delta,
@@ -35,7 +44,6 @@ from xpdp import (
     free_variables,
     glb3,
     index_request,
-    kleene_eval,
     lub3,
     rule_decision,
     weaken_to_indeterminate,
@@ -200,6 +208,81 @@ def rule_decision_cases(
     return D6.INDET_P if effect is Effect.PERMIT else D6.INDET_D
 
 
+def _ground(term, binding: dict) -> object:
+    if isinstance(term, Variable):
+        try:
+            return binding[term.name]
+        except KeyError:
+            raise UnboundVariableError(f"no binding for variable {term.name}") from None
+    return term
+
+
+_COMPARE = {
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def _operand_values(op, binding: dict, request: Request) -> tuple[list, bool]:
+    """An operand's values plus whether a function fact is absent or
+    error-marked, found by scanning every fact and error attribute."""
+    if isinstance(op, FunctionValue):
+        arg = _ground(op.arg, binding)
+        values = [
+            fact.args[1]
+            for fact in request.facts
+            if fact.name == op.name and len(fact.args) == 2 and fact.args[0] == arg
+        ]
+        errored = any(
+            err.name == op.name and err.args[0] == arg for err in request.error_attributes
+        )
+        return values, errored or not values
+    return [_ground(op, binding)], False
+
+
+def kleene_eval_terms(expr: ConditionExpr, binding: dict, request: Request) -> Decision3:
+    """A condition's value under one binding: each atom grounded to an
+    ``AttributeTerm`` and looked up in the request, each function
+    operand found by a scan, strong Kleene connectives over the rest."""
+    if isinstance(expr, BoolLiteral):
+        return D3.TOP if expr.value else D3.BOTTOM
+    if isinstance(expr, Atom):
+        ground = AttributeTerm(expr.name, tuple(_ground(t, binding) for t in expr.terms))
+        return eval_match(ground, request)
+    if isinstance(expr, Compare):
+        lvals, lflag = _operand_values(expr.left, binding, request)
+        rvals, rflag = _operand_values(expr.right, binding, request)
+        results = [
+            D3.INDET
+            if isinstance(a, str) != isinstance(b, str)
+            else D3.TOP
+            if _COMPARE[expr.op](a, b)
+            else D3.BOTTOM
+            for a in lvals
+            for b in rvals
+        ]
+        if lflag or rflag:
+            results.append(D3.INDET)
+        return max(results, default=D3.BOTTOM)
+    if isinstance(expr, Not):
+        return D3(2 - kleene_eval_terms(expr.expr, binding, request))
+    if isinstance(expr, (And, Or)):
+        # The meet (And) or join (Or) of the children, stopping once it
+        # reaches the bottom (top) that no later child can change.
+        pick, stop = (min, D3.BOTTOM) if isinstance(expr, And) else (max, D3.TOP)
+        result = D3(2 - stop)
+        for child in expr.children:
+            result = pick(result, kleene_eval_terms(child, binding, request))
+            if result is stop:
+                break
+        return result
+    raise InvalidInputError(f"not a condition expression: {expr!r}")
+
+
 def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
     """A condition's value by brute force: the least upper bound of its
     value under every binding of its free variables to the request's
@@ -208,7 +291,7 @@ def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
     names = sorted(free_variables(expr))
     best = D3.BOTTOM
     for combo in itertools.product(request.constants(), repeat=len(names)):
-        value = kleene_eval(expr, dict(zip(names, combo)), request)
+        value = kleene_eval_terms(expr, dict(zip(names, combo)), request)
         if value is D3.TOP:
             return value
         if value > best:

@@ -1,6 +1,9 @@
 """Three-valued condition evaluation."""
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +26,16 @@ from xpdp import (
     check_range_restriction,
     compile_condition,
     eval_condition,
+    evaluate,
     free_variables,
     index_request,
     kleene_eval,
+    parse_policy,
+    parse_request,
 )
 
 import strategies
-from oracles import eval_condition_product
+from oracles import eval_condition_product, evaluate_exhaustive, kleene_eval_terms
 
 D3 = Decision3
 X = Variable("X")
@@ -62,25 +68,33 @@ GROUND_ATOMS = {
 }
 
 
+def kleene(expr, binding, req):
+    """kleene_eval over the request's index, checked against the
+    reference evaluator that builds a term for every atom."""
+    value = kleene_eval(expr, binding, index_request(req))
+    assert value is kleene_eval_terms(expr, binding, req)
+    return value
+
+
 class TestKleeneEval:
     def test_atom_values(self):
         for value, atom in GROUND_ATOMS.items():
-            assert kleene_eval(atom, {}, GROUND_REQUEST) is value
+            assert kleene(atom, {}, GROUND_REQUEST) is value
 
     def test_bool_literals(self):
-        assert kleene_eval(BoolLiteral(True), {}, GROUND_REQUEST) is D3.TOP
-        assert kleene_eval(BoolLiteral(False), {}, GROUND_REQUEST) is D3.BOTTOM
+        assert kleene(BoolLiteral(True), {}, GROUND_REQUEST) is D3.TOP
+        assert kleene(BoolLiteral(False), {}, GROUND_REQUEST) is D3.BOTTOM
 
     def test_negation_of_absent_atom(self):
         req = request([AttributeTerm("subject", ("g",))])
         expr = Not(Atom("guardian", (X, Y)))
-        assert kleene_eval(expr, {"X": "g", "Y": "p"}, req) is D3.TOP
+        assert kleene(expr, {"X": "g", "Y": "p"}, req) is D3.TOP
 
     def test_function_fact_comparison(self):
         req = request([AttributeTerm("age", ("p", 17))])
         expr = Compare(FunctionValue("age", Y), "<", 18)
-        assert kleene_eval(expr, {"Y": "p"}, req) is D3.TOP
-        assert kleene_eval(Compare(FunctionValue("age", Y), ">=", 18), {"Y": "p"}, req) is D3.BOTTOM
+        assert kleene(expr, {"Y": "p"}, req) is D3.TOP
+        assert kleene(Compare(FunctionValue("age", Y), ">=", 18), {"Y": "p"}, req) is D3.BOTTOM
 
     def test_errored_function_fact(self):
         req = request(
@@ -88,68 +102,70 @@ class TestKleeneEval:
             [AttributeTerm("age", ("p", 17))],
         )
         expr = Compare(FunctionValue("age", Y), "<", 18)
-        assert kleene_eval(expr, {"Y": "p"}, req) is D3.INDET
+        assert kleene(expr, {"Y": "p"}, req) is D3.INDET
 
     def test_absent_function_fact(self):
         expr = Compare(FunctionValue("age", Y), "<", 18)
-        assert kleene_eval(expr, {"Y": "p"}, GROUND_REQUEST) is D3.INDET
+        assert kleene(expr, {"Y": "p"}, GROUND_REQUEST) is D3.INDET
 
     def test_multivalued_function_fact_is_existential(self):
         req = request([AttributeTerm("age", ("p", 17)), AttributeTerm("age", ("p", 20))])
         left = FunctionValue("age", "p")
-        assert kleene_eval(Compare(left, "<", 18), {}, req) is D3.TOP
-        assert kleene_eval(Compare(left, ">", 19), {}, req) is D3.TOP
-        assert kleene_eval(Compare(left, "=", 18), {}, req) is D3.BOTTOM
+        assert kleene(Compare(left, "<", 18), {}, req) is D3.TOP
+        assert kleene(Compare(left, ">", 19), {}, req) is D3.TOP
+        assert kleene(Compare(left, "=", 18), {}, req) is D3.BOTTOM
 
     def test_type_mismatch_is_indeterminate(self):
-        assert kleene_eval(Compare(5, "<", "five"), {}, GROUND_REQUEST) is D3.INDET
-        assert kleene_eval(Compare("a", "=", 1), {}, GROUND_REQUEST) is D3.INDET
+        assert kleene(Compare(5, "<", "five"), {}, GROUND_REQUEST) is D3.INDET
+        assert kleene(Compare("a", "=", 1), {}, GROUND_REQUEST) is D3.INDET
 
     def test_string_comparison(self):
-        assert kleene_eval(Compare("abc", "<", "abd"), {}, GROUND_REQUEST) is D3.TOP
-        assert kleene_eval(Compare("a", "=", "a"), {}, GROUND_REQUEST) is D3.TOP
+        assert kleene(Compare("abc", "<", "abd"), {}, GROUND_REQUEST) is D3.TOP
+        assert kleene(Compare("a", "=", "a"), {}, GROUND_REQUEST) is D3.TOP
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
-            kleene_eval(Atom("yes", (X,)), {}, GROUND_REQUEST)
+            kleene_eval(Atom("yes", (X,)), {}, index_request(GROUND_REQUEST))
+        with pytest.raises(UnboundVariableError):
+            kleene_eval_terms(Atom("yes", (X,)), {}, GROUND_REQUEST)
 
 
 class TestKleeneLaws:
     def test_connective_tables(self):
         for a, b in itertools.product(D3, repeat=2):
             ea, eb = GROUND_ATOMS[a], GROUND_ATOMS[b]
-            conj = kleene_eval(And((ea, eb)), {}, GROUND_REQUEST)
-            disj = kleene_eval(Or((ea, eb)), {}, GROUND_REQUEST)
+            conj = kleene(And((ea, eb)), {}, GROUND_REQUEST)
+            disj = kleene(Or((ea, eb)), {}, GROUND_REQUEST)
             assert conj is min(a, b)
             assert disj is max(a, b)
 
     def test_commutative_idempotent(self):
         for a, b in itertools.product(D3, repeat=2):
             ea, eb = GROUND_ATOMS[a], GROUND_ATOMS[b]
-            assert kleene_eval(And((ea, eb)), {}, GROUND_REQUEST) is kleene_eval(
+            assert kleene(And((ea, eb)), {}, GROUND_REQUEST) is kleene(
                 And((eb, ea)), {}, GROUND_REQUEST
             )
-            assert kleene_eval(Or((ea, eb)), {}, GROUND_REQUEST) is kleene_eval(
+            assert kleene(Or((ea, eb)), {}, GROUND_REQUEST) is kleene(
                 Or((eb, ea)), {}, GROUND_REQUEST
             )
-            assert kleene_eval(And((ea, ea)), {}, GROUND_REQUEST) is a
-            assert kleene_eval(Or((ea, ea)), {}, GROUND_REQUEST) is a
+            assert kleene(And((ea, ea)), {}, GROUND_REQUEST) is a
+            assert kleene(Or((ea, ea)), {}, GROUND_REQUEST) is a
 
     def test_associative(self):
         for a, b, c in itertools.product(D3, repeat=3):
             ea, eb, ec = (GROUND_ATOMS[v] for v in (a, b, c))
-            left = kleene_eval(And((And((ea, eb)), ec)), {}, GROUND_REQUEST)
-            right = kleene_eval(And((ea, And((eb, ec)))), {}, GROUND_REQUEST)
-            assert left is right is kleene_eval(And((ea, eb, ec)), {}, GROUND_REQUEST)
+            left = kleene(And((And((ea, eb)), ec)), {}, GROUND_REQUEST)
+            right = kleene(And((ea, And((eb, ec)))), {}, GROUND_REQUEST)
+            assert left is right is kleene(And((ea, eb, ec)), {}, GROUND_REQUEST)
 
     def test_de_morgan(self):
         for a, b in itertools.product(D3, repeat=2):
             ea, eb = GROUND_ATOMS[a], GROUND_ATOMS[b]
-            lhs = kleene_eval(Not(And((ea, eb))), {}, GROUND_REQUEST)
-            rhs = kleene_eval(Or((Not(ea), Not(eb))), {}, GROUND_REQUEST)
+            lhs = kleene(Not(And((ea, eb))), {}, GROUND_REQUEST)
+            rhs = kleene(Or((Not(ea), Not(eb))), {}, GROUND_REQUEST)
             assert lhs is rhs
-            lhs = kleene_eval(Not(Or((ea, eb))), {}, GROUND_REQUEST)
-            rhs = kleene_eval(And((Not(ea), Not(eb))), {}, GROUND_REQUEST)
+            lhs = kleene(Not(Or((ea, eb))), {}, GROUND_REQUEST)
+            rhs = kleene(And((Not(ea), Not(eb))), {}, GROUND_REQUEST)
             assert lhs is rhs
 
 
@@ -287,7 +303,7 @@ class TestJoin:
     def check(self, expr, req, expected, tried=None):
         assert eval_condition_product(expr, req) is expected
         if tried is not None:
-            tried.clear()  # forget the oracle's calls
+            tried.clear()  # count this evaluation's bindings only
         assert condition_value(expr, req) is expected
 
     def test_plan(self):
@@ -297,13 +313,35 @@ class TestJoin:
             ((RECORD_CONDITION.children[0], 1),),
             ((RECORD_CONDITION.children[1], 1),),
         )
+        assert plan.sites == ((), ())
+
+    def test_binding_rules(self):
+        # Y occurs only under \/ or not: bare in a comparison it ranges
+        # over the whole domain, otherwise over its sites' values plus a
+        # representative.
+        patient = Atom("patient", ("id", X))
+        bare = compile_condition(And((patient, Or((Compare(X, "=", Y), Atom("guardian", (X, Y)))))))
+        assert bare.sources[1] == () and bare.sites[1] is None
+        minor = And((Compare(FunctionValue("age", Y), "<", 18), Atom("guardian", (X, Y))))
+        sited = compile_condition(And((patient, Not(minor))))
+        assert sited.sources[1] == ()
+        assert sited.sites == ((), (("age", None, 0), ("guardian", 2, 1)))
 
     def test_index(self):
-        req = request([fact("r", "a", "b"), fact("r", "c")], [fact("r", "d", "e")])
+        req = request(
+            [fact("r", "a", "b"), fact("r", "c"), fact("r", "a", "f")],
+            [fact("r", "d", "e"), fact("s", "d")],
+        )
         index = index_request(req)
-        assert index.domain == req.constants() == ("a", "b", "c")
-        assert sorted(index.tuples[("r", 2)]) == [("a", "b"), ("d", "e")]
-        assert index.tuples[("r", 1)] == (("c",),)
+        assert index.domain == req.constants() == ("a", "b", "c", "f")
+        assert sorted(index.tuples[("r", 2)]) == [("a", "b"), ("a", "f"), ("d", "e")]
+        assert index.tuples[("r", 1)] == [("c",)]
+        assert index.facts == {("r", ("a", "b")), ("r", ("c",)), ("r", ("a", "f"))}
+        assert index.errors == {("r", ("d", "e")), ("s", ("d",))}
+        # Function values come from facts of arity 2 only; an error
+        # attribute of any arity marks its (name, first argument).
+        assert {k: sorted(v) for k, v in index.functions.items()} == {("r", "a"): ["b", "f"]}
+        assert index.function_errors == {("r", "d"), ("s", "d")}
 
     def test_error_constant_outside_domain(self, bindings_tried):
         # z occurs only in an error attribute, so no variable ranges over
@@ -362,6 +400,7 @@ class TestJoin:
         plan = compile_condition(expr)
         assert plan.variables == ("W", "X")
         assert plan.sources[0] == ()
+        assert plan.sites[0] == (("revoked", 2, 1),)
         base = [fact("doctor", "id", "d"), fact("subject", "doctor")]
         self.check(expr, request(base), D3.BOTTOM)
         self.check(expr, request(base + [fact("revoked", "d", "2024")]), D3.TOP)
@@ -372,6 +411,78 @@ class TestJoin:
         req = request([fact("doctor", "id", "d"), fact("patient", "id", "p")])
         self.check(expr, req, D3.BOTTOM, bindings_tried)
         assert bindings_tried == []
+
+    def test_representative_stands_for_unseen_constants(self, bindings_tried):
+        # W meets the request only at revoked's second argument, so every
+        # constant seen at none is tried through one representative.
+        w = Variable("W")
+        expr = And(
+            (Atom("doctor", ("id", X)), Or((Atom("suspended", (X,)), Atom("revoked", (X, w)))))
+        )
+        base = [fact("subject", "doctor"), fact("doctor", "id", "d")]
+        base += [fact("visit", f"c{i:03}") for i in range(200)]
+        self.check(expr, request(base), D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [{"W": "c000", "X": "d"}]
+        self.check(expr, request(base + [fact("revoked", "d", "c150")]), D3.TOP, bindings_tried)
+        assert bindings_tried == [{"W": "c150", "X": "d"}]
+        # The brute-force oracle tries every binding here, so fewer pads.
+        req = request(base[:22], [fact("revoked", "d", "id")])
+        self.check(expr, req, D3.INDET, bindings_tried)
+        assert bindings_tried == [{"W": "id", "X": "d"}, {"W": "c000", "X": "d"}]
+
+    def test_representative_under_not(self, bindings_tried):
+        w = Variable("W")
+        expr = And((Atom("doctor", ("id", X)), Not(Atom("revoked", (X, w)))))
+        rows = [fact("doctor", "id", "d"), fact("revoked", "d", "d"), fact("revoked", "d", "id")]
+        # Every domain constant occurs at W's site: no representative.
+        self.check(expr, request(rows), D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [{"W": "d", "X": "d"}, {"W": "id", "X": "d"}]
+        # doctor occurs at none of W's sites, and it makes the atom absent.
+        self.check(expr, request(rows + [fact("subject", "doctor")]), D3.TOP, bindings_tried)
+        assert bindings_tried == [
+            {"W": "d", "X": "d"},
+            {"W": "id", "X": "d"},
+            {"W": "doctor", "X": "d"},
+        ]
+
+    def test_function_argument_is_a_site(self, bindings_tried):
+        # c occurs only as the argument of age(c,12): it is tried as
+        # itself, not through the representative a, whose age is absent.
+        expr = And(
+            (
+                Atom("patient", ("id", X)),
+                Or((Atom("guardian", (X, Y)), Compare(FunctionValue("age", Y), "<", 18))),
+            )
+        )
+        req = request([fact("patient", "id", "p"), fact("age", "c", 12), fact("subject", "a")])
+        self.check(expr, req, D3.TOP, bindings_tried)
+        assert bindings_tried == [{"X": "p", "Y": "c"}]
+
+    def test_every_function_value_is_compared(self):
+        req = request([fact("patient", "id", "c"), fact("age", "c", 17), fact("age", "c", 20)])
+        for op, rhs, expected in (("<", 18, D3.TOP), (">", 19, D3.TOP), ("=", 18, D3.BOTTOM)):
+            expr = And((Atom("patient", ("id", X)), Compare(FunctionValue("age", X), op, rhs)))
+            self.check(expr, req, expected)
+
+    def test_function_error_of_another_arity(self):
+        # An error attribute age(c,...) of any arity marks the lookup of
+        # age(c), so a false comparison becomes indeterminate.
+        expr = And((Atom("patient", ("id", X)), Compare(FunctionValue("age", X), ">", 18)))
+        facts = [fact("patient", "id", "c"), fact("age", "c", 12)]
+        self.check(expr, request(facts), D3.BOTTOM)
+        self.check(expr, request(facts, [fact("age", "c")]), D3.INDET)
+        self.check(expr, request(facts, [fact("age", "c", 1, 2)]), D3.INDET)
+        self.check(expr, request(facts, [fact("age", "p")]), D3.BOTTOM)
+
+    def test_function_facts_of_another_arity_ignored(self):
+        def below(limit):
+            return And((Atom("patient", ("id", X)), Compare(FunctionValue("age", X), "<", limit)))
+
+        facts = [fact("patient", "id", "c"), fact("age", "c", 5, 6), fact("age", "c")]
+        self.check(below(18), request(facts), D3.INDET)
+        facts.append(fact("age", "c", 12))
+        self.check(below(10), request(facts), D3.BOTTOM)
+        self.check(below(18), request(facts), D3.TOP)
 
     @settings(max_examples=1000, derandomize=True, deadline=None)
     @given(strategies.conditions(), st.data())
@@ -384,3 +495,28 @@ class TestJoin:
     def test_top_level_joins_equal_cross_product(self, condition, data):
         req = data.draw(strategies.join_requests(condition))
         assert condition_value(condition, req) is eval_condition_product(condition, req)
+
+
+def _benchmark_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFactHeavyShape:
+    def test_decisions_equal_reference_walk(self):
+        """The fact_heavy inputs: the hospital policy with its two
+        referral rules, every request shape, 0, 8 and 24 padding facts.
+        The decision equals the exhaustive walk's, whose conditions use
+        the term-building evaluator over every binding."""
+        workload = _benchmark_workloads().fact_heavy(7, pads=(0, 8, 24))
+        policy = parse_policy(workload.policy_text)
+        for text, expected in zip(workload.request_texts, workload.expected):
+            req = parse_request(text)
+            decision, _ = evaluate(policy, req)
+            assert decision is evaluate_exhaustive(policy, req)
+            assert decision.canonical == expected

@@ -826,3 +826,22 @@ class TestMemberGate:
         values = {c.name: c.target_value for c in trace.root.children[0].children}
         assert values["r57"] is D3.TOP and values["r125"] is D3.INDET
         assert sum(v is not D3.BOTTOM for v in values.values()) == hit + null_target
+
+    def test_walk_hashes_no_enum_in_python(self, monkeypatch):
+        # Every enum the walk hashes (ABSORBING and the combiner tables
+        # are keyed by CombinerId) must hash in C; Enum.__hash__ runs in
+        # Python on each lookup.
+        import enum
+
+        calls = Counter()
+        enum_hash = enum.Enum.__hash__
+
+        def counted(member):
+            calls[type(member).__name__] += 1
+            return enum_hash(member)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counted)
+        root = wide_gated_policy()
+        req = request([match("subject", "s"), match("action", "a57"), match("resource", "doc")])
+        assert evaluate(root, req)[0] is D6.PERMIT
+        assert not calls
