@@ -45,9 +45,9 @@ one of three binding rules.
 * A variable that is a bare comparison operand ranges over the whole
   domain, the constants of the request's facts.
 
-``eval_condition`` evaluates the product of the variables' pools. A
-top-level atom whose name and arity match no row, or a join variable
-with no candidate, makes the condition false without a binding.
+``eval_condition`` evaluates the product of the variables' pools; a
+join variable with no candidate makes the condition false without a
+binding.
 """
 
 from __future__ import annotations
@@ -159,13 +159,6 @@ def _leaves(expr: ConditionExpr) -> Iterator[Union[Atom, Compare]]:
             yield from _leaves(child)
 
 
-def _operands(expr: ConditionExpr) -> Iterator[Operand]:
-    for leaf in _leaves(expr):
-        if isinstance(leaf, Compare):
-            yield leaf.left
-            yield leaf.right
-
-
 def atom_variables(expr: ConditionExpr) -> frozenset[str]:
     """Variables occurring inside atoms (the positions that bind)."""
     return frozenset(
@@ -180,11 +173,12 @@ def atom_variables(expr: ConditionExpr) -> frozenset[str]:
 def compare_variables(expr: ConditionExpr) -> frozenset[str]:
     """Variables occurring in comparisons, bare or as a function argument."""
     names = set()
-    for op in _operands(expr):
-        if isinstance(op, FunctionValue):
-            op = op.arg
-        if isinstance(op, Variable):
-            names.add(op.name)
+    for leaf in _leaves(expr):
+        for op in (leaf.left, leaf.right) if isinstance(leaf, Compare) else ():
+            if isinstance(op, FunctionValue):
+                op = op.arg
+            if isinstance(op, Variable):
+                names.add(op.name)
     return frozenset(names)
 
 
@@ -388,18 +382,21 @@ def _conjuncts(expr: ConditionExpr) -> Iterator[ConditionExpr]:
 Site = tuple[str, Optional[int], int]
 
 
-def _sites(expr: ConditionExpr, name: str) -> tuple[Site, ...]:
+def _sites(expr: ConditionExpr, name: str) -> Optional[tuple[Site, ...]]:
+    """A variable's sites, or None when it is a bare comparison operand."""
     sites: dict[Site, None] = {}
     for leaf in _leaves(expr):
         if isinstance(leaf, Atom):
             for i, term in enumerate(leaf.terms):
                 if isinstance(term, Variable) and term.name == name:
                     sites[(leaf.name, len(leaf.terms), i)] = None
-        else:
-            for op in (leaf.left, leaf.right):
-                arg = op.arg if isinstance(op, FunctionValue) else None
-                if isinstance(arg, Variable) and arg.name == name:
-                    sites[(op.name, None, 0)] = None
+            continue
+        for op in (leaf.left, leaf.right):
+            if isinstance(op, Variable) and op.name == name:
+                return None
+            arg = op.arg if isinstance(op, FunctionValue) else None
+            if isinstance(arg, Variable) and arg.name == name:
+                sites[(op.name, None, 0)] = None
     return tuple(sites)
 
 
@@ -413,16 +410,13 @@ class ConditionPlan:
     top-level positive conjunct atom; a variable with sources is a join
     variable. For any other variable, ``sites[i]`` holds its sites, or
     is None when it is a bare comparison operand and ranges over the
-    whole domain. ``signatures`` are the ``(name, arity)`` of the
-    top-level conjunct atoms: while one has no rows in a request, the
-    condition is false there.
+    whole domain.
     """
 
     expr: ConditionExpr
     variables: tuple[str, ...]
     sources: tuple[tuple[tuple[Atom, int], ...], ...]
     sites: tuple[Optional[tuple[Site, ...]], ...]
-    signatures: tuple[tuple[str, int], ...]
 
 
 def compile_condition(expr: ConditionExpr) -> ConditionPlan:
@@ -439,13 +433,10 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
         )
         for name in variables
     )
-    bare = {op.name for op in _operands(expr) if isinstance(op, Variable)}
     sites = tuple(
-        () if joined else None if name in bare else _sites(expr, name)
-        for name, joined in zip(variables, sources)
+        () if joined else _sites(expr, name) for name, joined in zip(variables, sources)
     )
-    signatures = tuple(dict.fromkeys((atom.name, len(atom.terms)) for atom in atoms))
-    return ConditionPlan(expr, variables, sources, sites, signatures)
+    return ConditionPlan(expr, variables, sources, sites)
 
 
 def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:
@@ -476,7 +467,9 @@ def _candidates(
     ground to a fact or an error attribute, in the domain's order."""
     allowed: Optional[set[Constant]] = None
     for atom, position in sources:
-        rows = index.tuples.get((atom.name, len(atom.terms)), ())
+        rows = index.tuples.get((atom.name, len(atom.terms)))
+        if rows is None:
+            return []
         values = {args[position] for args in rows if _grounds(atom, args)}
         allowed = values if allowed is None else allowed & values
         if not allowed:
@@ -510,9 +503,6 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
     the values its binding rule draws; every other binding gives BOTTOM
     or repeats a value already tried.
     """
-    for signature in plan.signatures:
-        if signature not in index.tuples:
-            return Decision3.BOTTOM
     pools = []
     for sources, sites in zip(plan.sources, plan.sites):
         if sources:
