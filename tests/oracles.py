@@ -267,7 +267,7 @@ def kleene_eval_terms(expr: ConditionExpr, binding: dict, request: Request) -> D
         ]
         if lflag or rflag:
             results.append(D3.INDET)
-        return max(results, default=D3.BOTTOM)
+        return max(results)  # a missing value on either side adds INDET
     if isinstance(expr, Not):
         return D3(2 - kleene_eval_terms(expr.expr, binding, request))
     if isinstance(expr, (And, Or)):
