@@ -13,11 +13,11 @@ carriers and flags the divergences.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .combiners import CombinerId, combine_po_pair, combine_po_v6
 from .decisions import Decision6, FiniteLattice, PairValue, delta, delta_seq
 from .errors import InvalidInputError, UnsupportedCombinerError
+from .values import Value
 
 
 class BelnapValue(enum.Enum):
@@ -66,8 +66,7 @@ def belnap_meet_t(a: BelnapValue, b: BelnapValue) -> BelnapValue:
     return TRUTH_LATTICE.meet(a, b)
 
 
-@dataclass(frozen=True)
-class BelnapOps:
+class BelnapOps(Value):
     join_k: BelnapValue
     meet_k: BelnapValue
     join_t: BelnapValue
@@ -131,8 +130,7 @@ def belnap_combine(combiner: CombinerId, p: BelnapValue, q: BelnapValue) -> Beln
 _D_MEMBERS = ("p", "d", "na")
 
 
-@dataclass(frozen=True, repr=False)
-class DDecision:
+class DDecision(Value):
     """A decision set: any subset of {p, d, na}."""
 
     members: frozenset[str]
@@ -186,8 +184,7 @@ def dalg_ominus(x: DDecision, y: DDecision) -> DDecision:
     return dalg_odot(x, dalg_neg(y))
 
 
-@dataclass(frozen=True)
-class DAlgebraOps:
+class DAlgebraOps(Value):
     neg: DDecision
     oplus: DDecision
     otimes: DDecision
@@ -223,14 +220,12 @@ def dalg_permit_overrides(x: DDecision, y: DDecision) -> DDecision:
     return dalg_ominus(dalg_ominus(first, second), third)
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Value):
     axiom: int
     inputs: tuple[DDecision, ...]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Value):
     elements_checked: int
     pairs_checked: int
     triples_checked: int
@@ -275,8 +270,7 @@ def dalg_axiom_check() -> AxiomReport:
     )
 
 
-@dataclass(frozen=True)
-class LogicImages:
+class LogicImages(Value):
     belnap: BelnapValue
     dalg: DDecision
 
@@ -307,8 +301,7 @@ def map_v6(value: Decision6) -> LogicImages:
     return LogicImages(belnap=_V6_TO_BELNAP[value], dalg=_V6_TO_DALG[value])
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Value):
     """Permit-overrides applied to one input pair under all four logics."""
 
     inputs: tuple[Decision6, Decision6]

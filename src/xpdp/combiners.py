@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .decisions import (
@@ -37,6 +36,7 @@ from .errors import (
     InvalidInputError,
     UnknownCombinerError,
 )
+from .values import Value
 
 
 class CombinerId(enum.Enum):
@@ -210,15 +210,13 @@ def combine(combiner: CombinerId, encoding: str, decisions: Sequence):
     return fn(decisions)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Value):
     decisions: tuple[Decision6, ...]
     v6_result: Decision6
     pair_result: PairValue
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Value):
     """Outcome of exhaustively comparing the two encodings of one algorithm."""
 
     algorithm: CombinerId

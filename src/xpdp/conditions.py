@@ -54,18 +54,17 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .decisions import Decision3, lub3
 from .errors import InvalidInputError, UnboundVariableError
 from .requests import CATEGORIES, AttributeTerm, Constant, Request
+from .values import Value
 
 COMPARISON_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Value):
     """A condition variable; the leading capital is what the concrete
     syntax uses to tell variables from constants."""
 
@@ -78,8 +77,7 @@ class Variable:
             )
 
 
-@dataclass(frozen=True)
-class FunctionValue:
+class FunctionValue(Value):
     """Operand form ``f(t)``: the value paired with ``t`` by a fact ``f(t,v)``."""
 
     name: str
@@ -94,13 +92,11 @@ Operand = Union[Constant, Variable, FunctionValue]
 Binding = Mapping[str, Constant]
 
 
-@dataclass(frozen=True)
-class BoolLiteral:
+class BoolLiteral(Value):
     value: bool
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     name: str
     terms: tuple[Term, ...]
 
@@ -109,8 +105,7 @@ class Atom:
             raise InvalidInputError(f"atom {self.name!r} needs at least one term")
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Value):
     left: Operand
     op: str
     right: Operand
@@ -120,13 +115,11 @@ class Compare:
             raise InvalidInputError(f"unknown comparison operator: {self.op!r}")
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Value):
     expr: "ConditionExpr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Value):
     children: tuple["ConditionExpr", ...]
 
     def __post_init__(self) -> None:
@@ -134,8 +127,7 @@ class And:
             raise InvalidInputError("a conjunction needs at least two members")
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Value):
     children: tuple["ConditionExpr", ...]
 
     def __post_init__(self) -> None:
@@ -236,10 +228,10 @@ def _compare_constants(a: Constant, op: str, b: Constant) -> Decision3:
 TermKey = tuple[str, tuple[Constant, ...]]
 
 
-@dataclass(slots=True)
 class RequestIndex:
     """A request prepared for evaluation, once per evaluation, and only
-    read after that.
+    read after that. It is built on every evaluation, so it is a plain
+    slots class, not a ``Value``, and has no equality of its own.
 
     ``domain`` is ``request.constants()``, the constants variables range
     over, and ``domain_set`` the same as a set. ``tuples`` maps a
@@ -262,6 +254,21 @@ class RequestIndex:
     functions: dict[tuple[str, Constant], list[Constant]]
     function_errors: set[tuple[str, Constant]]
     category_terms: list[AttributeTerm]
+
+    __slots__ = ("request", "domain", "domain_set", "tuples", "facts", "errors",
+                 "functions", "function_errors", "category_terms")
+
+    def __init__(self, request, domain, domain_set, tuples, facts, errors,
+                 functions, function_errors, category_terms) -> None:
+        self.request = request
+        self.domain = domain
+        self.domain_set = domain_set
+        self.tuples = tuples
+        self.facts = facts
+        self.errors = errors
+        self.functions = functions
+        self.function_errors = function_errors
+        self.category_terms = category_terms
 
 
 def index_request(request: Request) -> RequestIndex:
@@ -400,8 +407,7 @@ def _sites(expr: ConditionExpr, name: str) -> Optional[tuple[Site, ...]]:
     return tuple(sites)
 
 
-@dataclass(frozen=True)
-class ConditionPlan:
+class ConditionPlan(Value):
     """A condition with what its evaluation needs worked out once: one
     binding rule per free variable (see the module docstring).
 

@@ -21,10 +21,10 @@ than derived, and joins are computed from them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError, UnknownLatticeError
+from .values import Value
 
 # Component levels of a pair value: 0, 1/2 and 1.
 ZERO = 0
@@ -139,8 +139,7 @@ def sigma(x: Decision3, effect: Effect) -> Decision6:
     return Decision6.INDET_P if effect is Effect.PERMIT else Decision6.INDET_D
 
 
-@dataclass(frozen=True, repr=False)
-class PairValue:
+class PairValue(Value):
     """A [deny, permit] value; each component is a level ZERO, HALF or ONE."""
 
     deny: int
@@ -208,60 +207,42 @@ def min_pair(values: Iterable[PairValue]) -> PairValue:
 class FiniteLattice:
     """One of the fixed finite lattices, given by its cover relation.
 
-    The order is the reflexive-transitive closure of the covers; join
-    and meet tables are computed once and must be unique, which the
-    constructor verifies.
+    The order is the reflexive-transitive closure of the covers, kept as
+    each element's up-set and down-set. The join of ``a`` and ``b`` is
+    the element of their common up-set whose own up-set is all of it,
+    and the meet is found the same way from the down-sets. Both tables
+    are computed once and must be unique, which the constructor
+    verifies.
     """
 
     def __init__(self, name: str, elements: tuple, covers: tuple):
         self.name = name
         self.elements = tuple(elements)
         self.covers = tuple(covers)
-        leq = {(e, e) for e in self.elements} | set(self.covers)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(leq):
-                for (c, d) in list(leq):
-                    if b == c and (a, d) not in leq:
-                        leq.add((a, d))
-                        changed = True
-        self._leq = frozenset(leq)
-        self.bottom = self._unique_extreme(lambda e, x: (e, x))
-        self.top = self._unique_extreme(lambda e, x: (x, e))
+        above = {e: [] for e in self.elements}
+        below = {e: [] for e in self.elements}
+        for a, b in self.covers:
+            above[a].append(b)
+            below[b].append(a)
+        up = {e: _reach(e, above) for e in self.elements}
+        down = {e: _reach(e, below) for e in self.elements}
+        self._leq = frozenset((a, b) for a in self.elements for b in up[a])
+        self.bottom = self._least(self.elements, up, "extreme")
+        self.top = self._least(self.elements, down, "extreme")
         self._join = {}
         self._meet = {}
         for a in self.elements:
             for b in self.elements:
-                self._join[(a, b)] = self._bound(a, b, upper=True)
-                self._meet[(a, b)] = self._bound(a, b, upper=False)
+                self._join[(a, b)] = self._least(up[a] & up[b], up, "join", (a, b))
+                self._meet[(a, b)] = self._least(down[a] & down[b], down, "meet", (a, b))
 
-    def _unique_extreme(self, orient):
-        found = [
-            e
-            for e in self.elements
-            if all(orient(e, x) in self._leq for x in self.elements)
-        ]
-        if len(found) != 1:
-            raise InvalidInputError(f"lattice {self.name} has no unique extreme")
-        return found[0]
-
-    def _bound(self, a, b, upper: bool):
-        if upper:
-            candidates = [
-                u for u in self.elements if (a, u) in self._leq and (b, u) in self._leq
-            ]
-            best = [u for u in candidates if all((u, v) in self._leq for v in candidates)]
-        else:
-            candidates = [
-                u for u in self.elements if (u, a) in self._leq and (u, b) in self._leq
-            ]
-            best = [u for u in candidates if all((v, u) in self._leq for v in candidates)]
+    def _least(self, bounds, closure, what: str, pair: tuple = ()):
+        """The one element of ``bounds`` whose ``closure`` is all of
+        ``bounds``; ``bounds`` must be closed under ``closure``."""
+        best = [u for u in bounds if len(closure[u]) == len(bounds)]
         if len(best) != 1:
-            raise InvalidInputError(
-                f"{self.name}: no unique {'join' if upper else 'meet'} "
-                f"for {a!r} and {b!r}"
-            )
+            where = " for {!r} and {!r}".format(*pair) if pair else ""
+            raise InvalidInputError(f"{self.name}: no unique {what}{where}")
         return best[0]
 
     def leq(self, a, b) -> bool:
@@ -284,6 +265,18 @@ class FiniteLattice:
         for v in values:
             result = self._meet[(result, v)]
         return result
+
+
+def _reach(start, step: Mapping) -> frozenset:
+    """``start`` and every element reachable from it through ``step``."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nxt in step[todo.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return frozenset(seen)
 
 
 _D6 = Decision6

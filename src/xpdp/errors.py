@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Value):
     """Byte range plus line/column of the start, for diagnostics."""
 
     start: int

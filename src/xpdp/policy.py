@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from .combiners import ABSORBING, STANDARD_COMBINERS, CombinerId, combine
@@ -60,6 +59,7 @@ from .conditions import (
 from .decisions import Decision3, Decision6, Effect, arrow, sigma
 from .errors import EncodingUnsupportedError, InvalidInputError
 from .requests import AttributeTerm, Request
+from .values import Value
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -77,8 +77,7 @@ def _check_combiner(combiner: CombinerId) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AllOf:
+class AllOf(Value):
     """Conjunction of category matches; all must hit."""
 
     matches: tuple[AttributeTerm, ...]
@@ -93,8 +92,7 @@ class AllOf:
                 )
 
 
-@dataclass(frozen=True)
-class AnyOf:
+class AnyOf(Value):
     """Disjunction of all-of groups; one hit suffices."""
 
     all_ofs: tuple[AllOf, ...]
@@ -104,8 +102,7 @@ class AnyOf:
             raise InvalidInputError("an any-of group needs at least one all-of")
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Value):
     """Applicability filter: a conjunction of any-of groups, or null.
 
     ``any_ofs`` is None for the null target, which applies to every
@@ -122,8 +119,7 @@ class Target:
 NULL_TARGET = Target(None)
 
 
-@dataclass(frozen=True)
-class MemberGate:
+class MemberGate(Value):
     """A node's members indexed by target (see the module docstring).
 
     ``keys`` maps a match to the positions of the members listed under
@@ -181,26 +177,24 @@ def compile_gate(targets: Sequence[Target]) -> MemberGate:
     return MemberGate({m: tuple(p) for m, p in keys.items()}, tuple(always))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value, derived=("plan",)):
     name: str
     effect: Effect
     target: Target
     condition: ConditionExpr
-    plan: ConditionPlan = field(init=False, repr=False, compare=False)
+    plan: ConditionPlan
 
     def __post_init__(self) -> None:
         _check_name(self.name)
         object.__setattr__(self, "plan", compile_condition(self.condition))
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Value, derived=("gate",)):
     name: str
     target: Target
     rules: tuple[Rule, ...]
     combiner: CombinerId
-    gate: MemberGate = field(init=False, repr=False, compare=False)
+    gate: MemberGate
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -210,13 +204,12 @@ class Policy:
         object.__setattr__(self, "gate", compile_gate([r.target for r in self.rules]))
 
 
-@dataclass(frozen=True)
-class PolicySet:
+class PolicySet(Value, derived=("gate",)):
     name: str
     target: Target
     children: tuple["PolicyNode", ...]
     combiner: CombinerId
-    gate: MemberGate = field(init=False, repr=False, compare=False)
+    gate: MemberGate
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -307,8 +300,7 @@ def _node_result(target_value: Decision3, combined: Decision6) -> Decision6:
     return combined
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(Value):
     """What the evaluator computed at one node.
 
     ``skipped`` names work the walk left out, or is None. It is
@@ -378,8 +370,7 @@ class TraceNode:
         return obj
 
 
-@dataclass(frozen=True)
-class EvalTrace:
+class EvalTrace(Value):
     root: TraceNode
 
     @property

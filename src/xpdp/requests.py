@@ -10,29 +10,33 @@ miss, which makes indeterminacy reproducible from the request text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import InvalidInputError
+from .values import Value
 
 CATEGORIES = ("subject", "action", "resource", "environment")
 
 Constant = Union[str, int]
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class AttributeTerm:
+class AttributeTerm(Value, derived=("_hash",)):
     """A named fact: a category attribute or an external-state predicate.
 
     Terms are set members and dict keys on every evaluation, so the hash
-    is computed once, when the term is built. String hashes differ from
-    one process to the next, so a pickled term is rebuilt through the
-    constructor rather than restored with its old hash.
+    is computed once, when the term is built, and equality is written
+    out rather than taken from ``Value``: a policy's match and the
+    request's fact are equal but different objects, so every target
+    lookup that hits calls it. String hashes differ from one process to
+    the next, so a pickled term is rebuilt through the constructor
+    rather than restored with its old hash.
     """
+
+    __slots__ = ("name", "args", "_hash")
 
     name: str
     args: tuple[Constant, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int
 
     def __post_init__(self) -> None:
         if not self.args:
@@ -47,11 +51,13 @@ class AttributeTerm:
             )
         object.__setattr__(self, "_hash", hash((self.name, self.args)))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.args == other.args
+        return NotImplemented
+
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return (AttributeTerm, (self.name, self.args))
 
     @property
     def is_category(self) -> bool:
@@ -64,8 +70,7 @@ class AttributeTerm:
         return f"AttributeTerm({self})"
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(Value):
     """Immutable attribute facts plus the attributes marked as erroneous."""
 
     facts: frozenset[AttributeTerm]

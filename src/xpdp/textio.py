@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, NoReturn
 
 from . import altlogics
@@ -74,6 +73,7 @@ from .errors import (
 )
 from .policy import AllOf, AnyOf, NULL_TARGET, Policy, PolicyNode, PolicySet, Rule, Target
 from .requests import CATEGORIES, AttributeTerm, Constant, Request
+from .values import Value
 
 # Deepest nesting of policy sets, parenthesised groups and ``not`` a
 # document may use; the parser, evaluator and serializer all recurse on it.
@@ -147,20 +147,17 @@ def _span_at(source: str, start: int) -> SourceSpan:
 
 # Intermediate target shapes before normalization into Target/AnyOf/AllOf;
 # a single match is its AttributeTerm.
-@dataclass(frozen=True)
-class _TAnd:
+class _TAnd(Value):
     items: tuple
 
 
-@dataclass(frozen=True)
-class _TOr:
+class _TOr(Value):
     items: tuple
     # Where a too-deep alternation is reported.
     start: int
 
 
-@dataclass(frozen=True)
-class _TGroup:
+class _TGroup(Value):
     # Parentheses matter to normalization: "(a /\ b)" is one all-of
     # group, while a bare "a /\ b" is two any-ofs.
     inner: object
@@ -761,8 +758,7 @@ def serialize_policy(node: PolicyNode) -> str:
 # -- lattice export --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LatticeView:
+class _LatticeView(Value):
     elements: tuple
     leq: Callable
     label: Callable

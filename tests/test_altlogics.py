@@ -40,6 +40,8 @@ from xpdp.altlogics import (
     dalg_otimes,
 )
 
+from oracles import greatest_lower_bound, least_upper_bound
+
 B = BelnapValue
 D6 = Decision6
 
@@ -78,6 +80,14 @@ class TestBelnapBilattice:
             assert ops.meet_k is _bound(KNOWLEDGE_PAIRS, (a, b), upper=False)
             assert ops.join_t is _bound(TRUTH_PAIRS, (a, b), upper=True)
             assert ops.meet_t is _bound(TRUTH_PAIRS, (a, b), upper=False)
+
+    def test_lattices_against_oracle(self):
+        for lattice, order in ((KNOWLEDGE_LATTICE, KNOWLEDGE_PAIRS), (TRUTH_LATTICE, TRUTH_PAIRS)):
+            for a, b in itertools.product(B, repeat=2):
+                assert lattice.join(a, b) is least_upper_bound(order, tuple(B), [a, b])
+                assert lattice.meet(a, b) is greatest_lower_bound(order, tuple(B), [a, b])
+            assert lattice.bottom is least_upper_bound(order, tuple(B), [])
+            assert lattice.top is greatest_lower_bound(order, tuple(B), [])
 
     def test_lattice_laws(self):
         for join, meet in (

@@ -28,6 +28,7 @@ from xpdp import (
     min_pair,
     sigma,
 )
+from xpdp.decisions import FiniteLattice
 
 from oracles import ORDERS, delta_inverse, greatest_lower_bound, least_upper_bound
 
@@ -262,3 +263,19 @@ class TestDecisionLattices:
                 subset = [members[i] for i in range(6) if bits >> i & 1]
                 expected = least_upper_bound(order, members, subset)
                 assert lub_order(name, subset) is expected
+
+    def test_cover_relation_that_is_not_a_lattice(self):
+        # 0 below a and b, both below c and d, both below 1: a and b have
+        # the upper bounds c, d and 1 but no least one.
+        covers = (
+            ("0", "a"), ("0", "b"),
+            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+            ("c", "1"), ("d", "1"),
+        )
+        with pytest.raises(InvalidInputError, match="no unique join for 'a' and 'b'"):
+            FiniteLattice("bowtie", ("0", "a", "b", "c", "d", "1"), covers)
+        # Without 0 there is no bottom; a cycle makes two elements tie.
+        with pytest.raises(InvalidInputError, match="no unique"):
+            FiniteLattice("no-bottom", ("a", "b", "c"), (("a", "c"), ("b", "c")))
+        with pytest.raises(InvalidInputError, match="no unique"):
+            FiniteLattice("cycle", ("a", "b"), (("a", "b"), ("b", "a")))
