@@ -11,6 +11,7 @@ must equal.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Sequence
 
 from xpdp import (
@@ -29,10 +30,12 @@ from xpdp import (
     Not,
     Or,
     PairValue,
+    ParseError,
     Policy,
     PolicySet,
     Request,
     Rule,
+    SourceSpan,
     Target,
     TraceNode,
     UnboundVariableError,
@@ -441,3 +444,60 @@ def evaluate_ungated(node: Policy | PolicySet, request: Request, with_trace: boo
     the two must give equal decisions and equal traces."""
     decision, trace_node = _ungated(node, index_request(request), (), with_trace)
     return decision, EvalTrace(trace_node) if trace_node is not None else None
+
+
+# -- the lexer the parser replaced ------------------------------------------
+
+_LEX_SYMBOLS = {
+    "AND": "/\\",
+    "OR": "\\/",
+    "LE": "<=",
+    "GE": ">=",
+    "NE": "!=",
+    "EQ": "=",
+    "LT": "<",
+    "GT": ">",
+    "LBRACE": "{",
+    "RBRACE": "}",
+    "LBRACK": "[",
+    "RBRACK": "]",
+    "LPAREN": "(",
+    "RPAREN": ")",
+    "SEMI": ";",
+    "COMMA": ",",
+    "COLON": ":",
+}
+
+_LEX_SPEC = [
+    ("WS", r"[ \t\r\n]+"),
+    ("COMMENT", r"#[^\n]*"),
+    ("COMBINER", r"(?:all-permit|o-1-a|p-o|d-o|f-a)(?![A-Za-z0-9_-])"),
+    ("NUMBER", r"[0-9]+"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    *((kind, re.escape(text)) for kind, text in _LEX_SYMBOLS.items()),
+    ("UNEXPECTED", r"(?s:.)"),
+]
+
+_LEX_RE = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in _LEX_SPEC))
+
+
+def lex_with_offsets(source: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``source`` as ``(kind, text, start)`` tuples, ending
+    with an empty ``EOF`` token at ``len(source)``: one ``finditer``
+    match per token and per run of whitespace or comment. An unexpected
+    character raises ``ParseError`` spanning it, before any parsing."""
+    tokens = []
+    for match in _LEX_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "WS" or kind == "COMMENT":
+            continue
+        start = match.start()
+        if kind == "UNEXPECTED":
+            line_start = source.rfind("\n", 0, start) + 1
+            span = SourceSpan(
+                start, match.end(), source.count("\n", 0, start) + 1, start - line_start + 1
+            )
+            raise ParseError(f"unexpected character {match.group()!r}", span)
+        tokens.append((kind, match.group(), start))
+    tokens.append(("EOF", "", len(source)))
+    return tokens
