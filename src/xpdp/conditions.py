@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from collections import defaultdict
+from typing import Mapping, Optional, Sequence, Union
 
 from .decisions import Decision3, lub3
 from .errors import InvalidInputError, UnboundVariableError
@@ -140,55 +141,95 @@ ConditionExpr = Union[BoolLiteral, Atom, Compare, Not, And, Or]
 TRUE_CONDITION = BoolLiteral(True)
 
 
-def _leaves(expr: ConditionExpr) -> Iterator[Union[Atom, Compare]]:
-    """The atoms and comparisons of an expression, left to right."""
-    if isinstance(expr, (Atom, Compare)):
-        yield expr
-    elif isinstance(expr, Not):
-        yield from _leaves(expr.expr)
-    elif isinstance(expr, (And, Or)):
+# Where a variable meets a request's rows: ``(name, arity, position)``
+# for an atom argument, and ``(f, None, 0)`` for the argument of a
+# function operand ``f(t)``, which reads the facts ``f(c,v)`` and the
+# error attributes ``f(c,...)`` of any arity.
+Site = tuple[str, Optional[int], int]
+
+
+class _Uses:
+    """Where one variable occurs in a condition. ``sources`` holds the
+    ``(atom, position)`` pairs of its occurrences in top-level conjunct
+    atoms (nested conjunctions flattened), ``sites`` its sites (see
+    ``Site``) in first-seen order, ``bound`` whether it occurs in an
+    atom and ``bare`` whether it is a bare comparison operand."""
+
+    __slots__ = ("sources", "sites", "bound", "bare")
+
+    def __init__(self) -> None:
+        self.sources: list[tuple[Atom, int]] = []
+        self.sites: dict[Site, None] = {}
+        self.bound = False
+        self.bare = False
+
+
+def _collect_uses(expr: ConditionExpr, top: bool, uses: dict[str, _Uses]) -> None:
+    """Record in ``uses`` every variable occurrence in ``expr``, left to
+    right; ``top`` says whether ``expr`` is a top-level conjunct."""
+    if isinstance(expr, Atom):
+        arity = len(expr.terms)
+        for i, term in enumerate(expr.terms):
+            if isinstance(term, Variable):
+                use = uses[term.name]
+                use.bound = True
+                use.sites[(expr.name, arity, i)] = None
+                if top:
+                    use.sources.append((expr, i))
+    elif isinstance(expr, Compare):
+        for op in (expr.left, expr.right):
+            if isinstance(op, Variable):
+                uses[op.name].bare = True
+            elif isinstance(op, FunctionValue) and isinstance(op.arg, Variable):
+                uses[op.arg.name].sites[(op.name, None, 0)] = None
+    elif isinstance(expr, And):
         for child in expr.children:
-            yield from _leaves(child)
+            _collect_uses(child, top, uses)
+    elif isinstance(expr, Or):
+        for child in expr.children:
+            _collect_uses(child, False, uses)
+    elif isinstance(expr, Not):
+        _collect_uses(expr.expr, False, uses)
+
+
+def _variable_uses(expr: ConditionExpr) -> dict[str, _Uses]:
+    uses: dict[str, _Uses] = defaultdict(_Uses)
+    _collect_uses(expr, True, uses)
+    return uses
 
 
 def atom_variables(expr: ConditionExpr) -> frozenset[str]:
     """Variables occurring inside atoms (the positions that bind)."""
-    return frozenset(
-        term.name
-        for leaf in _leaves(expr)
-        if isinstance(leaf, Atom)
-        for term in leaf.terms
-        if isinstance(term, Variable)
-    )
+    return frozenset(name for name, use in _variable_uses(expr).items() if use.bound)
 
 
 def compare_variables(expr: ConditionExpr) -> frozenset[str]:
     """Variables occurring in comparisons, bare or as a function argument."""
-    names = set()
-    for leaf in _leaves(expr):
-        for op in (leaf.left, leaf.right) if isinstance(leaf, Compare) else ():
-            if isinstance(op, FunctionValue):
-                op = op.arg
-            if isinstance(op, Variable):
-                names.add(op.name)
-    return frozenset(names)
+    return frozenset(
+        name
+        for name, use in _variable_uses(expr).items()
+        if use.bare or any(arity is None for _, arity, _ in use.sites)
+    )
 
 
 def free_variables(expr: ConditionExpr) -> frozenset[str]:
-    return atom_variables(expr) | compare_variables(expr)
+    return frozenset(_variable_uses(expr))
+
+
+def _range_restricted(uses: dict[str, _Uses]) -> dict[str, _Uses]:
+    unbound = [name for name, use in uses.items() if not use.bound]
+    if unbound:
+        raise UnboundVariableError(
+            f"comparison variables bound by no atom: {', '.join(sorted(unbound))}"
+        )
+    return uses
 
 
 def check_range_restriction(expr: ConditionExpr) -> frozenset[str]:
     """Every comparison variable must also occur in some atom, or there
     is nothing to bind it against. Returns the free variables, which
     are then exactly the atom variables."""
-    bound = atom_variables(expr)
-    unbound = compare_variables(expr) - bound
-    if unbound:
-        raise UnboundVariableError(
-            f"comparison variables bound by no atom: {', '.join(sorted(unbound))}"
-        )
-    return bound
+    return frozenset(_range_restricted(_variable_uses(expr)))
 
 
 def _ground(term: Term, binding: Binding) -> Constant:
@@ -372,41 +413,6 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
     raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
-def _conjuncts(expr: ConditionExpr) -> Iterator[ConditionExpr]:
-    """The members of the top-level conjunction, nested ones flattened;
-    any other expression is a conjunction of one."""
-    if isinstance(expr, And):
-        for child in expr.children:
-            yield from _conjuncts(child)
-    else:
-        yield expr
-
-
-# Where a variable meets a request's rows: ``(name, arity, position)``
-# for an atom argument, and ``(f, None, 0)`` for the argument of a
-# function operand ``f(t)``, which reads the facts ``f(c,v)`` and the
-# error attributes ``f(c,...)`` of any arity.
-Site = tuple[str, Optional[int], int]
-
-
-def _sites(expr: ConditionExpr, name: str) -> Optional[tuple[Site, ...]]:
-    """A variable's sites, or None when it is a bare comparison operand."""
-    sites: dict[Site, None] = {}
-    for leaf in _leaves(expr):
-        if isinstance(leaf, Atom):
-            for i, term in enumerate(leaf.terms):
-                if isinstance(term, Variable) and term.name == name:
-                    sites[(leaf.name, len(leaf.terms), i)] = None
-            continue
-        for op in (leaf.left, leaf.right):
-            if isinstance(op, Variable) and op.name == name:
-                return None
-            arg = op.arg if isinstance(op, FunctionValue) else None
-            if isinstance(arg, Variable) and arg.name == name:
-                sites[(op.name, None, 0)] = None
-    return tuple(sites)
-
-
 class ConditionPlan(Value):
     """A condition with what its evaluation needs worked out once: one
     binding rule per free variable (see the module docstring).
@@ -426,23 +432,17 @@ class ConditionPlan(Value):
 
 
 def compile_condition(expr: ConditionExpr) -> ConditionPlan:
-    """Plan a condition for evaluation; raises ``UnboundVariableError``
-    when it breaks the range restriction."""
-    variables = tuple(sorted(check_range_restriction(expr)))
-    atoms = [c for c in _conjuncts(expr) if isinstance(c, Atom)]
-    sources = tuple(
-        tuple(
-            (atom, i)
-            for atom in atoms
-            for i, term in enumerate(atom.terms)
-            if isinstance(term, Variable) and term.name == name
-        )
-        for name in variables
+    """Plan a condition for evaluation, in one walk over it; raises
+    ``UnboundVariableError`` when it breaks the range restriction."""
+    uses = _range_restricted(_variable_uses(expr))
+    variables = tuple(sorted(uses))
+    ordered = [uses[name] for name in variables]
+    return ConditionPlan(
+        expr,
+        variables,
+        tuple(tuple(use.sources) for use in ordered),
+        tuple(() if use.sources else None if use.bare else tuple(use.sites) for use in ordered),
     )
-    sites = tuple(
-        () if joined else _sites(expr, name) for name, joined in zip(variables, sources)
-    )
-    return ConditionPlan(expr, variables, sources, sites)
 
 
 def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:

@@ -16,10 +16,12 @@ accepted in a policy document; ``all-permit`` is rejected at its token.
 Nesting (policy sets, parenthesised target and condition groups, and
 ``not``) is bounded by ``MAX_NESTING``; deeper input is a parse error.
 
-Source positions live only in parse errors. Tokens are plain
-``(kind, text, start)`` tuples, the syntax tree carries no positions,
-and a ``SourceSpan`` (line and column counted on ``"\\n"``) is built
-only for the error a parser raises.
+Source positions live only in parse errors. The lexer reads every
+token text with one ``findall`` and gives each a kind from its text; a
+parser position is a token index. Neither the tokens nor the syntax
+tree carry offsets: only a parser raising an error scans the source
+again to the offending token and builds its ``SourceSpan`` (line and
+column counted on ``"\\n"``).
 
 Requests are brace-wrapped fact lists; a term prefixed ``error:`` lands
 in the request's error-attribute set instead of its facts:
@@ -33,6 +35,7 @@ the package's finite orders as a DOT Hasse diagram (cover edges only).
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from typing import Callable, NoReturn
@@ -40,6 +43,7 @@ from typing import Callable, NoReturn
 from . import altlogics
 from .combiners import STANDARD_COMBINERS, CombinerId
 from .conditions import (
+    COMPARISON_OPERATORS,
     And,
     Atom,
     BoolLiteral,
@@ -104,515 +108,458 @@ _SYMBOLS = {
     "COLON": ":",
 }
 
-_TOKEN_SPEC = [
-    ("WS", r"[ \t\r\n]+"),
-    ("COMMENT", r"#[^\n]*"),
-    ("COMBINER", r"(?:all-permit|o-1-a|p-o|d-o|f-a)(?![A-Za-z0-9_-])"),
-    ("NUMBER", r"[0-9]+"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
-    *((kind, re.escape(text)) for kind, text in _SYMBOLS.items()),
-    ("UNEXPECTED", r"(?s:.)"),
-]
+_COMBINER_TOKENS = ("all-permit", "o-1-a", "p-o", "d-o", "f-a")
 
-_MASTER_RE = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in _TOKEN_SPEC))
+# One match per token: whitespace and comments skipped, then the token
+# as group 1. The group matches wherever the skipping stops (at worst
+# one unexpected character, or the empty end of input), so the skipped
+# prefix is never backtracked into and a scan is linear in the input.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*((?:"
+    + "|".join(_COMBINER_TOKENS)
+    + r")(?![A-Za-z0-9_-])|[0-9]+|[A-Za-z_][A-Za-z0-9_]*"
+    + "".join("|" + re.escape(text) for text in _SYMBOLS.values())
+    + r"|(?s:.)|\Z)"
+)
 
-_COMPARISON_KINDS = {kind: _SYMBOLS[kind] for kind in ("EQ", "NE", "LT", "LE", "GT", "GE")}
+# A token's kind: by its text for a fixed one (the end of input is the
+# empty text), otherwise by its first character.
+_FIXED_KINDS = {
+    **{text: kind for kind, text in _SYMBOLS.items()},
+    **dict.fromkeys(_COMBINER_TOKENS, "COMBINER"),
+    "": "EOF",
+}
+_FIRST_CHAR_KINDS = {
+    **dict.fromkeys("0123456789", "NUMBER"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+}
 
-
-def _lex(source: str) -> list[tuple[str, str, int]]:
-    """The tokens of ``source`` as ``(kind, text, start)`` tuples,
-    ending with an empty ``EOF`` token at ``len(source)``."""
-    tokens = []
-    for match in _MASTER_RE.finditer(source):
-        kind = match.lastgroup
-        if kind == "WS" or kind == "COMMENT":
-            continue
-        if kind == "UNEXPECTED":
-            raise ParseError(
-                f"unexpected character {match.group()!r}", _span_at(source, match.start())
-            )
-        tokens.append((kind, match.group(), match.start()))
-    tokens.append(("EOF", "", len(source)))
-    return tokens
+_EFFECTS = {"permit": Effect.PERMIT, "deny": Effect.DENY}
+_LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
 
 
-def _span_at(source: str, start: int) -> SourceSpan:
-    """The span of the token that starts at ``start`` (empty at the end
-    of input); line and column count lines on ``"\\n"`` only."""
-    match = _MASTER_RE.match(source, start)
-    end = match.end() if match else start
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The texts and kinds of the tokens of ``source``, ending with one
+    empty ``EOF`` token; an unexpected character is a parse error."""
+    texts = _TOKEN_RE.findall(source)
+    # The empty end of input matches once more after trailing blanks.
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()
+    kinds = [_FIXED_KINDS.get(t) or _FIRST_CHAR_KINDS.get(t[0], "UNEXPECTED") for t in texts]
+    if "UNEXPECTED" in kinds:
+        i = kinds.index("UNEXPECTED")
+        raise ParseError(f"unexpected character {texts[i]!r}", _span_at(source, texts, i))
+    return texts, kinds
+
+
+def _span_at(source: str, texts: list[str], i: int) -> SourceSpan:
+    """The span of token ``i`` (empty at the end of input). Its offset
+    is found by scanning to it again; line and column count lines on
+    ``"\\n"`` only."""
+    start = next(itertools.islice(_TOKEN_RE.finditer(source), i, None)).start(1)
     line_start = source.rfind("\n", 0, start) + 1
-    return SourceSpan(start, end, source.count("\n", 0, start) + 1, start - line_start + 1)
-
-
-# Intermediate target shapes before normalization into Target/AnyOf/AllOf;
-# a single match is its AttributeTerm.
-class _TAnd(Value):
-    items: tuple
-
-
-class _TOr(Value):
-    items: tuple
-    # Where a too-deep alternation is reported.
-    start: int
-
-
-class _TGroup(Value):
-    # Parentheses matter to normalization: "(a /\ b)" is one all-of
-    # group, while a bare "a /\ b" is two any-ofs.
-    inner: object
+    return SourceSpan(
+        start, start + len(texts[i]), source.count("\n", 0, start) + 1, start - line_start + 1
+    )
 
 
 class _Parser:
-    """Recursive descent over ``_lex`` tokens. Positions stay plain
-    offsets; a ``SourceSpan`` is built only for the error raised."""
+    """Recursive descent over token texts and kinds read by index. A
+    production takes the index of its first token and returns what it
+    read with the index after it. Equal target matches and equal
+    variables each share one object."""
 
     def __init__(self, source: str):
         self._source = source
-        self._tokens = _lex(source)
-        self._index = 0
+        self._texts, self._kinds = _tokenize(source)
         self._depth = 0
-        # Equal target matches share one term, so the dict lookups that
-        # build member gates find them by identity.
-        self._matches: dict[tuple[str, Constant], AttributeTerm] = {}
+        # A match's single-match any-of, so equal matches share one
+        # term and the dict lookups that build member gates find it by
+        # identity.
+        self._matches: dict[tuple[str, Constant], AnyOf] = {}
+        self._variables: dict[str, Variable] = {}
+        # Where the first alternation too deep for the target being
+        # read starts; reported once the target has been read.
+        self._too_deep: int | None = None
 
-    @property
-    def cur(self) -> tuple[str, str, int]:
-        return self._tokens[self._index]
+    def _span(self, i: int) -> SourceSpan:
+        return _span_at(self._source, self._texts, i)
 
-    @property
-    def kind(self) -> str:
-        return self._tokens[self._index][0]
+    def _fail(self, message: str, i: int) -> NoReturn:
+        raise ParseError(message, self._span(i))
 
-    def _advance(self) -> tuple[str, str, int]:
-        token = self.cur
-        if token[0] != "EOF":
-            self._index += 1
-        return token
+    def _expected(self, what: str, i: int) -> NoReturn:
+        self._fail(f"expected {what}, found {self._texts[i] or 'end of input'!r}", i)
 
-    def _span(self, start: int) -> SourceSpan:
-        return _span_at(self._source, start)
+    def _want(self, i: int, *texts: str) -> int:
+        """The index after the fixed tokens ``texts``, which must start at ``i``."""
+        for text in texts:
+            if self._texts[i] != text:
+                self._expected(repr(text), i)
+            i += 1
+        return i
 
-    def _fail(self, message: str, start: int | None = None) -> NoReturn:
-        raise ParseError(message, self._span(self.cur[2] if start is None else start))
+    def end(self, i: int) -> None:
+        if self._texts[i]:
+            self._expected("end of input", i)
 
-    def _found(self) -> str:
-        return repr(self.cur[1] or "end of input")
-
-    def _expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
-        if self.kind != kind:
-            self._fail(f"expected {what or repr(_SYMBOLS[kind])}, found {self._found()}")
-        return self._advance()
-
-    def _expect_word(self, word: str) -> tuple[str, str, int]:
-        if not self._at_word(word):
-            self._fail(f"expected '{word}', found {self._found()}")
-        return self._advance()
-
-    def _at_word(self, word: str) -> bool:
-        kind, text, _ = self.cur
-        return kind == "IDENT" and text == word
-
-    def _number(self, token: tuple[str, str, int]) -> int:
-        _, text, start = token
+    def _number(self, i: int) -> int:
+        text = self._texts[i]
         try:
             return int(text)
         except ValueError:  # past the interpreter's int digit limit
-            self._fail(f"number with {len(text)} digits is too long", start)
+            self._fail(f"number with {len(text)} digits is too long", i)
 
-    def _nested(self, parse: Callable, start: int):
-        """Run ``parse`` one nesting level deeper than the caller; ``start``
-        is the offset of the token that opens the level."""
+    def _nested(self, opener: int, parse: Callable, i: int):
+        """``parse(i)`` one nesting level deeper than the caller; token
+        ``opener`` opens the level."""
         if self._depth == MAX_NESTING:
-            self._fail(f"nesting deeper than {MAX_NESTING} levels", start)
+            self._fail(f"nesting deeper than {MAX_NESTING} levels", opener)
         self._depth += 1
-        try:
-            return parse()
-        finally:
-            self._depth -= 1
+        result = parse(i)
+        self._depth -= 1
+        return result
 
     # -- policy documents -------------------------------------------------
 
-    def policy_node(self) -> PolicyNode:
-        if self._at_word("policyset"):
-            return self._nested(self.policyset, self.cur[2])
-        if self._at_word("policy"):
-            return self.policy()
-        self._fail("expected 'policyset' or 'policy'")
+    def policy_node(self, i: int) -> tuple[PolicyNode, int]:
+        if self._texts[i] == "policyset":
+            return self._nested(i, self.policyset, i)
+        if self._texts[i] == "policy":
+            return self.policy(i)
+        self._fail("expected 'policyset' or 'policy'", i)
 
-    def policyset(self) -> PolicySet:
-        self._expect_word("policyset")
-        name = self._expect("IDENT", "a policy set name")
-        self._expect("LBRACE")
-        target = self._target_field()
-        combiner = self._combiner_field()
-        self._expect_word("children")
-        self._expect("COLON")
-        self._expect("LBRACK")
+    def policyset(self, i: int) -> tuple[PolicySet, int]:
+        texts = self._texts
+        if self._kinds[i + 1] != "IDENT":
+            self._expected("a policy set name", i + 1)
+        name = texts[i + 1]
+        target, i = self._target_field(self._want(i + 2, "{"))
+        combiner, i = self._combiner_field(i)
+        i = self._want(i, "children", ":", "[")
         children: list[PolicyNode] = []
-        starts: list[int] = []
-        while self.kind != "RBRACK":
-            starts.append(self.cur[2])
-            children.append(self.policy_node())
-            if self.kind == "COMMA":
-                self._advance()
-            else:
+        firsts: list[int] = []
+        while texts[i] != "]":
+            firsts.append(i)
+            child, i = self.policy_node(i)
+            children.append(child)
+            if texts[i] != ",":
                 break
-        self._expect("RBRACK")
-        self._maybe_semi()
-        self._expect("RBRACE")
-        kinds = {type(c) for c in children}
-        if len(kinds) > 1:
-            first_odd = next(
-                i for i, c in enumerate(children) if type(c) is not type(children[0])
-            )
-            self._fail(
-                "a policy set may hold only policies or only policy sets",
-                starts[first_odd],
-            )
-        return PolicySet(
-            name=name[1], target=target, children=tuple(children), combiner=combiner
-        )
+            i += 1
+        i = self._want(i, "]")
+        i = self._want(i + (texts[i] == ";"), "}")
+        odd = [at for at, c in zip(firsts, children) if type(c) is not type(children[0])]
+        if odd:
+            self._fail("a policy set may hold only policies or only policy sets", odd[0])
+        return PolicySet(name, target, tuple(children), combiner), i
 
-    def policy(self) -> Policy:
-        self._expect_word("policy")
-        name = self._expect("IDENT", "a policy name")
-        self._expect("LBRACE")
-        target = self._target_field()
-        combiner = self._combiner_field()
-        self._expect_word("rules")
-        self._expect("COLON")
-        self._expect("LBRACK")
+    def policy(self, i: int) -> tuple[Policy, int]:
+        texts = self._texts
+        if self._kinds[i + 1] != "IDENT":
+            self._expected("a policy name", i + 1)
+        name = texts[i + 1]
+        target, i = self._target_field(self._want(i + 2, "{"))
+        combiner, i = self._combiner_field(i)
+        i = self._want(i, "rules", ":", "[")
         rules: list[Rule] = []
-        while self.kind != "RBRACK":
-            rules.append(self.rule())
-            if self.kind == "COMMA":
-                self._advance()
-            else:
+        while texts[i] != "]":
+            rule, i = self.rule(i)
+            rules.append(rule)
+            if texts[i] != ",":
                 break
-        close = self._expect("RBRACK")
+            i += 1
+        if texts[i] != "]":
+            self._expected("']'", i)
         if not rules:
-            raise ArityError("a policy needs at least one rule", self._span(close[2]))
-        self._maybe_semi()
-        self._expect("RBRACE")
-        return Policy(name=name[1], target=target, rules=tuple(rules), combiner=combiner)
+            raise ArityError("a policy needs at least one rule", self._span(i))
+        i = self._want(i + 1 + (texts[i + 1] == ";"), "}")
+        return Policy(name, target, tuple(rules), combiner), i
 
-    def rule(self) -> Rule:
-        self._expect_word("rule")
-        name = self._expect("IDENT", "a rule name")
-        self._expect("LBRACE")
-        self._expect_word("effect")
-        self._expect("COLON")
-        _, effect_text, effect_start = self._expect("IDENT", "'permit' or 'deny'")
-        if effect_text == "permit":
-            effect = Effect.PERMIT
-        elif effect_text == "deny":
-            effect = Effect.DENY
-        else:
-            self._fail(f"expected 'permit' or 'deny', found {effect_text!r}", effect_start)
-        self._expect("SEMI")
-        target = self._target_field()
-        self._expect_word("condition")
-        self._expect("COLON")
-        condition_start = self.cur[2]
-        condition = self.condition()
-        self._maybe_semi()
-        self._expect("RBRACE")
+    def rule(self, i: int) -> tuple[Rule, int]:
+        texts = self._texts
+        if texts[i] != "rule":
+            self._expected("'rule'", i)
+        if self._kinds[i + 1] != "IDENT":
+            self._expected("a rule name", i + 1)
+        name = texts[i + 1]
+        if texts[i + 2:i + 5] != _RULE_HEAD:
+            self._want(i + 2, *_RULE_HEAD)
+        effect = _EFFECTS.get(texts[i + 5])
+        if effect is None:
+            self._expected("'permit' or 'deny'", i + 5)
+        if texts[i + 6] != ";":
+            self._expected("';'", i + 6)
+        target, i = self._target_field(i + 7)
+        if texts[i:i + 2] != _CONDITION_HEAD:
+            self._want(i, *_CONDITION_HEAD)
+        condition, end = self._cor(i + 2)
+        end += texts[end] == ";"
+        if texts[end] != "}":
+            self._expected("'}'", end)
         try:
-            return Rule(name=name[1], effect=effect, target=target, condition=condition)
+            return Rule(name, effect, target, condition), end + 1
         except UnboundVariableError as exc:
-            raise ParseError(str(exc), self._span(condition_start)) from None
+            raise ParseError(str(exc), self._span(i + 2)) from None
 
-    def _maybe_semi(self) -> None:
-        if self.kind == "SEMI":
-            self._advance()
-
-    def _combiner_field(self) -> CombinerId:
-        self._expect_word("combiner")
-        self._expect("COLON")
-        kind, text, start = self.cur
+    def _combiner_field(self, i: int) -> tuple[CombinerId, int]:
+        i = self._want(i, "combiner", ":")
+        kind, text = self._kinds[i], self._texts[i]
         if kind == "COMBINER":
-            self._advance()
             combiner = CombinerId.from_token(text)
             if combiner not in STANDARD_COMBINERS:
                 self._fail(
                     f"{text} is only defined under the pair encoding; "
                     "a policy needs p-o, d-o, f-a or o-1-a",
-                    start,
+                    i,
                 )
         elif kind == "IDENT":
-            raise UnknownCombinerError(
-                f"unknown combining algorithm: {text!r}", self._span(start)
-            )
+            raise UnknownCombinerError(f"unknown combining algorithm: {text!r}", self._span(i))
         else:
-            self._fail("expected a combining algorithm id")
-        self._expect("SEMI")
-        return combiner
+            self._fail("expected a combining algorithm id", i)
+        return combiner, self._want(i + 1, ";")
 
     # -- targets -----------------------------------------------------------
+    #
+    # A target normalizes into a conjunction of any-ofs of all-ofs of
+    # matches. An unparenthesized top-level conjunction splits into
+    # any-ofs; anywhere else alternations flatten into one any-of, and a
+    # conjunction is one all-of whose members flatten into its matches,
+    # so an alternation among them is deeper than a target allows. Below
+    # the top, every expression is read as an any-of ("part"), paired
+    # with where an alternation at its outermost level starts, or None.
 
-    def _target_field(self) -> Target:
-        self._expect_word("target")
-        self._expect("COLON")
-        if self._at_word("null"):
-            self._advance()
-            self._expect("SEMI")
-            return NULL_TARGET
-        tree = self._texpr()
-        self._expect("SEMI")
-        return self._normalize_target(tree)
-
-    def _texpr(self):
-        start = self.cur[2]
-        items = [self._tconj()]
-        while self.kind == "OR":
-            self._advance()
-            items.append(self._tconj())
-        if len(items) == 1:
-            return items[0]
-        return _TOr(tuple(items), start)
-
-    def _tconj(self):
-        items = [self._tatom()]
-        while self.kind == "AND":
-            self._advance()
-            items.append(self._tatom())
-        if len(items) == 1:
-            return items[0]
-        return _TAnd(tuple(items))
-
-    def _tatom(self):
-        if self.kind == "LPAREN":
-            start = self._advance()[2]
-            inner = self._nested(self._texpr, start)
-            self._expect("RPAREN")
-            return _TGroup(inner)
-        _, category, start = self._expect("IDENT", "a category match")
-        if category not in CATEGORIES:
+    def _target_field(self, i: int) -> tuple[Target, int]:
+        texts = self._texts
+        if texts[i:i + 2] != _TARGET_HEAD:
+            self._want(i, *_TARGET_HEAD)
+        if texts[i + 2] == "null":
+            return NULL_TARGET, self._want(i + 3, ";")
+        self._too_deep = None
+        any_ofs, i = self._texpr(i + 2, top=True)
+        if texts[i] != ";":
+            self._expected("';'", i)
+        if self._too_deep is not None:
             self._fail(
-                f"matches use one of {', '.join(CATEGORIES)}; found {category!r}", start
+                "target nesting is deeper than target / any-of / all-of allows", self._too_deep
             )
-        self._expect("LPAREN")
-        value = self._constant("a match value")
-        self._expect("RPAREN")
-        term = self._matches.get((category, value))
-        if term is None:
-            term = self._matches[category, value] = AttributeTerm(category, (value,))
-        return term
+        return Target(any_ofs), i + 1
 
-    def _constant(self, what: str):
-        token = self.cur
-        kind, text, _ = token
+    def _texpr(self, i: int, top: bool = False):
+        """At the top, the any-ofs of a target expression; elsewhere its part."""
+        start = i
+        parts, i = self._tconj(i)
+        if self._texts[i] != "\\/":
+            if top:
+                return tuple(any_of for any_of, _ in parts), i
+            return (parts[0] if len(parts) == 1 else (self._all_of(parts), None)), i
+        all_ofs = self._all_of(parts).all_ofs
+        while self._texts[i] == "\\/":
+            parts, i = self._tconj(i + 1)
+            all_ofs += self._all_of(parts).all_ofs
+        any_of = AnyOf(all_ofs)
+        return ((any_of,) if top else (any_of, start)), i
+
+    def _tconj(self, i: int) -> tuple[list, int]:
+        """The parts of a conjunction of target atoms."""
+        part, i = self._tatom(i)
+        parts = [part]
+        while self._texts[i] == "/\\":
+            part, i = self._tatom(i + 1)
+            parts.append(part)
+        return parts, i
+
+    def _all_of(self, parts: list) -> AnyOf:
+        """A conjunction's parts as one any-of: a lone part as it is,
+        several as one all-of of their matches."""
+        if len(parts) == 1:
+            return parts[0][0]
+        matches: tuple[AttributeTerm, ...] = ()
+        for any_of, alternation in parts:
+            if alternation is not None and (self._too_deep is None or alternation < self._too_deep):
+                self._too_deep = alternation
+            matches += any_of.all_ofs[0].matches
+        return AnyOf((AllOf(matches),))
+
+    def _tatom(self, i: int):
+        texts = self._texts
+        if texts[i] == "(":
+            part, i = self._nested(i, self._texpr, i + 1)
+            if texts[i] != ")":
+                self._expected("')'", i)
+            return part, i + 1
+        if self._kinds[i] != "IDENT":
+            self._expected("a category match", i)
+        category = texts[i]
+        if category not in CATEGORIES:
+            self._fail(f"matches use one of {', '.join(CATEGORIES)}; found {category!r}", i)
+        if texts[i + 1] != "(":
+            self._expected("'('", i + 1)
+        value = self._constant(i + 2, "a match value")
+        if texts[i + 3] != ")":
+            self._expected("')'", i + 3)
+        any_of = self._matches.get((category, value))
+        if any_of is None:
+            any_of = AnyOf((AllOf((AttributeTerm(category, (value,)),)),))
+            self._matches[category, value] = any_of
+        return (any_of, None), i + 4
+
+    def _constant(self, i: int, what: str) -> Constant:
+        kind, text = self._kinds[i], self._texts[i]
         if kind == "NUMBER":
-            self._advance()
-            return self._number(token)
-        if kind == "IDENT":
-            if text[0].isupper():
-                self._fail(f"variables are not allowed here, found {text!r}")
-            self._advance()
-            return text
-        self._fail(f"expected {what}, found {self._found()}")
-
-    @staticmethod
-    def _ungroup(node):
-        while isinstance(node, _TGroup):
-            node = node.inner
-        return node
-
-    def _all_of_from(self, disjunct) -> AllOf:
-        if isinstance(disjunct, AttributeTerm):
-            return AllOf((disjunct,))
-        matches = []
-        queue = list(disjunct.items)
-        while queue:
-            item = self._ungroup(queue.pop(0))
-            if isinstance(item, AttributeTerm):
-                matches.append(item)
-            elif isinstance(item, _TAnd):
-                queue[0:0] = item.items
-            else:
-                self._fail(
-                    "target nesting is deeper than target / any-of / all-of allows",
-                    item.start,
-                )
-        return AllOf(tuple(matches))
-
-    def _any_of_from(self, conjunct) -> AnyOf:
-        node = self._ungroup(conjunct)
-        pending = list(node.items) if isinstance(node, _TOr) else [node]
-        all_ofs = []
-        while pending:
-            disjunct = self._ungroup(pending.pop(0))
-            if isinstance(disjunct, _TOr):
-                pending[0:0] = disjunct.items
-            else:
-                all_ofs.append(self._all_of_from(disjunct))
-        return AnyOf(tuple(all_ofs))
-
-    def _normalize_target(self, tree) -> Target:
-        # Conjunction of disjunctions of conjunctions of matches; any
-        # deeper alternation cannot be expressed as a target. An
-        # unparenthesized top-level conjunction splits into any-ofs, a
-        # parenthesized one stays a single all-of group.
-        conjuncts = list(tree.items) if isinstance(tree, _TAnd) else [tree]
-        return Target(tuple(self._any_of_from(c) for c in conjuncts))
+            return self._number(i)
+        if kind != "IDENT":
+            self._expected(what, i)
+        if text[0].isupper():
+            self._fail(f"variables are not allowed here, found {text!r}", i)
+        return text
 
     # -- conditions ----------------------------------------------------------
 
-    def condition(self) -> ConditionExpr:
-        return self._cor()
+    def _cor(self, i: int) -> tuple[ConditionExpr, int]:
+        item, i = self._cand(i)
+        if self._texts[i] != "\\/":
+            return item, i
+        items = [item]
+        while self._texts[i] == "\\/":
+            item, i = self._cand(i + 1)
+            items.append(item)
+        return Or(tuple(items)), i
 
-    def _cor(self) -> ConditionExpr:
-        items = [self._cand()]
-        while self.kind == "OR":
-            self._advance()
-            items.append(self._cand())
-        if len(items) == 1:
-            return items[0]
-        return Or(tuple(items))
+    def _cand(self, i: int) -> tuple[ConditionExpr, int]:
+        item, i = self._cnot(i)
+        if self._texts[i] != "/\\":
+            return item, i
+        items = [item]
+        while self._texts[i] == "/\\":
+            item, i = self._cnot(i + 1)
+            items.append(item)
+        return And(tuple(items)), i
 
-    def _cand(self) -> ConditionExpr:
-        items = [self._cnot()]
-        while self.kind == "AND":
-            self._advance()
-            items.append(self._cnot())
-        if len(items) == 1:
-            return items[0]
-        return And(tuple(items))
-
-    def _cnot(self) -> ConditionExpr:
-        if self._at_word("not"):
-            start = self._advance()[2]
-            return Not(self._nested(self._cnot, start))
-        return self._cprimary()
-
-    def _cprimary(self) -> ConditionExpr:
-        if self.kind == "LPAREN":
-            start = self._advance()[2]
-            inner = self._nested(self._cor, start)
-            self._expect("RPAREN")
-            return inner
-        if self._at_word("true"):
-            self._advance()
-            return BoolLiteral(True)
-        if self._at_word("false"):
-            self._advance()
-            return BoolLiteral(False)
-        head = self._head()
-        if self.kind in _COMPARISON_KINDS:
-            op = _COMPARISON_KINDS[self._advance()[0]]
-            right = self._to_operand(self._head())
-            return Compare(self._to_operand(head), op, right)
+    def _cnot(self, i: int) -> tuple[ConditionExpr, int]:
+        texts = self._texts
+        text = texts[i]
+        if text == "not":
+            inner, i = self._nested(i, self._cnot, i + 1)
+            return Not(inner), i
+        if text == "(":
+            inner, i = self._nested(i, self._cor, i + 1)
+            if texts[i] != ")":
+                self._expected("')'", i)
+            return inner, i + 1
+        if text in _LITERALS:
+            return _LITERALS[text], i + 1
+        start = i
+        value, args, i = self._head(i)
+        op = texts[i]
+        if op in COMPARISON_OPERATORS:
+            right, right_args, end = self._head(i + 1)
+            right = self._operand(i + 1, right, right_args)
+            return Compare(self._operand(start, value, args), op, right), end
         # Without a comparison the only readable form is a fact atom.
-        name, args = self._to_application(head)
-        return Atom(name, args)
+        if args is None:
+            self._fail("a bare term is not a condition; expected an atom or comparison", start)
+        return Atom(value, args), i
 
-    def _head(self):
-        """Parse one term or one application ``f(t, ...)``.
-
-        Returns ``(start, value, args)`` where ``args`` is None for a
-        plain term; whether an application is an atom or a function
-        value depends on what follows, so the caller decides.
-        """
-        start = self.cur[2]
-        value = self._term()
+    def _head(self, i: int):
+        """One term or one application ``f(t, ...)``, as ``(value, args,
+        next index)`` with ``args`` None for a plain term; whether an
+        application is an atom or a function value depends on what
+        follows, so the caller decides."""
+        texts = self._texts
+        value = self._term(i)
         # Only a constant name can be applied; numbers and variables cannot.
-        if not isinstance(value, str) or self.kind != "LPAREN":
-            return start, value, None
-        self._advance()
-        args: list[Term] = [self._term()]
-        while self.kind == "COMMA":
-            self._advance()
-            args.append(self._term())
-        self._expect("RPAREN")
-        return start, value, tuple(args)
+        if texts[i + 1] != "(" or not isinstance(value, str):
+            return value, None, i + 1
+        args = [self._term(i + 2)]
+        i += 3
+        while texts[i] == ",":
+            args.append(self._term(i + 1))
+            i += 2
+        if texts[i] != ")":
+            self._expected("')'", i)
+        return value, tuple(args), i + 1
 
-    def _to_operand(self, head) -> Operand:
-        start, value, args = head
+    def _operand(self, i: int, value, args) -> Operand:
         if args is None:
             return value
         if len(args) != 1:
-            raise ArityError("a function value takes exactly one argument", self._span(start))
+            raise ArityError("a function value takes exactly one argument", self._span(i))
         return FunctionValue(value, args[0])
 
-    def _to_application(self, head):
-        start, value, args = head
-        if args is None:
-            self._fail("a bare term is not a condition; expected an atom or comparison", start)
-        return value, args
-
-    def _term(self) -> Term:
-        token = self.cur
-        kind, text, start = token
-        if kind == "NUMBER":
-            self._advance()
-            return self._number(token)
+    def _term(self, i: int) -> Term:
+        kind, text = self._kinds[i], self._texts[i]
         if kind == "IDENT":
-            self._advance()
             if text[0].isupper():
-                return Variable(text)
+                variable = self._variables.get(text)
+                if variable is None:
+                    variable = self._variables[text] = Variable(text)
+                return variable
             if text in RESERVED_CONDITION_WORDS:
-                self._fail(f"{text!r} cannot be used as a term", start)
+                self._fail(f"{text!r} cannot be used as a term", i)
             return text
-        self._fail(f"expected a term, found {self._found()}")
+        if kind == "NUMBER":
+            return self._number(i)
+        self._expected("a term", i)
 
     # -- requests ------------------------------------------------------------
 
     def request(self) -> Request:
-        open_brace = self._expect("LBRACE")
+        texts = self._texts
+        i = self._want(0, "{")
         facts: set[AttributeTerm] = set()
         errors: set[AttributeTerm] = set()
         # Each term's first occurrence, for the overlap diagnostic.
-        starts: dict[AttributeTerm, int] = {}
-        while self.kind != "RBRACE":
-            is_error = False
-            if self._at_word("error") and self._tokens[self._index + 1][0] == "COLON":
-                self._advance()
-                self._advance()
-                is_error = True
-            start = self.cur[2]
-            term = self._request_term()
-            starts.setdefault(term, start)
+        firsts: dict[AttributeTerm, int] = {}
+        while texts[i] != "}":
+            is_error = texts[i] == "error" and texts[i + 1] == ":"
+            i += 2 * is_error
+            term, end = self._request_term(i)
+            firsts.setdefault(term, i)
             (errors if is_error else facts).add(term)
-            if self.kind == "COMMA":
-                self._advance()
-            else:
+            i = end
+            if texts[i] != ",":
                 break
-        self._expect("RBRACE")
-        self._expect("EOF", "end of input")
+            i += 1
+        self.end(self._want(i, "}"))
         if not facts:
-            raise EmptyRequestError(
-                "a request needs at least one attribute fact", self._span(open_brace[2])
-            )
+            raise EmptyRequestError("a request needs at least one attribute fact", self._span(0))
         overlap = facts & errors
         if overlap:
             term = sorted(overlap, key=str)[0]
-            raise ParseError(
-                f"attribute {term} listed both as a fact and as an error",
-                self._span(starts[term]),
-            )
-        return Request(facts=frozenset(facts), error_attributes=frozenset(errors))
+            self._fail(f"attribute {term} listed both as a fact and as an error", firsts[term])
+        return Request(frozenset(facts), frozenset(errors))
 
-    def _request_term(self) -> AttributeTerm:
-        _, name, start = self._expect("IDENT", "an attribute name")
-        self._expect("LPAREN")
-        args = [self._constant("an attribute argument")]
-        while self.kind == "COMMA":
-            self._advance()
-            args.append(self._constant("an attribute argument"))
-        self._expect("RPAREN")
+    def _request_term(self, i: int) -> tuple[AttributeTerm, int]:
+        texts = self._texts
+        if self._kinds[i] != "IDENT":
+            self._expected("an attribute name", i)
+        name = texts[i]
+        if texts[i + 1] != "(":
+            self._expected("'('", i + 1)
+        args = [self._constant(i + 2, "an attribute argument")]
+        end = i + 3
+        while texts[end] == ",":
+            args.append(self._constant(end + 1, "an attribute argument"))
+            end += 2
+        if texts[end] != ")":
+            self._expected("')'", end)
         if name in CATEGORIES and len(args) != 1:
             raise ArityError(
-                f"category attribute {name!r} takes exactly one argument", self._span(start)
+                f"category attribute {name!r} takes exactly one argument", self._span(i)
             )
-        return AttributeTerm(name, tuple(args))
+        return AttributeTerm(name, tuple(args)), end + 1
+
+
+_RULE_HEAD = ["{", "effect", ":"]
+_TARGET_HEAD = ["target", ":"]
+_CONDITION_HEAD = ["condition", ":"]
 
 
 def parse_policy(text: str) -> PolicyNode:
     """Parse one policy or policy set document."""
     parser = _Parser(text)
-    node = parser.policy_node()
-    parser._expect("EOF", "end of input")
+    node, i = parser.policy_node(0)
+    parser.end(i)
     return node
 
 

@@ -1,5 +1,6 @@
 """DSL parsing, canonical serialization, and lattice export."""
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xpdp import (
+    NULL_TARGET,
     And,
     ArityError,
+    Atom,
+    Effect,
+    Rule,
     Decision6,
     PolicyEngineError,
     AttributeTerm,
@@ -33,8 +38,9 @@ from xpdp import (
 )
 
 import strategies
-from oracles import ORDERS
-from xpdp.textio import MAX_NESTING
+from documents import wide_document
+from oracles import ORDERS, lex_with_offsets
+from xpdp.textio import MAX_NESTING, _span_at, _tokenize
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -487,3 +493,110 @@ class TestNestingBound:
             parse_policy(nested_sets(2000))
         with pytest.raises(ParseError):
             parse_policy(with_condition("not " * 3000 + "ok(x)"))
+
+
+def lexed(lex, text: str):
+    """``lex(text)``, or the message and span of the error it raises."""
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return exc.message, exc.span
+
+
+def tokens_with_offsets(text: str) -> list[tuple[str, str, int]]:
+    """The lexer's tokens as ``(kind, text, start)``, each start found the
+    way an error finds it."""
+    texts, kinds = _tokenize(text)
+    return [(kind, token, _span_at(text, texts, i).start)
+            for i, (kind, token) in enumerate(zip(kinds, texts))]
+
+
+class TestLexerOracle:
+    """The one-call lexer gives the reference lexer's tokens, offsets and
+    diagnostics."""
+
+    def test_samples(self):
+        for path in sorted(SAMPLES.iterdir()):
+            text = path.read_text()
+            assert lexed(tokens_with_offsets, text) == lexed(lex_with_offsets, text), path.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=80))
+    def test_junk(self, text):
+        assert lexed(tokens_with_offsets, text) == lexed(lex_with_offsets, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(0, 10_000))
+    def test_sample_slices(self, a, b):
+        text = (SAMPLES / "patient_policy.pol").read_text()
+        lo, hi = sorted((a % (len(text) + 1), b % (len(text) + 1)))
+        text = text[:lo] + text[hi:]
+        assert lexed(tokens_with_offsets, text) == lexed(lex_with_offsets, text)
+
+    @pytest.mark.parametrize("tail", [" " * 100_000, "# note\n" * 10_000], ids=["blanks", "comments"])
+    def test_long_tails(self, tail):
+        # Quadratic or backtracking token patterns do not finish on these.
+        text = MINIMAL + tail
+        assert lexed(tokens_with_offsets, text) == lexed(lex_with_offsets, text)
+        assert parse_policy(text) == parse_policy(MINIMAL)
+        unclosed = MINIMAL.rstrip()[:-1] + tail
+        with pytest.raises(ParseError) as err:
+            parse_policy(unclosed)
+        assert err.value.message == "expected '}', found 'end of input'"
+        assert err.value.span.start == lex_with_offsets(unclosed)[-1][2] == len(unclosed)
+        bad = unclosed + "%"
+        assert lexed(tokens_with_offsets, bad) == lexed(lex_with_offsets, bad)
+
+
+def target_matches(target):
+    for any_of in target.any_ofs or ():
+        for all_of in any_of.all_ofs:
+            yield from all_of.matches
+
+
+class TestSharedObjects:
+    """Equal matches and equal variables of one document each parse to
+    one object; the tree equals one built from separate objects."""
+
+    def test_variables(self):
+        node = parse_policy(with_condition("p(X) /\\ q(X, Y) /\\ X != Y"))
+        p, q, compare = node.rules[0].condition.children
+        assert p.terms[0] is q.terms[0] is compare.left
+        assert q.terms[1] is compare.right
+        fresh = Policy(
+            "P",
+            NULL_TARGET,
+            (Rule("R", Effect.PERMIT, NULL_TARGET, And((
+                Atom("p", (Variable("X"),)),
+                Atom("q", (Variable("X"), Variable("Y"))),
+                Compare(Variable("X"), "!=", Variable("Y")),
+            ))),),
+            CombinerId.DENY_OVERRIDES,
+        )
+        assert node == fresh
+        assert node.rules[0].plan == fresh.rules[0].plan
+        assert pickle.loads(pickle.dumps(node)) == fresh
+        assert pickle.loads(pickle.dumps(fresh)) == node
+        assert serialize_policy(node) == serialize_policy(fresh)
+
+    def test_wide_document(self):
+        """A 1 000-rule document round-trips, and every member gate is
+        keyed by the one term object the parser made for its match."""
+        node = parse_policy(wide_document())
+        assert parse_policy(serialize_policy(node)) == node
+        shared = {}
+        pending = [node]
+        rules = 0
+        while pending:
+            n = pending.pop()
+            members = n.rules if isinstance(n, Policy) else n.children
+            for member in (n, *members):
+                for match in target_matches(member.target):
+                    assert shared.setdefault(match, match) is match
+            for key in n.gate.keys:
+                assert shared[key] is key
+            if isinstance(n, Policy):
+                rules += len(n.rules)
+            else:
+                pending.extend(n.children)
+        assert rules == 1000
