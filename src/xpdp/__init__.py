@@ -6,6 +6,8 @@ encodings that are cross-checked exhaustively, plus differential
 backends for two rival decision logics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .altlogics import (
     AxiomReport,
     AxiomViolation,
@@ -127,4 +129,9 @@ from .textio import (
     serialize_policy,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, not the submodules their imports bind.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
