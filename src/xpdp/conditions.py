@@ -436,13 +436,13 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
     ``UnboundVariableError`` when it breaks the range restriction."""
     uses = _range_restricted(_variable_uses(expr))
     variables = tuple(sorted(uses))
-    ordered = [uses[name] for name in variables]
-    return ConditionPlan(
-        expr,
-        variables,
-        tuple(tuple(use.sources) for use in ordered),
-        tuple(() if use.sources else None if use.bare else tuple(use.sites) for use in ordered),
-    )
+    sources = []
+    sites = []
+    for name in variables:
+        use = uses[name]
+        sources.append(tuple(use.sources))
+        sites.append(() if use.sources else None if use.bare else tuple(use.sites))
+    return ConditionPlan(expr, variables, tuple(sources), tuple(sites))
 
 
 def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:
