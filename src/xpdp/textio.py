@@ -137,6 +137,11 @@ _FIRST_CHAR_KINDS = {
 _EFFECTS = {"permit": Effect.PERMIT, "deny": Effect.DENY}
 _LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
 
+# Runs of fixed tokens the parser compares as one slice of texts.
+_RULE_HEAD = ["{", "effect", ":"]
+_TARGET_HEAD = ["target", ":"]
+_CONDITION_HEAD = ["condition", ":"]
+
 
 def _tokenize(source: str) -> tuple[list[str], list[str]]:
     """The texts and kinds of the tokens of ``source``, ending with one
@@ -548,11 +553,6 @@ class _Parser:
                 f"category attribute {name!r} takes exactly one argument", self._span(i)
             )
         return AttributeTerm(name, tuple(args)), end + 1
-
-
-_RULE_HEAD = ["{", "effect", ":"]
-_TARGET_HEAD = ["target", ":"]
-_CONDITION_HEAD = ["condition", ":"]
 
 
 def parse_policy(text: str) -> PolicyNode:

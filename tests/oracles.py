@@ -3,9 +3,11 @@
 Everything here is written directly from the prose descriptions of the
 algorithms and from the lattice diagrams, without going through the
 package's lattice machinery, so a bug in one side cannot hide in the
-other. The exception is ``evaluate_ungated``, the evaluator's walk
+other. The exceptions are ``evaluate_ungated``, the evaluator's walk
 without member gates, kept as the reference the gated walk's traces
-must equal.
+must equal, and ``lex_with_offsets``, the lexer the one-call lexer
+replaced, kept as the reference for its tokens, offsets and
+diagnostics.
 """
 
 from __future__ import annotations
