@@ -23,9 +23,9 @@ attribute ``f(c,...)`` of any arity. ``kleene_eval`` answers an atom by
 looking its ground key up among the errors and then the facts, and a
 function operand by looking up its ``(f, c)`` key; it builds no terms.
 
-``compile_condition`` plans a condition once, when its rule is built:
-it checks the range restriction, sorts the free variables and gives each
-one of three binding rules.
+``compile_condition`` plans a condition once, when its rule is built,
+in one walk over it: it checks the range restriction, sorts the free
+variables and gives each one of three binding rules.
 
 * A variable occurring in an atom of the top-level conjunction (nested
   conjunctions flattened) is a join variable. It ranges over the values

@@ -252,7 +252,9 @@ class _Parser:
                 break
             i += 1
         i = self._want(i, "]")
-        i = self._want(i + (texts[i] == ";"), "}")
+        if texts[i] == ";":
+            i += 1
+        i = self._want(i, "}")
         odd = [at for at, c in zip(firsts, children) if type(c) is not type(children[0])]
         if odd:
             self._fail("a policy set may hold only policies or only policy sets", odd[0])
@@ -277,7 +279,10 @@ class _Parser:
             self._expected("']'", i)
         if not rules:
             raise ArityError("a policy needs at least one rule", self._span(i))
-        i = self._want(i + 1 + (texts[i + 1] == ";"), "}")
+        i += 1
+        if texts[i] == ";":
+            i += 1
+        i = self._want(i, "}")
         return Policy(name, target, tuple(rules), combiner), i
 
     def rule(self, i: int) -> tuple[Rule, int]:
@@ -298,7 +303,8 @@ class _Parser:
         if texts[i:i + 2] != _CONDITION_HEAD:
             self._want(i, *_CONDITION_HEAD)
         condition, end = self._cor(i + 2)
-        end += texts[end] == ";"
+        if texts[end] == ";":
+            end += 1
         if texts[end] != "}":
             self._expected("'}'", end)
         try:
@@ -517,7 +523,8 @@ class _Parser:
         firsts: dict[AttributeTerm, int] = {}
         while texts[i] != "}":
             is_error = texts[i] == "error" and texts[i + 1] == ":"
-            i += 2 * is_error
+            if is_error:
+                i += 2
             term, end = self._request_term(i)
             firsts.setdefault(term, i)
             (errors if is_error else facts).add(term)
