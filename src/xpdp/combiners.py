@@ -1,8 +1,9 @@
 """The combining algorithms, in both decision encodings.
 
 Every standard algorithm exists twice: once over six-valued decisions
-(a least upper bound in a purpose-built lattice, plus two duplicate
-detection cases for only-one-applicable) and once over the pairwise
+(a least upper bound in a purpose-built lattice, folded over its join
+table ``decisions.V6_JOINS``, plus two duplicate detection cases for
+only-one-applicable) and once over the pairwise
 [deny, permit] encoding (a case analysis over componentwise maxima of
 ``PairValue`` levels, 0, 1/2 and 1 stored as the ints 0, 1 and 2).
 ``check_equivalence`` enumerates decision sequences exhaustively and
@@ -25,9 +26,9 @@ from .decisions import (
     ZERO,
     Decision6,
     PairValue,
+    V6_JOINS,
     delta,
     delta_seq,
-    lub_order,
     max_pair,
     min_pair,
 )
@@ -71,14 +72,25 @@ STANDARD_COMBINERS = (
 )
 
 
+_PO_JOINS = V6_JOINS["po"]
+_DO_JOINS = V6_JOINS["do"]
+_O1A_JOINS = V6_JOINS["o1a"]
+
+
 def combine_po_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Permit-overrides: least upper bound in the permit-overrides lattice."""
-    return lub_order("po", decisions)
+    result = Decision6.NOT_APPLICABLE
+    for d in decisions:
+        result = _PO_JOINS[6 * result + d]
+    return result
 
 
 def combine_do_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Deny-overrides: least upper bound in the deny-overrides lattice."""
-    return lub_order("do", decisions)
+    result = Decision6.NOT_APPLICABLE
+    for d in decisions:
+        result = _DO_JOINS[6 * result + d]
+    return result
 
 
 def combine_fa_v6(decisions: Sequence[Decision6]) -> Decision6:
@@ -89,27 +101,28 @@ def combine_fa_v6(decisions: Sequence[Decision6]) -> Decision6:
     return Decision6.NOT_APPLICABLE
 
 
-def _duplicated_against_blanks(decisions: Sequence[Decision6], value: Decision6) -> bool:
-    # Two or more occurrences of `value`, everything else NOT_APPLICABLE.
-    # Evaluated on the sequence, so duplicates count even though the
-    # lattice fallback works on the set of values.
-    hits = 0
-    for d in decisions:
-        if d is value:
-            hits += 1
-        elif d is not Decision6.NOT_APPLICABLE:
-            return False
-    return hits >= 2
-
-
 def combine_o1a_v6(decisions: Sequence[Decision6]) -> Decision6:
-    """Only-one-applicable: indeterminate when several decisions apply."""
-    decisions = tuple(decisions)  # consumed twice
-    if _duplicated_against_blanks(decisions, Decision6.DENY):
-        return Decision6.INDET_D
-    if _duplicated_against_blanks(decisions, Decision6.PERMIT):
-        return Decision6.INDET_P
-    return lub_order("o1a", decisions)
+    """Only-one-applicable: indeterminate when several decisions apply.
+
+    The least upper bound in the only-one-applicable lattice, except
+    that two or more Deny (Permit) with everything else NotApplicable
+    give Indeterminate{D} (Indeterminate{P}). Duplicates count on the
+    sequence, though the join of a value with itself is the value: the
+    join is Deny (Permit) exactly when every value that is not
+    NotApplicable is Deny (Permit), so counting those values is enough.
+    """
+    result = Decision6.NOT_APPLICABLE
+    applied = 0
+    for d in decisions:
+        if d is not Decision6.NOT_APPLICABLE:
+            applied += 1
+            result = _O1A_JOINS[6 * result + d]
+    if applied >= 2:
+        if result is Decision6.DENY:
+            return Decision6.INDET_D
+        if result is Decision6.PERMIT:
+            return Decision6.INDET_P
+    return result
 
 
 def combine_po_pair(values: Sequence[PairValue]) -> PairValue:
@@ -195,12 +208,11 @@ _PAIR_COMBINERS: dict[CombinerId, Callable] = {
 def combine(combiner: CombinerId, encoding: str, decisions: Sequence):
     """Dispatch to the named algorithm under the named encoding."""
     if encoding == "v6":
-        table = _V6_COMBINERS
+        fn = _V6_COMBINERS.get(combiner)
     elif encoding == "pair":
-        table = _PAIR_COMBINERS
+        fn = _PAIR_COMBINERS.get(combiner)
     else:
         raise InvalidInputError(f"unknown encoding: {encoding!r}")
-    fn = table.get(combiner)
     if fn is None:
         if combiner is CombinerId.ALL_PERMIT:
             raise EncodingUnsupportedError(

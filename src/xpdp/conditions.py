@@ -17,11 +17,13 @@ Evaluation reads a keyed index of the request and tries only the
 bindings that can differ. ``index_request`` makes one pass over a
 request's facts and error attributes per evaluation. It keeps the
 argument tuples by name and arity, the ``(name, args)`` keys of the
-facts and of the error attributes, and the values of the facts
-``f(c,v)`` keyed by ``(f, c)``, with the ``(f, c)`` marked by an error
-attribute ``f(c,...)`` of any arity. ``kleene_eval`` answers an atom by
-looking its ground key up among the errors and then the facts, and a
-function operand by looking up its ``(f, c)`` key; it builds no terms.
+facts and of the error attributes (each term's ``key``), the keys of
+the category ones, which targets are matched against, and the values
+of the facts ``f(c,v)`` keyed by ``(f, c)``, with the ``(f, c)`` marked
+by an error attribute ``f(c,...)`` of any arity. ``kleene_eval``
+answers an atom by looking its ground key up among the errors and then
+the facts, and a function operand by looking up its ``(f, c)`` key; it
+builds no terms.
 
 ``compile_condition`` plans a condition once, when its rule is built,
 in one walk over it: it checks the range restriction, sorts the free
@@ -30,8 +32,10 @@ variables and gives each one of three binding rules.
 * A variable occurring in an atom of the top-level conjunction (nested
   conjunctions flattened) is a join variable. It ranges over the values
   under which every such atom can ground to a fact or an error
-  attribute. Any other value grounds a top-level conjunct to neither,
-  so the conjunction is false and, false being the identity of the
+  attribute, read from the rows that agree with the atom's constants
+  and repeated variables (``Atom.pattern``, worked out when the atom is
+  built). Any other value grounds a top-level conjunct to neither, so
+  the conjunction is false and, false being the identity of the
   existential join, the result is the same.
 * A variable occurring only in atoms and as a function argument, never
   bare in a comparison, ranges over the constants seen at its sites in
@@ -59,7 +63,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .decisions import Decision3, lub3
 from .errors import InvalidInputError, UnboundVariableError
-from .requests import CATEGORIES, AttributeTerm, Constant, Request
+from .requests import CATEGORIES, Constant, Request
 from .values import Value
 
 COMPARISON_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
@@ -97,13 +101,33 @@ class BoolLiteral(Value):
     value: bool
 
 
-class Atom(Value):
+class Atom(Value, derived=("pattern",)):
+    """A fact atom. ``pattern`` says which argument tuples some binding
+    grounds it to: None when its terms are distinct variables, so every
+    tuple of its arity; otherwise ``(fixed, same)``, the ``(position,
+    constant)`` pairs a tuple must agree with and the ``(position,
+    earlier position)`` pairs of a variable's repeated occurrences,
+    whose arguments must be equal."""
+
     name: str
     terms: tuple[Term, ...]
+    pattern: Optional[tuple[tuple[tuple[int, Constant], ...], tuple[tuple[int, int], ...]]]
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise InvalidInputError(f"atom {self.name!r} needs at least one term")
+        fixed = []
+        same = []
+        first: dict[str, int] = {}
+        for i, term in enumerate(self.terms):
+            if isinstance(term, Variable):
+                j = first.setdefault(term.name, i)
+                if j != i:
+                    same.append((i, j))
+            else:
+                fixed.append((i, term))
+        pattern = (tuple(fixed), tuple(same)) if fixed or same else None
+        object.__setattr__(self, "pattern", pattern)
 
 
 class Compare(Value):
@@ -281,12 +305,11 @@ class RequestIndex:
     ``(name, args)`` keys of the facts and of the error attributes.
     ``functions`` maps ``(f, c)`` to the values ``v`` of the facts
     ``f(c,v)``, and ``function_errors`` holds ``(f, c)`` for every error
-    attribute ``f(c,...)``, of any arity. ``category_terms`` holds the
-    category facts and error attributes, the only terms a target match
-    can hit.
+    attribute ``f(c,...)``, of any arity. ``category_keys`` holds the
+    keys of the category facts and error attributes, the only keys a
+    target match can hit.
     """
 
-    request: Request
     domain: tuple[Constant, ...]
     domain_set: frozenset[Constant]
     tuples: dict[tuple[str, int], list[tuple[Constant, ...]]]
@@ -294,14 +317,13 @@ class RequestIndex:
     errors: set[TermKey]
     functions: dict[tuple[str, Constant], list[Constant]]
     function_errors: set[tuple[str, Constant]]
-    category_terms: list[AttributeTerm]
+    category_keys: set[TermKey]
 
-    __slots__ = ("request", "domain", "domain_set", "tuples", "facts", "errors",
-                 "functions", "function_errors", "category_terms")
+    __slots__ = ("domain", "domain_set", "tuples", "facts", "errors",
+                 "functions", "function_errors", "category_keys")
 
-    def __init__(self, request, domain, domain_set, tuples, facts, errors,
-                 functions, function_errors, category_terms) -> None:
-        self.request = request
+    def __init__(self, domain, domain_set, tuples, facts, errors,
+                 functions, function_errors, category_keys) -> None:
         self.domain = domain
         self.domain_set = domain_set
         self.tuples = tuples
@@ -309,7 +331,7 @@ class RequestIndex:
         self.errors = errors
         self.functions = functions
         self.function_errors = function_errors
-        self.category_terms = category_terms
+        self.category_keys = category_keys
 
 
 def index_request(request: Request) -> RequestIndex:
@@ -319,25 +341,26 @@ def index_request(request: Request) -> RequestIndex:
     facts = set()
     errors = set()
     function_errors = set()
-    category_terms = []
+    category_keys = set()
     for term in request.facts:
-        name, args = term.name, term.args
-        facts.add((name, args))
+        key = term.key
+        name, args = key
+        facts.add(key)
         tuples.setdefault((name, len(args)), []).append(args)
         if len(args) == 2:
             functions.setdefault((name, args[0]), []).append(args[1])
         elif name in CATEGORIES:  # term.is_category, without a call per fact
-            category_terms.append(term)
+            category_keys.add(key)
     for term in request.error_attributes:
-        name, args = term.name, term.args
-        errors.add((name, args))
+        key = term.key
+        name, args = key
+        errors.add(key)
         tuples.setdefault((name, len(args)), []).append(args)
         function_errors.add((name, args[0]))
         if name in CATEGORIES:
-            category_terms.append(term)
+            category_keys.add(key)
     domain = request.constants()
     return RequestIndex(
-        request,
         domain,
         frozenset(domain),
         tuples,
@@ -345,7 +368,7 @@ def index_request(request: Request) -> RequestIndex:
         errors,
         functions,
         function_errors,
-        category_terms,
+        category_keys,
     )
 
 
@@ -379,7 +402,11 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
     if isinstance(expr, Atom):
         args = ()
         for term in expr.terms:
-            args += (_ground(term, binding),)
+            if isinstance(term, Variable):
+                if term.name not in binding:
+                    raise UnboundVariableError(f"no binding for variable {term.name}")
+                term = binding[term.name]
+            args += (term,)
         key = (expr.name, args)
         if key in index.errors:
             return Decision3.INDET
@@ -445,42 +472,12 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
     return ConditionPlan(expr, variables, tuple(sources), tuple(sites))
 
 
-def _grounds(atom: Atom, args: tuple[Constant, ...]) -> bool:
-    """Whether some binding grounds ``atom`` to exactly ``args``: its
-    constants agree and each variable takes one value throughout."""
-    seen: dict[str, Constant] = {}
-    for term, arg in zip(atom.terms, args):
-        if isinstance(term, Variable):
-            if seen.setdefault(term.name, arg) != arg:
-                return False
-        elif term != arg:
-            return False
-    return True
-
-
 def _in_domain(values: set[Constant], index: RequestIndex) -> list[Constant]:
     """The domain constants among ``values``, in the domain's order."""
     values &= index.domain_set
     if len(values) < 2:
         return list(values)
-    return [c for c in index.domain if c in values]
-
-
-def _candidates(
-    sources: tuple[tuple[Atom, int], ...], index: RequestIndex
-) -> list[Constant]:
-    """The values of a join variable under which every atom it binds can
-    ground to a fact or an error attribute, in the domain's order."""
-    allowed: Optional[set[Constant]] = None
-    for atom, position in sources:
-        rows = index.tuples.get((atom.name, len(atom.terms)))
-        if rows is None:
-            return []
-        values = {args[position] for args in rows if _grounds(atom, args)}
-        allowed = values if allowed is None else allowed & values
-        if not allowed:
-            return []
-    return _in_domain(allowed, index)
+    return list(filter(values.__contains__, index.domain))
 
 
 def _active(sites: tuple[Site, ...], index: RequestIndex) -> list[Constant]:
@@ -509,15 +506,45 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
     the values its binding rule draws; every other binding gives BOTTOM
     or repeats a value already tried.
     """
+    tuples = index.tuples
     pools = []
     for sources, sites in zip(plan.sources, plan.sites):
-        if sources:
-            pool = _candidates(sources, index)
-            if not pool:  # no binding grounds every top-level atom
+        if not sources:
+            pools.append(index.domain if sites is None else _active(sites, index))
+            continue
+        # A join variable takes the values under which every atom it
+        # binds can ground to a fact or an error attribute, in the
+        # domain's order; with none, no binding grounds every top-level
+        # atom.
+        allowed: Optional[set[Constant]] = None
+        for atom, position in sources:
+            rows = tuples.get((atom.name, len(atom.terms)))
+            if rows is None:
                 return Decision3.BOTTOM
-        else:
-            pool = index.domain if sites is None else _active(sites, index)
-        pools.append(pool)
+            if atom.pattern is None:
+                values = set(map(operator.itemgetter(position), rows))
+            else:
+                fixed, same = atom.pattern
+                values = set()
+                for args in rows:
+                    for i, constant in fixed:
+                        if args[i] != constant:
+                            break
+                    else:
+                        for i, j in same:
+                            if args[i] != args[j]:
+                                break
+                        else:
+                            values.add(args[position])
+            allowed = values if allowed is None else allowed & values
+            if not allowed:
+                return Decision3.BOTTOM
+        allowed &= index.domain_set
+        if not allowed:
+            return Decision3.BOTTOM
+        if len(allowed) > 1:
+            allowed = filter(allowed.__contains__, index.domain)
+        pools.append(list(allowed))
     best = Decision3.BOTTOM
     for combo in itertools.product(*pools):
         value = kleene_eval(plan.expr, dict(zip(plan.variables, combo)), index)

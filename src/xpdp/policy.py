@@ -14,17 +14,36 @@ visiting members at the first value that absorbs its combination (the
 top of the combiner's lattice, or any value but NotApplicable for
 first-applicable; ``combiners.ABSORBING``).
 
-A node visits only the members that can apply. When a policy or policy
-set is built it compiles a ``MemberGate``: each member with a non-null
-target is listed under one match from each all-of of one of its
-any-ofs, chosen so that as few siblings as possible share them. A
-target that is not BOTTOM needs, in every any-of, an all-of whose
-matches are all facts or error attributes, so one listed match of each
-such member is in the request. The node visits, in order, the members
-its request's category facts and error attributes hit, plus the
-null-target members. Every other member is NotApplicable, which every
-standard combiner ignores (the bottom of the p-o and d-o lattices,
-skipped by f-a, a blank to o-1-a), so leaving it out changes no value.
+Targets are compared as ground keys. Each match's ``(name, args)`` key
+is built once, with its term, and every all-of, any-of and target
+keeps its matches' keys (``keys``), so equal matches, which the parser
+gives one object, share one key. A match hits when its key is among
+the ``facts`` of the request index and is indeterminate when it is
+among its ``errors``; no term is hashed or compared during a walk.
+
+A node visits exactly the members whose target is not BOTTOM. When a
+policy or policy set is built it compiles a ``MemberGate``: each
+member with a non-null target is listed under the key of one match
+from each all-of of one of its any-ofs, chosen so that as few siblings
+as possible share them. The choice is made once per distinct any-of,
+however many members share it. A target that is not BOTTOM needs, in
+every any-of, an all-of whose matches are all facts or error
+attributes, so one listed key of each such member is among the
+request's category keys. The node takes the members those keys hit and
+visits, in order, the ones whose every any-of has an all-of with all
+its keys among the request's category keys, plus the null-target
+members. Every other member has a BOTTOM target and is NotApplicable,
+which every standard combiner ignores (the bottom of the p-o and d-o
+lattices, skipped by f-a, a blank to o-1-a), so leaving it out changes
+no value.
+
+One walk, ``_eval_node``, serves traced and untraced evaluation: it
+decides a policy's rules in line and builds trace paths and nodes only
+when a trace is asked for. It calls the layer functions through this
+module's names (``eval_target``, ``eval_condition``, ``rule_decision``,
+``combine``), in the same order either way: for a rule its target,
+then its condition under a TOP target, then its decision; for a node
+its target, then its members, then one ``combine`` over their values.
 
 An optional trace records every value the walk computed, and marks
 each node that left work undone with the reason (``TraceNode.skipped``).
@@ -32,11 +51,11 @@ A member the gate left out is not evaluated, but it is traced as the
 node its BOTTOM target gives, and its NotApplicable is among its
 parent's inputs, so the trace is the same as without the gate.
 
-Rules are decided by the composed gate-and-lift form; the test suite
-checks it exhaustively against the literal three-case analysis. A rule
-plans its condition once, when it is built (``compile_condition``), and
-``evaluate`` indexes the request once (``index_request``) and hands the
-index down the walk.
+Rules are decided by the composed gate-and-lift form, read from a table
+built from ``sigma``; the test suite checks it exhaustively against the
+literal three-case analysis. A rule plans its condition once, when it
+is built (``compile_condition``), and ``evaluate`` indexes the request
+once (``index_request``) and hands the index down the walk.
 Policies and policy sets accept only the four standard combining
 algorithms, the ones defined over six-valued decisions.
 """
@@ -52,11 +71,12 @@ from .conditions import (
     ConditionExpr,
     ConditionPlan,
     RequestIndex,
+    TermKey,
     compile_condition,
     eval_condition,
     index_request,
 )
-from .decisions import Decision3, Decision6, Effect, arrow, sigma
+from .decisions import Decision3, Decision6, Effect, sigma
 from .errors import EncodingUnsupportedError, InvalidInputError
 from .requests import AttributeTerm, Request
 from .values import Value
@@ -77,10 +97,12 @@ def _check_combiner(combiner: CombinerId) -> None:
         )
 
 
-class AllOf(Value):
-    """Conjunction of category matches; all must hit."""
+class AllOf(Value, derived=("keys",)):
+    """Conjunction of category matches; all must hit. ``keys`` holds the
+    matches' ground keys."""
 
     matches: tuple[AttributeTerm, ...]
+    keys: tuple[TermKey, ...]
 
     def __post_init__(self) -> None:
         if not self.matches:
@@ -90,30 +112,41 @@ class AllOf(Value):
                 raise InvalidInputError(
                     f"target matches must use a category attribute, got {m}"
                 )
+        object.__setattr__(self, "keys", tuple(m.key for m in self.matches))
 
 
-class AnyOf(Value):
-    """Disjunction of all-of groups; one hit suffices."""
+class AnyOf(Value, derived=("keys",)):
+    """Disjunction of all-of groups; one hit suffices. ``keys`` holds the
+    all-ofs' keys."""
 
     all_ofs: tuple[AllOf, ...]
+    keys: tuple[tuple[TermKey, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.all_ofs:
             raise InvalidInputError("an any-of group needs at least one all-of")
+        object.__setattr__(self, "keys", tuple(a.keys for a in self.all_ofs))
 
 
-class Target(Value):
+class Target(Value, derived=("keys",)):
     """Applicability filter: a conjunction of any-of groups, or null.
 
     ``any_ofs`` is None for the null target, which applies to every
-    request; a present tuple must be non-empty.
+    request; a present tuple must be non-empty. ``keys`` is the target
+    as ground keys, the any-ofs' keys, or None for the null target.
     """
 
     any_ofs: tuple[AnyOf, ...] | None
+    keys: tuple[tuple[tuple[TermKey, ...], ...], ...] | None
 
     def __post_init__(self) -> None:
-        if self.any_ofs is not None and not self.any_ofs:
+        if self.any_ofs is None:
+            keys = None
+        elif not self.any_ofs:
             raise InvalidInputError("a non-null target needs at least one any-of")
+        else:
+            keys = tuple(a.keys for a in self.any_ofs)
+        object.__setattr__(self, "keys", keys)
 
 
 NULL_TARGET = Target(None)
@@ -122,59 +155,54 @@ NULL_TARGET = Target(None)
 class MemberGate(Value):
     """A node's members indexed by target (see the module docstring).
 
-    ``keys`` maps a match to the positions of the members listed under
-    it; a member none of whose matches in ``keys`` is in the request has
-    a BOTTOM target. ``always`` holds the null-target members' positions.
+    ``keys`` maps a match's ground key to the positions of the members
+    listed under it; a member listed under no key of the request's
+    category facts and error attributes has a BOTTOM target. ``always``
+    holds the null-target members' positions.
     """
 
-    keys: Mapping[AttributeTerm, tuple[int, ...]]
+    keys: Mapping[TermKey, tuple[int, ...]]
     always: tuple[int, ...]
-
-    def visits(self, terms: Sequence[AttributeTerm]) -> Sequence[int]:
-        """The positions, in order, of the members whose target is not
-        BOTTOM for a request with the category facts and error
-        attributes ``terms``, plus perhaps some whose target is."""
-        if not self.keys:
-            return self.always
-        hits = set(self.always)
-        for term in terms:
-            positions = self.keys.get(term)
-            if positions is not None:
-                hits.update(positions)
-        return sorted(hits)
 
 
 def compile_gate(targets: Sequence[Target]) -> MemberGate:
     """Index members by target. Each member is listed under the any-of,
     and each all-of under the match, that the fewest siblings mention,
-    so a request hits as few members as it can."""
-    mentions: Counter[AttributeTerm] = Counter(
-        m
-        for target in targets
-        if target.any_ofs is not None
-        for any_of in target.any_ofs
-        for all_of in any_of.all_ofs
-        for m in all_of.matches
-    )
+    so a request hits as few members as it can. An any-of that several
+    members share (the parser gives equal matches one) is weighed once."""
+    # Any-ofs by the id of their keys, with the number of members using them.
+    any_ofs: dict[int, tuple[tuple[TermKey, ...], ...]] = {}
+    users: Counter[int] = Counter()
+    for target in targets:
+        for any_of in target.keys or ():
+            any_ofs[id(any_of)] = any_of
+            users[id(any_of)] += 1
+    mentions: Counter[TermKey] = Counter()
+    for ident, any_of in any_ofs.items():
+        for all_of in any_of:
+            for key in all_of:
+                mentions[key] += users[ident]
     count = mentions.__getitem__
-    keys: dict[AttributeTerm, list[int]] = {}
+    picks: dict[int, tuple[int, tuple[TermKey, ...]]] = {}
+    for ident, any_of in any_ofs.items():
+        chosen = tuple(min(all_of, key=count) for all_of in any_of)
+        picks[ident] = (sum(map(count, chosen)), chosen)
+    keys: dict[TermKey, list[int]] = {}
     always = []
     for i, target in enumerate(targets):
-        if target.any_ofs is None:
+        if target.keys is None:
             always.append(i)
             continue
-        best: list[AttributeTerm] = []
-        fewest = None
-        for any_of in target.any_ofs:
-            picks = [min(a.matches, key=count) for a in any_of.all_ofs]
-            hits = sum(map(count, picks))
-            if fewest is None or hits < fewest:
-                best, fewest = picks, hits
-        for m in best:
-            positions = keys.setdefault(m, [])
+        best = None
+        for any_of in target.keys:
+            pick = picks[id(any_of)]
+            if best is None or pick[0] < best[0]:
+                best = pick
+        for key in best[1]:
+            positions = keys.setdefault(key, [])
             if not positions or positions[-1] != i:
                 positions.append(i)
-    return MemberGate({m: tuple(p) for m, p in keys.items()}, tuple(always))
+    return MemberGate({k: tuple(p) for k, p in keys.items()}, tuple(always))
 
 
 class Rule(Value, derived=("plan",)):
@@ -225,25 +253,27 @@ class PolicySet(Value, derived=("gate",)):
 PolicyNode = Union[Policy, PolicySet]
 
 
-def eval_target(target: Target, request: Request) -> Decision3:
-    """Meet over any-ofs of the join over all-ofs of the meet of matches;
-    the null target always matches. A meet stops at BOTTOM and a join
-    at TOP."""
-    if target.any_ofs is None:
+def eval_target(target: Target, index: RequestIndex) -> Decision3:
+    """Meet over any-ofs of the join over all-ofs of the meet of matches,
+    each match looked up by its ground key among the request's facts
+    and error attributes; the null target always matches. A meet stops
+    at BOTTOM and a join at TOP."""
+    any_ofs = target.keys
+    if any_ofs is None:
         return Decision3.TOP
     # Facts and error attributes are disjoint, so a fact is a hit
     # whatever the error set holds.
-    facts = request.facts
-    errors = request.error_attributes
+    facts = index.facts
+    errors = index.errors
     result = Decision3.TOP
-    for any_of in target.any_ofs:
+    for any_of in any_ofs:
         joined = Decision3.BOTTOM
-        for all_of in any_of.all_ofs:
+        for all_of in any_of:
             met = Decision3.TOP
-            for m in all_of.matches:
-                if m in facts:
+            for key in all_of:
+                if key in facts:
                     continue
-                if m not in errors:
+                if key not in errors:
                     met = Decision3.BOTTOM
                     break
                 met = Decision3.INDET
@@ -259,6 +289,13 @@ def eval_target(target: Target, request: Request) -> Decision3:
     return result
 
 
+# sigma(x, effect), indexed by whether the effect is Permit, then by x.
+# A tuple, not a dict: Effect is a plain Enum, whose hash runs in Python.
+_LIFTED = tuple(
+    tuple(sigma(x, effect) for x in Decision3) for effect in (Effect.DENY, Effect.PERMIT)
+)
+
+
 def rule_decision(
     target_value: Decision3, condition_value: Decision3 | None, effect: Effect
 ) -> Decision6:
@@ -266,38 +303,30 @@ def rule_decision(
 
     The gate reads the condition only under a TOP target, so an
     unevaluated condition (None) is fine under any other."""
-    return sigma(arrow(target_value, condition_value), effect)
+    return _LIFTED[effect is Effect.PERMIT][
+        condition_value if target_value is Decision3.TOP else target_value
+    ]
 
 
-_WEAKEN = {
-    Decision6.PERMIT: Decision6.INDET_P,
-    Decision6.DENY: Decision6.INDET_D,
-    Decision6.INDET_P: Decision6.INDET_P,
-    Decision6.INDET_D: Decision6.INDET_D,
-    Decision6.INDET_DP: Decision6.INDET_DP,
-}
+# The indeterminate value with each decision's effect annotation, by
+# Decision6 value; NotApplicable has none.
+_WEAKENED = (
+    None,
+    Decision6.INDET_D,
+    Decision6.INDET_P,
+    Decision6.INDET_DP,
+    Decision6.INDET_D,
+    Decision6.INDET_P,
+)
 
 
 def weaken_to_indeterminate(value: Decision6) -> Decision6:
     """Downgrade an applicable decision to the indeterminate value with
     the same effect annotation; indeterminates are unchanged."""
-    weakened = _WEAKEN.get(value)
+    weakened = _WEAKENED[value]
     if weakened is None:
         raise InvalidInputError("NotApplicable cannot be weakened")
     return weakened
-
-
-def _node_result(target_value: Decision3, combined: Decision6) -> Decision6:
-    # An indeterminate target weakens an applicable or indeterminate
-    # combination; an unmatched target is inapplicable; anything else
-    # passes the combination through. Members that are all inapplicable
-    # need no case of their own: every standard combiner maps them to
-    # NOT_APPLICABLE.
-    if target_value is Decision3.INDET and combined is not Decision6.NOT_APPLICABLE:
-        return weaken_to_indeterminate(combined)
-    if target_value is Decision3.BOTTOM:
-        return Decision6.NOT_APPLICABLE
-    return combined
 
 
 class TraceNode(Value):
@@ -384,108 +413,116 @@ class EvalTrace(Value):
         return self.root.to_obj()
 
 
-def _rule_node(
-    rule: Rule, index: RequestIndex, path: tuple[int, ...], want_trace: bool
-) -> tuple[Decision6, Optional[TraceNode]]:
-    target_value = eval_target(rule.target, index.request)
-    if target_value is Decision3.TOP:
-        condition_value = eval_condition(rule.plan, index)
-    else:
-        condition_value = None
-    result = rule_decision(target_value, condition_value, rule.effect)
-    if not want_trace:
-        return result, None
-    node = TraceNode(
-        path=path,
-        kind="rule",
-        name=rule.name,
-        target_value=target_value,
-        condition_value=condition_value,
-        combiner=None,
-        inputs=(),
-        combined=None,
-        result=result,
-        children=(),
-        skipped=None if condition_value is not None else "target",
-    )
-    return result, node
-
-
-def _gated_out(member: Rule | PolicyNode, path: tuple[int, ...]) -> TraceNode:
-    """The trace node of a member the gate left out, as evaluating its
-    BOTTOM target would have built it."""
+def _bottom_trace(member: Rule | PolicyNode, path: tuple[int, ...]) -> TraceNode:
+    """The trace node of a member whose target is BOTTOM: a rule with no
+    condition, or a node with no members visited."""
     if isinstance(member, Rule):
         kind, combiner = "rule", None
     else:
         kind = "policy" if isinstance(member, Policy) else "policyset"
         combiner = member.combiner
     return TraceNode(
-        path=path,
-        kind=kind,
-        name=member.name,
-        target_value=Decision3.BOTTOM,
-        condition_value=None,
-        combiner=combiner,
-        inputs=(),
-        combined=None,
-        result=Decision6.NOT_APPLICABLE,
-        children=(),
-        skipped="target",
+        path, kind, member.name, Decision3.BOTTOM, None, combiner, (), None,
+        Decision6.NOT_APPLICABLE, (), "target",
     )
 
 
 def _eval_node(
-    node: PolicyNode, index: RequestIndex, path: tuple[int, ...], want_trace: bool
+    node: PolicyNode, index: RequestIndex, path: Optional[tuple[int, ...]]
 ) -> tuple[Decision6, Optional[TraceNode]]:
-    if isinstance(node, Policy):
-        kind, members, visit = "policy", node.rules, _rule_node
-    else:
-        kind, members, visit = "policyset", node.children, _eval_node
-    target_value = eval_target(node.target, index.request)
-    inputs: list[Decision6] = []
-    child_traces: list[TraceNode] = []
-    combined: Decision6 | None = None
-    skipped: str | None = None
+    """A node's decision, and its trace node when ``path`` is its trace
+    path rather than None. Traced and untraced evaluation visit the same
+    members and call the same layer functions in the same order."""
+    target_value = eval_target(node.target, index)
     if target_value is Decision3.BOTTOM:
-        result = Decision6.NOT_APPLICABLE
-        skipped = "target"
+        return Decision6.NOT_APPLICABLE, None if path is None else _bottom_trace(node, path)
+    is_policy = node.__class__ is Policy
+    members = node.rules if is_policy else node.children
+    present = index.category_keys
+    gate = node.gate
+    hits = set()
+    if gate.keys:
+        listed = gate.keys.get
+        for key in present:
+            positions = listed(key)
+            if positions is not None:
+                hits.update(positions)
+    if path is not None:
+        order = range(len(members))
+        traces = []
+    elif hits:
+        order = sorted(hits.union(gate.always))
     else:
-        absorbing = ABSORBING[node.combiner]
-        visits = node.gate.visits(index.category_terms)
-        # A trace has a node for every member up to the stop; a member the
-        # gate leaves out gets the one its BOTTOM target would give.
-        gated_in = set(visits) if want_trace else None
-        for i in range(len(members)) if want_trace else visits:
-            if gated_in is not None and i not in gated_in:
-                inputs.append(Decision6.NOT_APPLICABLE)
-                child_traces.append(_gated_out(members[i], path + (i,)))
+        order = gate.always
+    absorbing = ABSORBING[node.combiner]
+    inputs = []
+    skipped = None
+    for i in order:
+        member = members[i]
+        keys = member.target.keys
+        if keys is not None:
+            # The gate is exact: a member is visited only when, in every
+            # any-of of its target, some all-of's keys are all among the
+            # request's category facts and error attributes; any other
+            # member's target is BOTTOM.
+            applies = i in hits
+            if applies:
+                for any_of in keys:
+                    for all_of in any_of:
+                        if present.issuperset(all_of):
+                            break
+                    else:
+                        applies = False
+                        break
+            if not applies:
+                if path is not None:
+                    inputs.append(Decision6.NOT_APPLICABLE)
+                    traces.append(_bottom_trace(member, (*path, i)))
                 continue
-            value, trace = visit(members[i], index, path + (i,), want_trace)
-            inputs.append(value)
+        if is_policy:
+            rule_target = eval_target(member.target, index)
+            if rule_target is Decision3.TOP:
+                condition_value = eval_condition(member.plan, index)
+            else:
+                condition_value = None
+            value = rule_decision(rule_target, condition_value, member.effect)
+            if path is not None:
+                traces.append(TraceNode(
+                    (*path, i), "rule", member.name, rule_target, condition_value, None, (),
+                    None, value, (), None if condition_value is not None else "target",
+                ))
+        else:
+            value, trace = _eval_node(member, index, None if path is None else (*path, i))
             if trace is not None:
-                child_traces.append(trace)
-            if value in absorbing:
-                if i + 1 < len(members):
-                    skipped = "decided"
-                break
-        combined = combine(node.combiner, "v6", tuple(inputs))
-        result = _node_result(target_value, combined)
-    if not want_trace:
+                traces.append(trace)
+        inputs.append(value)
+        if value in absorbing:
+            if i + 1 < len(members):
+                skipped = "decided"
+            break
+    combined = combine(node.combiner, "v6", inputs)
+    # An indeterminate target weakens an applicable or indeterminate
+    # combination. Members that are all inapplicable need no case of
+    # their own: every standard combiner maps them to NOT_APPLICABLE.
+    if target_value is Decision3.INDET and combined is not Decision6.NOT_APPLICABLE:
+        result = _WEAKENED[combined]
+    else:
+        result = combined
+    if path is None:
         return result, None
-    trace_node = TraceNode(
-        path=path,
-        kind=kind,
-        name=node.name,
-        target_value=target_value,
-        condition_value=None,
-        combiner=node.combiner,
-        inputs=tuple(inputs),
-        combined=combined,
-        result=result,
-        children=tuple(child_traces),
-        skipped=skipped,
+    return result, TraceNode(
+        path,
+        "policy" if is_policy else "policyset",
+        node.name,
+        target_value,
+        None,
+        node.combiner,
+        tuple(inputs),
+        combined,
+        result,
+        tuple(traces),
+        skipped,
     )
-    return result, trace_node
 
 
 def evaluate(
@@ -495,10 +532,10 @@ def evaluate(
 
     Returns the decision and, when requested, a trace whose root result
     equals the returned decision. Conditions under a target that is not
-    TOP, members of a node whose target is BOTTOM and members after an
-    absorbing value are not evaluated; the decision is the same as if
-    they were.
+    TOP, members whose target is BOTTOM, members of a node whose target
+    is BOTTOM and members after an absorbing value are not evaluated;
+    the decision is the same as if they were.
     """
-    decision, trace_node = _eval_node(root, index_request(request), (), with_trace)
+    decision, trace_node = _eval_node(root, index_request(request), () if with_trace else None)
     trace = EvalTrace(trace_node) if trace_node is not None else None
     return decision, trace

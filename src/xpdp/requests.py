@@ -20,22 +20,21 @@ CATEGORIES = ("subject", "action", "resource", "environment")
 Constant = Union[str, int]
 
 
-class AttributeTerm(Value, derived=("_hash",)):
+class AttributeTerm(Value, derived=("key", "_hash")):
     """A named fact: a category attribute or an external-state predicate.
 
-    Terms are set members and dict keys on every evaluation, so the hash
-    is computed once, when the term is built, and equality is written
-    out rather than taken from ``Value``: a policy's match and the
-    request's fact are equal but different objects, so every target
-    lookup that hits calls it. String hashes differ from one process to
-    the next, so a pickled term is rebuilt through the constructor
-    rather than restored with its old hash.
+    ``key`` is the term's ground key ``(name, args)``, built once with
+    the term. Evaluation looks keys up, never terms, so it hashes and
+    compares plain tuples in C. Terms are still set members when a
+    request is built, so the hash is computed once too, and equality is
+    written out rather than taken from ``Value``. String hashes differ
+    from one process to the next, so a pickled term is rebuilt through
+    the constructor rather than restored with its old hash.
     """
-
-    __slots__ = ("name", "args", "_hash")
 
     name: str
     args: tuple[Constant, ...]
+    key: tuple[str, tuple[Constant, ...]]
     _hash: int
 
     def __post_init__(self) -> None:
@@ -49,7 +48,9 @@ class AttributeTerm(Value, derived=("_hash",)):
             raise InvalidInputError(
                 f"category attribute {self.name!r} takes exactly one argument"
             )
-        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+        key = (self.name, self.args)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -179,8 +179,8 @@ class _Parser:
         self._texts, self._kinds = _tokenize(source)
         self._depth = 0
         # A match's single-match any-of, so equal matches share one
-        # term and the dict lookups that build member gates find it by
-        # identity.
+        # term, one ground key and one any-of, which a member gate
+        # weighs once however many members use it.
         self._matches: dict[tuple[str, Constant], AnyOf] = {}
         self._variables: dict[str, Variable] = {}
         # Where the first alternation too deep for the target being

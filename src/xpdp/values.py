@@ -1,13 +1,15 @@
 """The shared base of the package's immutable value types.
 
 A subclass lists its fields as class annotations, in constructor order;
-a class attribute of the same name is the field's default. Fields named
-in the ``derived`` class keyword are set by ``__post_init__`` (with
-``object.__setattr__``) and left out of the constructor, equality,
-hashing and ``repr``. The fields are read once, when the subclass is
-created, and the methods are shared: no source is generated at import.
-Instances are frozen, equal when of the same class with equal fields,
-and pickled by calling the constructor. A subclass's own method wins.
+a class attribute of the same name is the field's default, kept in
+``_defaults``. Fields named in the ``derived`` class keyword are set by
+``__post_init__`` (with ``object.__setattr__``) and left out of the
+constructor, equality, hashing and ``repr``. Every field, derived ones
+included, is a slot, so instances have no ``__dict__`` and a field read
+skips one. The fields are read once, when the subclass is created, and
+the methods are shared: no source is generated at import. Instances
+are frozen, equal when of the same class with equal fields, and
+pickled by calling the constructor. A subclass's own method wins.
 """
 
 from __future__ import annotations
@@ -17,22 +19,29 @@ import operator
 _set = object.__setattr__
 
 
-class Value:
+class _ValueType(type):
+    """Makes a ``Value`` subclass's annotated fields its slots, moving
+    their defaults out of the class body, where they would clash with
+    the slots, into ``_defaults``."""
+
+    def __new__(mcls, name, bases, ns, derived: tuple[str, ...] = ()):
+        if not bases:  # Value itself
+            return super().__new__(mcls, name, bases, ns)
+        own = tuple(ns.get("__annotations__", ()))
+        defaults = {n: ns.pop(n) for n in own if n in ns}
+        ns.setdefault("__slots__", own)
+        cls = super().__new__(mcls, name, bases, ns)
+        cls._fields = fields = (*cls._fields, *(n for n in own if n not in derived))
+        cls._defaults = {**cls._defaults, **defaults}
+        cls._key = staticmethod(operator.attrgetter(*fields))
+        return cls
+
+
+class Value(metaclass=_ValueType):
     __slots__ = ()
 
-    _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
-
-    def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        own = [n for n in cls.__dict__.get("__annotations__", ()) if n not in derived]
-        slots = cls.__dict__.get("__slots__", ())
-        cls._fields = fields = (*cls._fields, *own)
-        cls._defaults = {
-            **cls._defaults,
-            **{n: cls.__dict__[n] for n in own if n in cls.__dict__ and n not in slots},
-        }
-        cls._key = staticmethod(operator.attrgetter(*fields))
+    _fields = ()
+    _defaults = {}
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields

@@ -1,7 +1,12 @@
 """Policy documents generated for parser tests, without randomness, so
-the same call always gives the same text."""
+the same call always gives the same text, and the benchmark's seeded
+input generators (``benchmark_workloads``)."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 COMBINERS = ("p-o", "d-o", "f-a", "o-1-a")
 
@@ -123,3 +128,13 @@ def wide_document(subjects: int = 40, actions: int = 5, resources: int = 5) -> s
         "  children: [\n" + ",\n".join(sets) + "\n  ];\n"
         "}\n"
     )
+
+
+def benchmark_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

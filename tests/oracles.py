@@ -5,16 +5,17 @@ algorithms and from the lattice diagrams, without going through the
 package's lattice machinery, so a bug in one side cannot hide in the
 other. The exceptions are ``evaluate_ungated``, the evaluator's walk
 without member gates, kept as the reference the gated walk's traces
-must equal, and ``lex_with_offsets``, the lexer the one-call lexer
-replaced, kept as the reference for its tokens, offsets and
-diagnostics.
+must equal; ``eval_target_terms``, the target loop over
+``AttributeTerm`` matches that ground keys replaced; and
+``lex_with_offsets``, the lexer the one-call lexer replaced, kept as
+the reference for its tokens, offsets and diagnostics.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Sequence
+from typing import Optional, Sequence
 
 from xpdp import (
     And,
@@ -45,6 +46,7 @@ from xpdp import (
     check_range_restriction,
     combine,
     delta,
+    eval_condition,
     eval_target,
     free_variables,
     glb3,
@@ -54,7 +56,6 @@ from xpdp import (
     weaken_to_indeterminate,
 )
 from xpdp.combiners import ABSORBING
-from xpdp.policy import _node_result, _rule_node
 
 D3 = Decision3
 D6 = Decision6
@@ -329,6 +330,36 @@ def eval_target_lattice(target: Target, request: Request) -> Decision3:
     )
 
 
+def eval_target_terms(target: Target, request: Request) -> Decision3:
+    """A target's value from its ``AttributeTerm`` matches, looked up in
+    the request's fact and error sets: the meet over any-ofs of the join
+    over all-ofs of the meet of matches, each loop stopping early."""
+    if target.any_ofs is None:
+        return D3.TOP
+    result = D3.TOP
+    for any_of in target.any_ofs:
+        joined = D3.BOTTOM
+        for all_of in any_of.all_ofs:
+            met = D3.TOP
+            for m in all_of.matches:
+                if m in request.facts:
+                    continue
+                if m not in request.error_attributes:
+                    met = D3.BOTTOM
+                    break
+                met = D3.INDET
+            if met is D3.TOP:
+                joined = met
+                break
+            if met is D3.INDET:
+                joined = met
+        if joined is D3.BOTTOM:
+            return joined
+        if joined is D3.INDET:
+            result = joined
+    return result
+
+
 def eval_rule(rule: Rule, request: Request) -> Decision6:
     return rule_decision(
         eval_target_lattice(rule.target, request),
@@ -394,12 +425,52 @@ def node_result_with_blank_case(
     return combined
 
 
+def node_result(target_value: Decision3, combined: Decision6) -> Decision6:
+    """How a node's target and its members' combination give its
+    decision, in the three cases the walk distinguishes."""
+    # An indeterminate target weakens an applicable or indeterminate
+    # combination; an unmatched target is inapplicable; anything else
+    # passes the combination through.
+    if target_value is D3.INDET and combined is not D6.NOT_APPLICABLE:
+        return weaken_to_indeterminate(combined)
+    if target_value is D3.BOTTOM:
+        return D6.NOT_APPLICABLE
+    return combined
+
+
+def _rule_node(
+    rule: Rule, index, path: tuple[int, ...], want_trace: bool
+) -> tuple[Decision6, Optional[TraceNode]]:
+    target_value = eval_target(rule.target, index)
+    if target_value is D3.TOP:
+        condition_value = eval_condition(rule.plan, index)
+    else:
+        condition_value = None
+    result = rule_decision(target_value, condition_value, rule.effect)
+    if not want_trace:
+        return result, None
+    node = TraceNode(
+        path=path,
+        kind="rule",
+        name=rule.name,
+        target_value=target_value,
+        condition_value=condition_value,
+        combiner=None,
+        inputs=(),
+        combined=None,
+        result=result,
+        children=(),
+        skipped=None if condition_value is not None else "target",
+    )
+    return result, node
+
+
 def _ungated(node, index, path: tuple[int, ...], want_trace: bool):
     if isinstance(node, Policy):
         kind, members, visit = "policy", node.rules, _rule_node
     else:
         kind, members, visit = "policyset", node.children, _ungated
-    target_value = eval_target(node.target, index.request)
+    target_value = eval_target(node.target, index)
     inputs: list[Decision6] = []
     child_traces: list[TraceNode] = []
     combined = None
@@ -419,7 +490,7 @@ def _ungated(node, index, path: tuple[int, ...], want_trace: bool):
                     skipped = "decided"
                 break
         combined = combine(node.combiner, "v6", tuple(inputs))
-        result = _node_result(target_value, combined)
+        result = node_result(target_value, combined)
     if not want_trace:
         return result, None
     trace_node = TraceNode(
@@ -441,8 +512,9 @@ def _ungated(node, index, path: tuple[int, ...], want_trace: bool):
 def evaluate_ungated(node: Policy | PolicySet, request: Request, with_trace: bool = False):
     """``evaluate`` without member gates: a node whose target is not
     BOTTOM visits every member, in order, up to the first absorbing
-    value. It shares everything else with ``evaluate`` (targets, rules,
-    combiners, trace nodes), so it is the reference for the gate alone:
+    value. It shares everything else with ``evaluate`` (targets,
+    conditions, rule decisions, combiners), so it is the reference for
+    the gate alone:
     the two must give equal decisions and equal traces."""
     decision, trace_node = _ungated(node, index_request(request), (), with_trace)
     return decision, EvalTrace(trace_node) if trace_node is not None else None

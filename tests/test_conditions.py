@@ -1,9 +1,6 @@
 """Three-valued condition evaluation."""
 
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +32,7 @@ from xpdp import (
 )
 
 import strategies
+from documents import benchmark_workloads
 from oracles import eval_condition_product, evaluate_exhaustive, kleene_eval_terms
 
 D3 = Decision3
@@ -497,23 +495,13 @@ class TestJoin:
         assert condition_value(condition, req) is eval_condition_product(condition, req)
 
 
-def _benchmark_workloads():
-    """The benchmark's input generators, ``perfbench/workloads.py``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestFactHeavyShape:
     def test_decisions_equal_reference_walk(self):
         """The fact_heavy inputs: the hospital policy with its two
         referral rules, every request shape, 0, 8 and 24 padding facts.
         The decision equals the exhaustive walk's, whose conditions use
         the term-building evaluator over every binding."""
-        workload = _benchmark_workloads().fact_heavy(7, pads=(0, 8, 24))
+        workload = benchmark_workloads().fact_heavy(7, pads=(0, 8, 24))
         policy = parse_policy(workload.policy_text)
         for text, expected in zip(workload.request_texts, workload.expected):
             req = parse_request(text)

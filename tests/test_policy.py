@@ -13,14 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from documents import benchmark_workloads
 from oracles import (
     eval_match,
     eval_policy,
     eval_policyset,
     eval_rule,
     eval_target_lattice,
+    eval_target_terms,
+    evaluate_exhaustive,
     evaluate_ungated,
     exhaustive_results,
+    node_result,
     node_result_with_blank_case,
     rule_decision_cases,
 )
@@ -63,7 +67,6 @@ from xpdp import (
 )
 import xpdp.policy
 from xpdp.combiners import ABSORBING
-from xpdp.policy import _node_result
 
 D3 = Decision3
 D6 = Decision6
@@ -85,6 +88,14 @@ def target_of(*matches):
     return Target(tuple(AnyOf((AllOf((m,)),)) for m in matches))
 
 
+def decide_target(target, req):
+    """``eval_target`` on the request's index; equal to the loop over
+    the target's terms."""
+    value = eval_target(target, index_request(req))
+    assert value is eval_target_terms(target, req)
+    return value
+
+
 class TestMatchAndTarget:
     def test_match_values(self):
         req = request(
@@ -96,14 +107,14 @@ class TestMatchAndTarget:
         assert eval_match(match("resource", "db"), req) is D3.INDET
 
     def test_null_target(self):
-        assert eval_target(NULL_TARGET, request([match("subject", "s")])) is D3.TOP
+        assert decide_target(NULL_TARGET, request([match("subject", "s")])) is D3.TOP
 
     def test_conjunction(self):
         req = request([match("subject", "patient"), match("action", "read")])
         t = target_of(match("subject", "patient"), match("action", "read"))
-        assert eval_target(t, req) is D3.TOP
+        assert decide_target(t, req) is D3.TOP
         t = target_of(match("subject", "patient"), match("action", "write"))
-        assert eval_target(t, req) is D3.BOTTOM
+        assert decide_target(t, req) is D3.BOTTOM
 
     def test_disjunction_satisfied(self):
         t = Target(
@@ -118,7 +129,7 @@ class TestMatchAndTarget:
             )
         )
         req = request([match("subject", "nurse"), match("action", "read")])
-        assert eval_target(t, req) is D3.TOP
+        assert decide_target(t, req) is D3.TOP
 
     def test_monotone_in_match_outcomes(self):
         # Two any-ofs, the first holding a two-match all-of beside a
@@ -136,7 +147,7 @@ class TestMatchAndTarget:
             facts = [m for m, s in zip(terms, statuses) if s is D3.TOP]
             errors = [m for m, s in zip(terms, statuses) if s is D3.INDET]
             facts.append(match("action", "pad"))  # keep the request non-empty
-            return eval_target(t, request(facts, errors))
+            return decide_target(t, request(facts, errors))
 
         order = (D3.BOTTOM, D3.INDET, D3.TOP)
         for statuses in itertools.product(order, repeat=4):
@@ -311,7 +322,7 @@ class TestNodeResult:
                     combined = combine(combiner, "v6", inputs)
                     for target_value in D3:
                         expected = node_result_with_blank_case(target_value, combined, inputs)
-                        assert _node_result(target_value, combined) is expected
+                        assert node_result(target_value, combined) is expected
 
 
 def policy_with_value(name, effect, value):
@@ -672,6 +683,25 @@ class TestEvaluationProperties:
         walk(trace.root)
 
 
+def recording(values):
+    """``eval_target`` that appends each value it returns to ``values``."""
+    eval_target = xpdp.policy.eval_target
+
+    def recorded(target, index):
+        value = eval_target(target, index)
+        values.append(value)
+        return value
+
+    return recorded
+
+
+def preorder(node):
+    """A trace's nodes, each before its children, as the walk meets them."""
+    yield node
+    for child in node.children:
+        yield from preorder(child)
+
+
 def trees_with_requests():
     # Policy sets up to three wide, so that a member other than the last
     # can absorb an only-one-applicable set (Indeterminate{DP} before
@@ -689,14 +719,22 @@ class TestGatedEvaluation:
         def check(case):
             node, req = case
             decision, trace = evaluate(node, req, with_trace=True)
-            assert evaluate(node, req)[0] is decision
+            targets = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(xpdp.policy, "eval_target", recording(targets))
+                assert evaluate(node, req)[0] is decision
             expected = exhaustive_results(node, req)
             assert decision is expected[()]
             # Member gates change no trace line.
             _, reference = evaluate_ungated(node, req, with_trace=True)
             assert trace.lines() == reference.lines()
             assert trace.to_obj() == reference.to_obj()
-            terms = index_request(req).category_terms
+            # The gates are exact: after the root, the walk evaluates the
+            # target of every member up to the stop whose target is not
+            # BOTTOM in the ungated walk, in its order, and no other.
+            root, *members = preorder(reference.root)
+            applicable = [m.target_value for m in members if m.target_value is not D3.BOTTOM]
+            assert targets == [root.target_value, *applicable]
 
             def walk(t, n):
                 assert t.result is expected[t.path]
@@ -715,7 +753,7 @@ class TestGatedEvaluation:
                     # The walk stops at the first absorbing value.
                     absorbing = ABSORBING[t.combiner]
                     assert not any(v in absorbing for v in t.inputs[:-1])
-                    if len(n.gate.visits(terms)) < len(members):
+                    if any(c.target_value is D3.BOTTOM for c in t.children):
                         seen["gated out"] += 1
                 if t.skipped == "decided":
                     assert t.inputs[-1] in absorbing
@@ -746,8 +784,9 @@ class TestGatedEvaluation:
         def check(case):
             targets, req = case
             for target in targets:
-                value = eval_target(target, req)
+                value = eval_target(target, index_request(req))
                 assert value is eval_target_lattice(target, req)
+                assert value is eval_target_terms(target, req)
                 seen[value] += 1
 
         check()
@@ -794,9 +833,9 @@ class TestMemberGate:
         gate = wide_gated_policy().children[0].gate
         nulls = tuple(i + i // 20 for i in range(0, 200, 20))
         assert gate.always == nulls
-        assert gate.keys[match("action", "a57")] == (57 + 3,)
-        assert gate.keys[match("action", "b15")] == (15 + 1,)
-        assert match("resource", "doc") not in gate.keys
+        assert gate.keys[match("action", "a57").key] == (57 + 3,)
+        assert gate.keys[match("action", "b15").key] == (15 + 1,)
+        assert match("resource", "doc").key not in gate.keys
 
     def test_visits_only_members_that_can_apply(self, monkeypatch):
         # action(a57) makes r57 Permit; the errored action(b125) leaves
@@ -816,7 +855,7 @@ class TestMemberGate:
         monkeypatch.setattr(xpdp.policy, "eval_target", counted)
         decision, trace = evaluate(root, req, with_trace=True)
         ancestors, hit, null_target = 2, 2, 10
-        assert calls["eval_target"] <= ancestors + hit + null_target
+        assert calls["eval_target"] == ancestors + hit + null_target
         assert decision is D6.INDET_DP
         assert decision is eval_policyset(root, req)
         expected, reference = evaluate_ungated(root, req, with_trace=True)
@@ -827,21 +866,57 @@ class TestMemberGate:
         assert values["r57"] is D3.TOP and values["r125"] is D3.INDET
         assert sum(v is not D3.BOTTOM for v in values.values()) == hit + null_target
 
+    def test_wide_policy_evaluates_one_rule(self, monkeypatch):
+        """The benchmark's wide policy: each request names one rule's
+        subject, action and resource, so that rule is the only one whose
+        target is not BOTTOM. Every decision equals the exhaustive walk's,
+        and each runs exactly one rule decision."""
+        workload = benchmark_workloads().wide_policy(11, subjects=8)
+        root = parse_policy(workload.policy_text)
+        calls = Counter()
+        decide_rule = xpdp.policy.rule_decision
+
+        def counted(*args):
+            calls["rule_decision"] += 1
+            return decide_rule(*args)
+
+        monkeypatch.setattr(xpdp.policy, "rule_decision", counted)
+        for text, expected in zip(workload.request_texts, workload.expected):
+            req = parse_request(text)
+            calls.clear()
+            decision, _ = evaluate(root, req)
+            assert calls["rule_decision"] == 1
+            assert decision is evaluate_exhaustive(root, req)
+            assert decision.canonical == expected
+
     def test_walk_hashes_no_enum_in_python(self, monkeypatch):
         # Every enum the walk hashes (ABSORBING and the combiner tables
         # are keyed by CombinerId) must hash in C; Enum.__hash__ runs in
-        # Python on each lookup.
+        # Python on each lookup. Targets and the gates look up ground
+        # keys, so no AttributeTerm is hashed or compared either.
         import enum
 
-        calls = Counter()
-        enum_hash = enum.Enum.__hash__
-
-        def counted(member):
-            calls[type(member).__name__] += 1
-            return enum_hash(member)
-
-        monkeypatch.setattr(enum.Enum, "__hash__", counted)
+        workload = benchmark_workloads().wide_policy(13, subjects=8)
+        wide = parse_policy(workload.policy_text)
+        cases = [(wide, parse_request(text)) for text in workload.request_texts]
         root = wide_gated_policy()
         req = request([match("subject", "s"), match("action", "a57"), match("resource", "doc")])
+        cases.append((root, req))
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counting("Enum.__hash__", enum.Enum.__hash__))
+        for name in ("__hash__", "__eq__"):
+            method = getattr(AttributeTerm, name)
+            monkeypatch.setattr(AttributeTerm, name, counting(f"AttributeTerm.{name}", method))
         assert evaluate(root, req)[0] is D6.PERMIT
+        for node, case in cases:
+            evaluate(node, case)
+            evaluate(node, case, with_trace=True)
         assert not calls
