@@ -104,13 +104,9 @@ def combine_fa_v6(decisions: Sequence[Decision6]) -> Decision6:
 def combine_o1a_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Only-one-applicable: indeterminate when several decisions apply.
 
-    The least upper bound in the only-one-applicable lattice, except
-    that two or more Deny (Permit) with everything else NotApplicable
-    give Indeterminate{D} (Indeterminate{P}). Duplicates count on the
-    sequence, though the join of a value with itself is the value: the
-    join is Deny (Permit) exactly when every value that is not
-    NotApplicable is Deny (Permit), so counting those values is enough.
-    """
+    The join is Deny (Permit) exactly when every value that is not
+    NotApplicable is Deny (Permit), so two or more such values, which
+    give Indeterminate{D} (Indeterminate{P}), are found by counting."""
     result = Decision6.NOT_APPLICABLE
     applied = 0
     for d in decisions:
