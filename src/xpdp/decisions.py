@@ -255,18 +255,6 @@ class FiniteLattice:
     def meet(self, a, b):
         return self._meet[(a, b)]
 
-    def lub(self, values: Iterable):
-        result = self.bottom
-        for v in values:
-            result = self._join[(result, v)]
-        return result
-
-    def glb(self, values: Iterable):
-        result = self.top
-        for v in values:
-            result = self._meet[(result, v)]
-        return result
-
 
 def _reach(start, step: Mapping) -> frozenset:
     """``start`` and every element reachable from it through ``step``."""
