@@ -15,15 +15,18 @@ indeterminacy, never as exceptions.
 
 Evaluation reads a keyed index of the request and tries only the
 bindings that can differ. ``index_request`` makes one pass over a
-request's facts and error attributes per evaluation. It keeps the
-argument tuples by name and arity, the ``(name, args)`` keys of the
-facts and of the error attributes (each term's ``key``), the keys of
-the category ones, which targets are matched against, and the values
-of the facts ``f(c,v)`` keyed by ``(f, c)``, with the ``(f, c)`` marked
-by an error attribute ``f(c,...)`` of any arity. ``kleene_eval``
-answers an atom by looking its ground key up among the errors and then
-the facts, and a function operand by looking up its ``(f, c)`` key; it
-builds no terms.
+request's facts and error attributes per evaluation, and skips those
+whose names the policy tree reads nowhere (its ``needs``: the names its
+targets match and its conditions' atoms and function operands use);
+their constants stay in the domain. It keeps the argument tuples by
+name and arity, the ``(name, args)`` keys of the facts and of the error
+attributes (each term's ``key``), the keys of the category ones, which
+targets are matched against, and the values of the facts ``f(c,v)``
+keyed by ``(f, c)``, with the ``(f, c)`` marked by an error attribute
+``f(c,...)`` of any arity. ``kleene_eval`` answers an atom by looking
+its ground key up among the errors and then the facts, and a
+comparison by looking each function operand up by its ``(f, c)`` key
+and comparing the values in place; it builds no terms.
 
 ``compile_condition`` plans a condition once, when its rule is built,
 in one walk over it: it checks the range restriction, sorts the free
@@ -49,9 +52,16 @@ variables and gives each one of three binding rules.
 * A variable that is a bare comparison operand ranges over the whole
   domain, the constants of the request's facts.
 
-``eval_condition`` evaluates the product of the variables' pools; a
-join variable with no candidate makes the condition false without a
-binding.
+``eval_condition`` draws the join variables' pools first, so a join
+variable with no candidate makes the condition false before any other
+pool is drawn, and without a binding. Each pool is in the domain's
+order (``order_constants``): a join pool of two or more values is
+sorted by that rule, not filtered out of the whole domain. Only a
+request with error attributes, whose rows may hold constants outside
+the domain, has its pools cut down to the domain. A variable whose
+pool holds one value is bound once, and the bindings are the product
+of the other pools, in the order of the full product; a condition
+whose pools all hold one value is evaluated once.
 """
 
 from __future__ import annotations
@@ -59,11 +69,11 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import defaultdict
-from typing import Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Mapping, Optional, Union
 
-from .decisions import Decision3, lub3
+from .decisions import Decision3
 from .errors import InvalidInputError, UnboundVariableError
-from .requests import CATEGORIES, Constant, Request
+from .requests import CATEGORIES, Constant, Request, order_constants
 from .values import Value
 
 COMPARISON_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
@@ -256,15 +266,6 @@ def check_range_restriction(expr: ConditionExpr) -> frozenset[str]:
     return frozenset(_range_restricted(_variable_uses(expr)))
 
 
-def _ground(term: Term, binding: Binding) -> Constant:
-    if isinstance(term, Variable):
-        try:
-            return binding[term.name]
-        except KeyError:
-            raise UnboundVariableError(f"no binding for variable {term.name}") from None
-    return term
-
-
 _NOT3 = {
     Decision3.TOP: Decision3.BOTTOM,
     Decision3.BOTTOM: Decision3.TOP,
@@ -281,14 +282,6 @@ _COMPARE_FN = {
 }
 
 
-def _compare_constants(a: Constant, op: str, b: Constant) -> Decision3:
-    # Numbers compare with numbers, strings with strings; a mixed
-    # comparison is an evaluation error, hence indeterminate.
-    if isinstance(a, str) != isinstance(b, str):
-        return Decision3.INDET
-    return Decision3.TOP if _COMPARE_FN[op](a, b) else Decision3.BOTTOM
-
-
 # A request's facts or error attributes, each as its ``(name, args)`` key.
 TermKey = tuple[str, tuple[Constant, ...]]
 
@@ -299,19 +292,23 @@ class RequestIndex:
     slots class, not a ``Value``, and has no equality of its own.
 
     ``domain`` is ``request.constants()``, the constants variables range
-    over, and ``domain_set`` the same as a set. ``tuples`` maps a
-    ``(name, arity)`` signature to the argument tuples of the facts and
-    error attributes with it. ``facts`` and ``errors`` hold the
-    ``(name, args)`` keys of the facts and of the error attributes.
-    ``functions`` maps ``(f, c)`` to the values ``v`` of the facts
-    ``f(c,v)``, and ``function_errors`` holds ``(f, c)`` for every error
-    attribute ``f(c,...)``, of any arity. ``category_keys`` holds the
-    keys of the category facts and error attributes, the only keys a
-    target match can hit.
+    over, from every fact of the request. ``domain_set`` is the same as
+    a set, or None until a pool first reads it (``_domain_set``); only
+    a request with error attributes has a pool that does, since fact
+    rows hold domain constants only. ``tuples`` maps a ``(name, arity)``
+    signature to the argument tuples of the facts and error attributes
+    with it. ``facts`` and ``errors`` hold the ``(name, args)`` keys of
+    the facts and of the error attributes. ``functions`` maps ``(f, c)``
+    to the values ``v`` of the facts ``f(c,v)``, and ``function_errors``
+    holds ``(f, c)`` for every error attribute ``f(c,...)``, of any
+    arity. ``category_keys`` holds the keys of the category facts and
+    error attributes, the only keys a target match can hit. All but
+    ``domain`` hold only the attributes whose names the tree reads (see
+    ``index_request``).
     """
 
     domain: tuple[Constant, ...]
-    domain_set: frozenset[Constant]
+    domain_set: Optional[frozenset[Constant]]
     tuples: dict[tuple[str, int], list[tuple[Constant, ...]]]
     facts: set[TermKey]
     errors: set[TermKey]
@@ -322,10 +319,10 @@ class RequestIndex:
     __slots__ = ("domain", "domain_set", "tuples", "facts", "errors",
                  "functions", "function_errors", "category_keys")
 
-    def __init__(self, domain, domain_set, tuples, facts, errors,
+    def __init__(self, domain, tuples, facts, errors,
                  functions, function_errors, category_keys) -> None:
         self.domain = domain
-        self.domain_set = domain_set
+        self.domain_set = None
         self.tuples = tuples
         self.facts = facts
         self.errors = errors
@@ -334,8 +331,18 @@ class RequestIndex:
         self.category_keys = category_keys
 
 
-def index_request(request: Request) -> RequestIndex:
-    """Index a request for ``eval_condition``; done once per evaluation."""
+def index_request(request: Request, needs: Optional[AbstractSet[str]] = None) -> RequestIndex:
+    """Index a request for evaluation; done once per evaluation.
+
+    ``needs`` names the attributes a policy tree reads (``Policy.needs``
+    and ``PolicySet.needs``): the names its targets match and the names
+    of its conditions' atoms and function operands. A fact or error
+    attribute of any other name is left out, as no part of the tree can
+    look it up; its constants stay in ``domain``. Without ``needs``,
+    every fact and error attribute is indexed.
+    """
+    if needs is None:
+        needs = {term.name for term in itertools.chain(request.facts, request.error_attributes)}
     tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
     functions: dict[tuple[str, Constant], list[Constant]] = {}
     facts = set()
@@ -345,6 +352,8 @@ def index_request(request: Request) -> RequestIndex:
     for term in request.facts:
         key = term.key
         name, args = key
+        if name not in needs:
+            continue
         facts.add(key)
         tuples.setdefault((name, len(args)), []).append(args)
         if len(args) == 2:
@@ -354,15 +363,15 @@ def index_request(request: Request) -> RequestIndex:
     for term in request.error_attributes:
         key = term.key
         name, args = key
+        if name not in needs:
+            continue
         errors.add(key)
         tuples.setdefault((name, len(args)), []).append(args)
         function_errors.add((name, args[0]))
         if name in CATEGORIES:
             category_keys.add(key)
-    domain = request.constants()
     return RequestIndex(
-        domain,
-        frozenset(domain),
+        request.constants(),
         tuples,
         facts,
         errors,
@@ -370,30 +379,6 @@ def index_request(request: Request) -> RequestIndex:
         function_errors,
         category_keys,
     )
-
-
-def _operand_values(
-    op: Operand, binding: Binding, index: RequestIndex
-) -> tuple[Sequence[Constant], bool]:
-    """Resolve an operand to its candidate values plus an error flag.
-
-    The flag is set when a function fact is absent or marked erroneous,
-    in which case the comparison cannot fall below indeterminate.
-    """
-    if isinstance(op, FunctionValue):
-        key = (op.name, _ground(op.arg, binding))
-        values = index.functions.get(key, ())
-        return values, not values or key in index.function_errors
-    return (_ground(op, binding),), False
-
-
-def _eval_compare(expr: Compare, binding: Binding, index: RequestIndex) -> Decision3:
-    lvals, lflag = _operand_values(expr.left, binding, index)
-    rvals, rflag = _operand_values(expr.right, binding, index)
-    results = [_compare_constants(a, expr.op, b) for a in lvals for b in rvals]
-    if lflag or rflag:
-        results.append(Decision3.INDET)
-    return lub3(results)
 
 
 def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> Decision3:
@@ -434,10 +419,55 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
     if isinstance(expr, Not):
         return _NOT3[kleene_eval(expr.expr, binding, index)]
     if isinstance(expr, Compare):
-        return _eval_compare(expr, binding, index)
+        # The join of comparing every value of one side with every value
+        # of the other. A function fact that is absent or marked
+        # erroneous keeps it from falling below INDET, and so does a
+        # string compared with a number: evaluation errors.
+        result = Decision3.BOTTOM
+        sides = []
+        for operand in (expr.left, expr.right):
+            is_function = isinstance(operand, FunctionValue)
+            term = operand.arg if is_function else operand
+            if isinstance(term, Variable):
+                if term.name not in binding:
+                    raise UnboundVariableError(f"no binding for variable {term.name}")
+                term = binding[term.name]
+            if is_function:
+                key = (operand.name, term)
+                values = index.functions.get(key, ())
+                if not values or key in index.function_errors:
+                    result = Decision3.INDET
+                sides.append(values)
+            else:
+                sides.append((term,))
+        compare = _COMPARE_FN[expr.op]
+        left, right = sides
+        for a in left:
+            for b in right:
+                if isinstance(a, str) != isinstance(b, str):
+                    result = Decision3.INDET
+                elif compare(a, b):
+                    return Decision3.TOP
+        return result
     if isinstance(expr, BoolLiteral):
         return Decision3.TOP if expr.value else Decision3.BOTTOM
     raise InvalidInputError(f"not a condition expression: {expr!r}")
+
+
+def collect_reads(expr: ConditionExpr, names: set[str]) -> None:
+    """Add to ``names`` the names of ``expr``'s atoms and function
+    operands: the request attributes its evaluation can look up."""
+    if isinstance(expr, Atom):
+        names.add(expr.name)
+    elif isinstance(expr, Compare):
+        for operand in (expr.left, expr.right):
+            if isinstance(operand, FunctionValue):
+                names.add(operand.name)
+    elif isinstance(expr, (And, Or)):
+        for child in expr.children:
+            collect_reads(child, names)
+    elif isinstance(expr, Not):
+        collect_reads(expr.expr, names)
 
 
 class ConditionPlan(Value):
@@ -472,30 +502,12 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
     return ConditionPlan(expr, variables, tuple(sources), tuple(sites))
 
 
-def _in_domain(values: set[Constant], index: RequestIndex) -> list[Constant]:
-    """The domain constants among ``values``, in the domain's order."""
-    values &= index.domain_set
-    if len(values) < 2:
-        return list(values)
-    return list(filter(values.__contains__, index.domain))
-
-
-def _active(sites: tuple[Site, ...], index: RequestIndex) -> list[Constant]:
-    """The domain constants seen at a variable's sites, in the domain's
-    order, then the first domain constant seen at none, which stands for
-    all of those."""
-    seen: set[Constant] = set()
-    for name, arity, position in sites:
-        if arity is None:
-            seen.update(args[0] for args in index.tuples.get((name, 2), ()))
-            seen.update(c for f, c in index.function_errors if f == name)
-        else:
-            seen.update(args[position] for args in index.tuples.get((name, arity), ()))
-    if not seen:
-        return [index.domain[0]]
-    representative = next((c for c in index.domain if c not in seen), None)
-    pool = _in_domain(seen, index)
-    return pool if representative is None else pool + [representative]
+def _domain_set(index: RequestIndex) -> frozenset[Constant]:
+    """``index.domain`` as a set, built the first time a pool reads it."""
+    domain_set = index.domain_set
+    if domain_set is None:
+        domain_set = index.domain_set = frozenset(index.domain)
+    return domain_set
 
 
 def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
@@ -503,19 +515,25 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
 
     The result is the least upper bound of the per-binding outcomes, so
     any TOP binding wins, then any INDET one. Each variable takes only
-    the values its binding rule draws; every other binding gives BOTTOM
-    or repeats a value already tried.
+    the values its binding rule draws, in the domain's order; every
+    other binding gives BOTTOM or repeats a value already tried. The
+    join variables' pools are drawn first, so a join with no candidate
+    gives BOTTOM before any other pool is drawn. A variable with one
+    value is bound once, and the product runs over the others in
+    variable order, which tries the bindings in the full product's
+    order.
     """
     tuples = index.tuples
+    # Fact rows hold domain constants only; an error row may not.
+    errors = index.errors
     pools = []
-    for sources, sites in zip(plan.sources, plan.sites):
+    for sources in plan.sources:
         if not sources:
-            pools.append(index.domain if sites is None else _active(sites, index))
+            pools.append(None)
             continue
         # A join variable takes the values under which every atom it
-        # binds can ground to a fact or an error attribute, in the
-        # domain's order; with none, no binding grounds every top-level
-        # atom.
+        # binds can ground to a fact or an error attribute; with none,
+        # no binding grounds every top-level atom.
         allowed: Optional[set[Constant]] = None
         for atom, position in sources:
             rows = tuples.get((atom.name, len(atom.terms)))
@@ -539,15 +557,48 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
             allowed = values if allowed is None else allowed & values
             if not allowed:
                 return Decision3.BOTTOM
-        allowed &= index.domain_set
-        if not allowed:
-            return Decision3.BOTTOM
-        if len(allowed) > 1:
-            allowed = filter(allowed.__contains__, index.domain)
-        pools.append(list(allowed))
+        if errors:
+            allowed &= _domain_set(index)
+            if not allowed:
+                return Decision3.BOTTOM
+        pools.append(order_constants(allowed) if len(allowed) > 1 else tuple(allowed))
+    binding = {}
+    names = []
+    spread = []
+    for name, pool, sites in zip(plan.variables, pools, plan.sites):
+        if pool is None and sites is None:
+            pool = index.domain
+        elif pool is None:
+            # The domain constants seen at the variable's sites, then the
+            # first domain constant seen at none, which stands for all of
+            # those.
+            seen = set()
+            for site, arity, position in sites:
+                if arity is None:
+                    seen.update(map(operator.itemgetter(0), tuples.get((site, 2), ())))
+                    for f, c in index.function_errors:
+                        if f == site:
+                            seen.add(c)
+                else:
+                    seen.update(map(operator.itemgetter(position), tuples.get((site, arity), ())))
+            if errors and seen:
+                seen &= _domain_set(index)
+            pool = order_constants(seen) if len(seen) > 1 else tuple(seen)
+            for constant in index.domain:
+                if constant not in seen:
+                    pool += (constant,)
+                    break
+        if len(pool) == 1:
+            binding[name] = pool[0]
+        else:
+            names.append(name)
+            spread.append(pool)
+    if not spread:
+        return kleene_eval(plan.expr, binding, index)
     best = Decision3.BOTTOM
-    for combo in itertools.product(*pools):
-        value = kleene_eval(plan.expr, dict(zip(plan.variables, combo)), index)
+    for combo in itertools.product(*spread):
+        binding.update(zip(names, combo))
+        value = kleene_eval(plan.expr, binding, index)
         if value is Decision3.TOP:
             return value
         if value > best:

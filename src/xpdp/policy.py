@@ -41,9 +41,13 @@ One walk, ``_eval_node``, serves traced and untraced evaluation: it
 decides a policy's rules in line and builds trace paths and nodes only
 when a trace is asked for. It calls the layer functions through this
 module's names (``eval_target``, ``eval_condition``, ``rule_decision``,
-``combine``), in the same order either way: for a rule its target,
-then its condition under a TOP target, then its decision; for a node
-its target, then its members, then one ``combine`` over their values.
+``combine``): for a rule its target, then its condition under a TOP
+target, then its decision; for a node its target, then its members,
+then one ``combine`` over their values. Without a trace, a node whose
+gate lets no member through is not entered: it is NotApplicable
+whatever its target, so neither its target nor a ``combine`` is
+evaluated. A traced walk enters it as any other node, so its trace is
+the same.
 
 An optional trace records every value the walk computed, and marks
 each node that left work undone with the reason (``TraceNode.skipped``).
@@ -54,8 +58,10 @@ parent's inputs, so the trace is the same as without the gate.
 Rules are decided by the composed gate-and-lift form, read from a table
 built from ``sigma``; the test suite checks it exhaustively against the
 literal three-case analysis. A rule plans its condition once, when it
-is built (``compile_condition``), and ``evaluate`` indexes the request
-once (``index_request``) and hands the index down the walk.
+is built (``compile_condition``), and a policy or policy set collects
+the names of the request attributes it reads (``needs``). ``evaluate``
+indexes the request once, for the root's ``needs`` only
+(``index_request``), and hands the index down the walk.
 Policies and policy sets accept only the four standard combining
 algorithms, the ones defined over six-valued decisions.
 """
@@ -72,6 +78,7 @@ from .conditions import (
     ConditionPlan,
     RequestIndex,
     TermKey,
+    collect_reads,
     compile_condition,
     eval_condition,
     index_request,
@@ -217,12 +224,26 @@ class Rule(Value, derived=("plan",)):
         object.__setattr__(self, "plan", compile_condition(self.condition))
 
 
-class Policy(Value, derived=("gate",)):
+def _collect_target_reads(target: Target, names: set[str]) -> None:
+    """Add to ``names`` the names of ``target``'s matches."""
+    for any_of in target.keys or ():
+        for all_of in any_of:
+            for name, _ in all_of:
+                names.add(name)
+
+
+class Policy(Value, derived=("gate", "needs")):
+    """A policy. ``needs`` holds the names of the request attributes the
+    policy reads: those its own and its rules' targets match, and those
+    of its rules' condition atoms and function operands. A request is
+    indexed for the root's ``needs`` only (``index_request``)."""
+
     name: str
     target: Target
     rules: tuple[Rule, ...]
     combiner: CombinerId
     gate: MemberGate
+    needs: frozenset[str]
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -230,14 +251,24 @@ class Policy(Value, derived=("gate",)):
         if not self.rules:
             raise InvalidInputError(f"policy {self.name!r} needs at least one rule")
         object.__setattr__(self, "gate", compile_gate([r.target for r in self.rules]))
+        names: set[str] = set()
+        _collect_target_reads(self.target, names)
+        for rule in self.rules:
+            _collect_target_reads(rule.target, names)
+            collect_reads(rule.condition, names)
+        object.__setattr__(self, "needs", frozenset(names))
 
 
-class PolicySet(Value, derived=("gate",)):
+class PolicySet(Value, derived=("gate", "needs")):
+    """A policy set. ``needs`` is its own target's names together with
+    its children's ``needs``."""
+
     name: str
     target: Target
     children: tuple["PolicyNode", ...]
     combiner: CombinerId
     gate: MemberGate
+    needs: frozenset[str]
 
     def __post_init__(self) -> None:
         _check_name(self.name)
@@ -248,6 +279,11 @@ class PolicySet(Value, derived=("gate",)):
                 f"policy set {self.name!r} mixes policies and policy sets"
             )
         object.__setattr__(self, "gate", compile_gate([c.target for c in self.children]))
+        names: set[str] = set()
+        _collect_target_reads(self.target, names)
+        for child in self.children:
+            names |= child.needs
+        object.__setattr__(self, "needs", frozenset(names))
 
 
 PolicyNode = Union[Policy, PolicySet]
@@ -431,11 +467,20 @@ def _eval_node(
     node: PolicyNode, index: RequestIndex, path: Optional[tuple[int, ...]]
 ) -> tuple[Decision6, Optional[TraceNode]]:
     """A node's decision, and its trace node when ``path`` is its trace
-    path rather than None. Traced and untraced evaluation visit the same
-    members and call the same layer functions in the same order."""
-    target_value = eval_target(node.target, index)
-    if target_value is Decision3.BOTTOM:
-        return Decision6.NOT_APPLICABLE, None if path is None else _bottom_trace(node, path)
+    path rather than None.
+
+    The node first works out which members its gate lets through. Then
+    it evaluates its target, and under a target that is not BOTTOM the
+    members let through, in order, up to an absorbing value, and
+    combines their values. Without a trace, a node that lets no member
+    through is NotApplicable at once: its target is not evaluated and
+    nothing is combined. That is exact, because every standard combiner
+    maps only NotApplicable inputs to NotApplicable, and an
+    indeterminate target does not weaken NotApplicable. With a trace,
+    such a node evaluates its target and combines its members' values
+    as any other node does, and each member left out is traced as its
+    BOTTOM target makes it.
+    """
     is_policy = node.__class__ is Policy
     members = node.rules if is_policy else node.children
     present = index.category_keys
@@ -447,38 +492,40 @@ def _eval_node(
             positions = listed(key)
             if positions is not None:
                 hits.update(positions)
-    if path is not None:
-        order = range(len(members))
-        traces = []
-    elif hits:
-        order = sorted(hits.union(gate.always))
+    if hits:
+        # The gate is exact: a hit member is let through only when, in
+        # every any-of of its target, some all-of's keys are all among
+        # the request's category facts and error attributes; any other
+        # member's target is BOTTOM.
+        visits = []
+        for i in sorted(hits.union(gate.always)):
+            for any_of in members[i].target.keys or ():
+                if not any(map(present.issuperset, any_of)):
+                    break
+            else:
+                visits.append(i)
     else:
-        order = gate.always
+        visits = gate.always
+    if path is None:
+        if not visits:
+            return Decision6.NOT_APPLICABLE, None
+        order = visits
+    else:
+        order = range(len(members))
+        let_through = set(visits)
+        traces = []
+    target_value = eval_target(node.target, index)
+    if target_value is Decision3.BOTTOM:
+        return Decision6.NOT_APPLICABLE, None if path is None else _bottom_trace(node, path)
     absorbing = ABSORBING[node.combiner]
     inputs = []
     skipped = None
     for i in order:
         member = members[i]
-        keys = member.target.keys
-        if keys is not None:
-            # The gate is exact: a member is visited only when, in every
-            # any-of of its target, some all-of's keys are all among the
-            # request's category facts and error attributes; any other
-            # member's target is BOTTOM.
-            applies = i in hits
-            if applies:
-                for any_of in keys:
-                    for all_of in any_of:
-                        if present.issuperset(all_of):
-                            break
-                    else:
-                        applies = False
-                        break
-            if not applies:
-                if path is not None:
-                    inputs.append(Decision6.NOT_APPLICABLE)
-                    traces.append(_bottom_trace(member, (*path, i)))
-                continue
+        if path is not None and i not in let_through:
+            inputs.append(Decision6.NOT_APPLICABLE)
+            traces.append(_bottom_trace(member, (*path, i)))
+            continue
         if is_policy:
             rule_target = eval_target(member.target, index)
             if rule_target is Decision3.TOP:
@@ -536,6 +583,7 @@ def evaluate(
     is BOTTOM and members after an absorbing value are not evaluated;
     the decision is the same as if they were.
     """
-    decision, trace_node = _eval_node(root, index_request(request), () if with_trace else None)
+    index = index_request(request, root.needs)
+    decision, trace_node = _eval_node(root, index, () if with_trace else None)
     trace = EvalTrace(trace_node) if trace_node is not None else None
     return decision, trace

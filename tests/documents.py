@@ -138,3 +138,11 @@ def benchmark_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+# Small instances of the two in-process benchmark workloads, by name,
+# from ``benchmark_workloads()``.
+BENCHMARK_SHAPES = {
+    "wide_policy": lambda w: w.wide_policy(7, subjects=8),
+    "fact_heavy": lambda w: w.fact_heavy(7, pads=(0, 8)),
+}

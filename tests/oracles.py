@@ -6,9 +6,12 @@ package's lattice machinery, so a bug in one side cannot hide in the
 other. The exceptions are ``evaluate_ungated``, the evaluator's walk
 without member gates, kept as the reference the gated walk's traces
 must equal; ``eval_target_terms``, the target loop over
-``AttributeTerm`` matches that ground keys replaced; and
+``AttributeTerm`` matches that ground keys replaced;
 ``lex_with_offsets``, the lexer the one-call lexer replaced, kept as
-the reference for its tokens, offsets and diagnostics.
+the reference for its tokens, offsets and diagnostics; and
+``constants_with_fallback`` and ``full_index``, the request's constants
+and index as they were built before the index read only the names a
+tree reads.
 """
 
 from __future__ import annotations
@@ -289,6 +292,59 @@ def kleene_eval_terms(expr: ConditionExpr, binding: dict, request: Request) -> D
     raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
+def constants_with_fallback(request: Request) -> tuple:
+    """The request's constants as ``Request.constants`` built them before
+    it split strings from numbers in one pass: one sort of the set of
+    fact arguments, and when that raises ``TypeError`` (strings and
+    numbers do not compare), the strings sorted, then the numbers."""
+    seen = {arg for fact in request.facts for arg in fact.args}
+    try:
+        return tuple(sorted(seen))  # all strings or all numbers
+    except TypeError:  # strings and numbers do not compare
+        strings = sorted([a for a in seen if isinstance(a, str)])
+        return (*strings, *sorted([a for a in seen if not isinstance(a, str)]))
+
+
+def full_index(request: Request) -> dict:
+    """The fields of the request index as ``index_request`` built it before
+    it read only the names a tree reads: every fact and error attribute
+    indexed, and ``domain_set`` built eagerly."""
+    tuples: dict = {}
+    functions: dict = {}
+    facts = set()
+    errors = set()
+    function_errors = set()
+    category_keys = set()
+    for term in request.facts:
+        key = term.key
+        name, args = key
+        facts.add(key)
+        tuples.setdefault((name, len(args)), []).append(args)
+        if len(args) == 2:
+            functions.setdefault((name, args[0]), []).append(args[1])
+        elif term.is_category:
+            category_keys.add(key)
+    for term in request.error_attributes:
+        key = term.key
+        name, args = key
+        errors.add(key)
+        tuples.setdefault((name, len(args)), []).append(args)
+        function_errors.add((name, args[0]))
+        if term.is_category:
+            category_keys.add(key)
+    domain = constants_with_fallback(request)
+    return {
+        "domain": domain,
+        "domain_set": frozenset(domain),
+        "tuples": tuples,
+        "facts": facts,
+        "errors": errors,
+        "functions": functions,
+        "function_errors": function_errors,
+        "category_keys": category_keys,
+    }
+
+
 def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
     """A condition's value by brute force: the least upper bound of its
     value under every binding of its free variables to the request's
@@ -296,7 +352,7 @@ def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:
     check_range_restriction(expr)
     names = sorted(free_variables(expr))
     best = D3.BOTTOM
-    for combo in itertools.product(request.constants(), repeat=len(names)):
+    for combo in itertools.product(constants_with_fallback(request), repeat=len(names)):
         value = kleene_eval_terms(expr, dict(zip(names, combo)), request)
         if value is D3.TOP:
             return value
@@ -512,10 +568,12 @@ def _ungated(node, index, path: tuple[int, ...], want_trace: bool):
 def evaluate_ungated(node: Policy | PolicySet, request: Request, with_trace: bool = False):
     """``evaluate`` without member gates: a node whose target is not
     BOTTOM visits every member, in order, up to the first absorbing
-    value. It shares everything else with ``evaluate`` (targets,
-    conditions, rule decisions, combiners), so it is the reference for
-    the gate alone:
-    the two must give equal decisions and equal traces."""
+    value. It indexes every fact and error attribute of the request,
+    not only those whose names the tree reads. It shares everything
+    else with ``evaluate`` (targets, conditions, rule decisions,
+    combiners), so it is the reference for the gate and the index's
+    relevance filter: the two must give equal decisions and equal
+    traces."""
     decision, trace_node = _ungated(node, index_request(request), (), with_trace)
     return decision, EvalTrace(trace_node) if trace_node is not None else None
 

@@ -352,6 +352,38 @@ class TestJoin:
         req = request([fact("subject", "z")], [fact("badge", "z")])
         self.check(Atom("badge", (X,)), req, D3.INDET)
 
+    def test_error_constant_outside_domain_at_a_site(self, bindings_tried):
+        # X meets the request only at ok's argument; z is seen there, but
+        # only in an error attribute, so X does not range over it: the
+        # one domain constant makes not ok(X) false, not indeterminate.
+        req = request([fact("ok", "a")], [fact("ok", "z")])
+        self.check(Not(Atom("ok", (X,))), req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [{"X": "a"}]
+
+    def test_pools_keep_the_domain_order(self, bindings_tried):
+        # A join pool of strings and numbers is sorted as the domain is:
+        # strings first, then numbers.
+        expr = And((Atom("r", (X,)), Compare(X, "!=", X)))
+        req = request([fact("r", 2), fact("r", "b"), fact("r", 1), fact("r", "a")])
+        self.check(expr, req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [{"X": "a"}, {"X": "b"}, {"X": 1}, {"X": 2}]
+
+    def test_bindings_follow_the_full_product_order(self, bindings_tried):
+        # Single-value pools are bound once; the others vary in variable
+        # order, the last fastest, as in the product of every pool.
+        z = Variable("Z")
+        expr = And(
+            (Atom("r", (X,)), Atom("s", (Y,)), Atom("t", (z,)), Compare(X, "=", "none"))
+        )
+        facts = [fact("r", "a"), fact("r", "b"), fact("s", "c"), fact("t", "d"), fact("t", "e")]
+        self.check(expr, request(facts), D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [
+            {"X": "a", "Y": "c", "Z": "d"},
+            {"X": "a", "Y": "c", "Z": "e"},
+            {"X": "b", "Y": "c", "Z": "d"},
+            {"X": "b", "Y": "c", "Z": "e"},
+        ]
+
     def test_repeated_variable(self, bindings_tried):
         expr = Atom("r", (X, X))
         req = request([fact("r", "a", "b"), fact("r", "c", "c")])

@@ -17,7 +17,7 @@ import xpdp
 import xpdp.cli
 import xpdp.conditions
 import xpdp.policy
-from documents import benchmark_workloads
+from documents import BENCHMARK_SHAPES, benchmark_workloads
 from xpdp import Decision3, EvalTrace, Request
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -69,15 +69,10 @@ def test_traced_cli_evaluation_reaches_every_hook(monkeypatch, capsys):
 # and trace rendering.
 EVALUATION_HOOKS = HOOKS[:6]
 
-SHAPES = {
-    "wide_policy": lambda w: w.wide_policy(7, subjects=8),
-    "fact_heavy": lambda w: w.fact_heavy(7, pads=(0, 8)),
-}
 
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
 def test_untraced_evaluation_reaches_every_evaluation_hook(monkeypatch, shape):
-    workload = SHAPES[shape](benchmark_workloads())
+    workload = BENCHMARK_SHAPES[shape](benchmark_workloads())
     policy = xpdp.parse_policy(workload.policy_text)
     requests = [xpdp.parse_request(text) for text in workload.request_texts]
     calls = []
@@ -106,3 +101,56 @@ def test_untraced_evaluation_reaches_every_evaluation_hook(monkeypatch, shape):
     for i, name in enumerate(names):
         if name == "eval_condition":
             assert calls[i - 1] == ["eval_target", Decision3.TOP]
+
+
+def counting_constants(monkeypatch) -> list:
+    """Patch ``Request.constants`` as the tracer does; the list holds one
+    entry per call."""
+    calls = []
+    constants = Request.constants
+
+    def counted(request):
+        calls.append(request)
+        return constants(request)
+
+    monkeypatch.setattr(Request, "constants", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_untraced_evaluation_calls_constants_once(monkeypatch, shape):
+    """The tracer reports ``requests.constants_calls`` from its count of
+    ``Request.constants`` calls, and a traced run fails when a layer
+    sees no call. So until the benchmark reads the library's own
+    counters (ROADMAP item 2), every evaluation builds the domain once,
+    even where no pool reads it."""
+    workload = BENCHMARK_SHAPES[shape](benchmark_workloads())
+    policy = xpdp.parse_policy(workload.policy_text)
+    requests = [xpdp.parse_request(text) for text in workload.request_texts]
+    calls = counting_constants(monkeypatch)
+    for req in requests:
+        calls.clear()
+        xpdp.evaluate(policy, req)
+        assert calls == [req]
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["untraced", "traced"])
+@pytest.mark.parametrize(
+    "request_file",
+    ["request_doctor_read.req", "request_doctor_write.req", "request_errored_read.req"],
+)
+def test_cli_evaluation_calls_constants_once(monkeypatch, capsys, request_file, trace):
+    """As above, for each sample request of the benchmark's CLI workload."""
+    calls = counting_constants(monkeypatch)
+    code = xpdp.cli.main(
+        [
+            "eval",
+            "--policy", str(SAMPLES / "patient_policy.pol"),
+            "--request", str(SAMPLES / request_file),
+            *trace,
+            "--format", "structured",
+        ]
+    )
+    assert code in (0, 1, 2, 3)
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import strategies
 from documents import benchmark_workloads
 from oracles import (
+    constants_with_fallback,
     eval_match,
     eval_policy,
     eval_policyset,
@@ -24,6 +25,7 @@ from oracles import (
     evaluate_exhaustive,
     evaluate_ungated,
     exhaustive_results,
+    full_index,
     node_result,
     node_result_with_blank_case,
     rule_decision_cases,
@@ -53,6 +55,7 @@ from xpdp import (
     STANDARD_COMBINERS,
     Target,
     TRUE_CONDITION,
+    TraceNode,
     Variable,
     arrow,
     combine,
@@ -702,6 +705,30 @@ def preorder(node):
         yield from preorder(child)
 
 
+def entered_targets(trace: TraceNode, node, req) -> list[D3]:
+    """The target values the untraced walk evaluates under ``node``, in
+    order, from ``trace``, the node's trace in the ungated walk. A node
+    is entered, and its target evaluated, when some member's target is
+    not BOTTOM, as exactly those pass its gate; it then visits those
+    members up to the stop. A visited rule's target is evaluated."""
+    if trace.kind == "rule":
+        return [trace.target_value]
+    members = node.rules if trace.kind == "policy" else node.children
+    if trace.target_value is D3.BOTTOM:
+        # The ungated walk visits no member under a BOTTOM target.
+        entered = any(eval_target_lattice(m.target, req) is not D3.BOTTOM for m in members)
+        return [D3.BOTTOM] if entered else []
+    # Members after the stop are not traced, but the stop's own target is
+    # not BOTTOM, so a node with one is entered whatever follows.
+    visited = [c for c in trace.children if c.target_value is not D3.BOTTOM]
+    if not visited:
+        return []
+    values = [trace.target_value]
+    for child in visited:
+        values += entered_targets(child, members[child.path[-1]], req)
+    return values
+
+
 def trees_with_requests():
     # Policy sets up to three wide, so that a member other than the last
     # can absorb an only-one-applicable set (Indeterminate{DP} before
@@ -729,12 +756,15 @@ class TestGatedEvaluation:
             _, reference = evaluate_ungated(node, req, with_trace=True)
             assert trace.lines() == reference.lines()
             assert trace.to_obj() == reference.to_obj()
-            # The gates are exact: after the root, the walk evaluates the
-            # target of every member up to the stop whose target is not
-            # BOTTOM in the ungated walk, in its order, and no other.
+            # The gates are exact, and the walk enters only a node with a
+            # member they let through: it evaluates the targets of exactly
+            # the nodes it enters and the rules it visits, in the ungated
+            # walk's order.
+            assert targets == entered_targets(reference.root, node, req)
             root, *members = preorder(reference.root)
             applicable = [m.target_value for m in members if m.target_value is not D3.BOTTOM]
-            assert targets == [root.target_value, *applicable]
+            if targets != [root.target_value, *applicable]:
+                seen["not entered"] += 1
 
             def walk(t, n):
                 assert t.result is expected[t.path]
@@ -769,6 +799,7 @@ class TestGatedEvaluation:
         for combiner in STANDARD_COMBINERS:
             assert seen[combiner] > 0, f"no early stop under {combiner.token}"
         assert seen["gated out"] > 0, "no member gate left a member out"
+        assert seen["not entered"] > 0, "the walk entered every node the ungated walk did"
 
     def test_target_loops_equal_lattice_form(self):
         seen = Counter()
@@ -791,6 +822,116 @@ class TestGatedEvaluation:
 
         check()
         assert all(seen[value] > 0 for value in D3)
+
+
+# Predicates no generated tree names; generated trees name idents.
+_UNREAD_NAMES = ("visit", "billing", "device")
+
+
+@st.composite
+def padded(draw, case):
+    """A tree and its request, the request padded with facts and error
+    attributes over names the tree never reads and over names from the
+    generators' vocabulary, which it may read, with string and number
+    constants."""
+    node, req = case
+    names = st.one_of(st.sampled_from(_UNREAD_NAMES), strategies.idents)
+    pads = st.builds(
+        AttributeTerm, names, st.lists(strategies.constants, min_size=1, max_size=2).map(tuple)
+    )
+    facts = set(req.facts) | set(draw(st.lists(pads, max_size=3)))
+    errors = set(req.error_attributes) | set(draw(st.lists(pads, max_size=2)))
+    return node, Request(facts=frozenset(facts), error_attributes=frozenset(errors - facts))
+
+
+def index_fields(index) -> dict:
+    """An index's fields, ``domain_set`` as the set of ``domain``, which
+    the index builds only when a pool reads it."""
+    fields = {name: getattr(index, name) for name in index.__slots__}
+    fields["domain_set"] = frozenset(index.domain)
+    return fields
+
+
+def request_of(args: list[tuple], errors: list[tuple] = ()) -> Request:
+    return Request(
+        facts=frozenset(AttributeTerm("f", a) for a in args),
+        error_attributes=frozenset(AttributeTerm("e", a) for a in errors),
+    )
+
+
+class TestFilteredIndex:
+    """``evaluate`` indexes only the facts and error attributes whose
+    names the tree reads (``Policy.needs``); ``evaluate_ungated`` and
+    ``evaluate_exhaustive`` read them all."""
+
+    def test_padded_requests_equal_references(self):
+        seen = Counter()
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(trees_with_requests().flatmap(padded))
+        def check(case):
+            node, req = case
+            decision, trace = evaluate(node, req, with_trace=True)
+            assert evaluate(node, req)[0] is decision
+            assert decision is evaluate_exhaustive(node, req)
+            _, reference = evaluate_ungated(node, req, with_trace=True)
+            assert trace.lines() == reference.lines()
+            assert trace.to_obj() == reference.to_obj()
+            # Without needs, the index is the full one; with them, it is
+            # cut down to the names the tree reads, with the constants of
+            # every fact.
+            full = full_index(req)
+            assert index_fields(index_request(req)) == full
+            filtered = index_fields(index_request(req, node.needs))
+            reads = node.needs.__contains__
+            assert filtered["domain"] == full["domain"]
+            for field in ("facts", "errors", "category_keys"):
+                assert filtered[field] == {k for k in full[field] if reads(k[0])}
+            assert filtered["function_errors"] == {k for k in full["function_errors"] if reads(k[0])}
+            for field in ("tuples", "functions"):
+                assert filtered[field] == {k: v for k, v in full[field].items() if reads(k[0])}
+            left_out = {t.name for t in req.facts | req.error_attributes} - node.needs
+            seen["left out"] += bool(left_out)
+            seen["mixed"] += len({type(c) for c in full["domain"]}) > 1
+
+        check()
+        assert seen["left out"] > 0 and seen["mixed"] > 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [("b", "a"), ("c",)],
+            [(3, 1), (2,), (1,)],
+            [("b", 2), ("a", 10), (1,)],
+            [(True, "x"), (0,), (2, False)],
+            [(1, True), ("t",)],
+        ],
+        ids=["strings", "numbers", "mixed", "bool", "bool-equals-one"],
+    )
+    def test_constants_equal_reference(self, args):
+        req = request_of(args)
+        constants = req.constants()
+        assert constants == constants_with_fallback(req)
+        assert [type(c) for c in constants] == [type(c) for c in constants_with_fallback(req)]
+
+    def test_generated_constants_equal_reference(self):
+        constants = st.one_of(strategies.idents, st.integers(-5, 99), st.booleans())
+        facts = st.lists(st.lists(constants, min_size=1, max_size=3).map(tuple), min_size=1)
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(facts)
+        def check(args):
+            req = request_of(args)
+            assert req.constants() == constants_with_fallback(req)
+
+        check()
+
+    def test_needs_are_the_names_read(self):
+        node = parse_policy((SAMPLES / "patient_policy.pol").read_text())
+        assert node.needs == {
+            "subject", "action", "resource", "patient", "patient_record", "patient_survey",
+            "age", "guardian", "doctor", "medical_record", "patient_doctor",
+        }
 
 
 def wide_gated_policy() -> PolicySet:
