@@ -469,17 +469,13 @@ def _eval_node(
     """A node's decision, and its trace node when ``path`` is its trace
     path rather than None.
 
-    The node first works out which members its gate lets through. Then
-    it evaluates its target, and under a target that is not BOTTOM the
-    members let through, in order, up to an absorbing value, and
-    combines their values. Without a trace, a node that lets no member
-    through is NotApplicable at once: its target is not evaluated and
-    nothing is combined. That is exact, because every standard combiner
-    maps only NotApplicable inputs to NotApplicable, and an
-    indeterminate target does not weaken NotApplicable. With a trace,
-    such a node evaluates its target and combines its members' values
-    as any other node does, and each member left out is traced as its
-    BOTTOM target makes it.
+    The gate is worked out before the target. Without a trace, a node
+    whose gate lets no member through is NotApplicable at once, with
+    no target evaluated and nothing combined: every standard combiner
+    maps only NotApplicable inputs to NotApplicable, which an
+    indeterminate target does not weaken. A traced node is evaluated
+    in full, and each member left out is traced as its BOTTOM target
+    makes it.
     """
     is_policy = node.__class__ is Policy
     members = node.rules if is_policy else node.children
@@ -500,8 +496,11 @@ def _eval_node(
         visits = []
         for i in sorted(hits.union(gate.always)):
             for any_of in members[i].target.keys or ():
-                if not any(map(present.issuperset, any_of)):
-                    break
+                for all_of in any_of:
+                    if present.issuperset(all_of):
+                        break
+                else:
+                    break  # no all-of of this any-of is present
             else:
                 visits.append(i)
     else:
