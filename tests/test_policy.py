@@ -852,11 +852,9 @@ def index_fields(index) -> dict:
     return fields
 
 
-def request_of(args: list[tuple], errors: list[tuple] = ()) -> Request:
-    return Request(
-        facts=frozenset(AttributeTerm("f", a) for a in args),
-        error_attributes=frozenset(AttributeTerm("e", a) for a in errors),
-    )
+def request_of(args: list[tuple]) -> Request:
+    """A request with a fact ``f(a...)`` for each argument tuple."""
+    return Request(facts=frozenset(AttributeTerm("f", a) for a in args))
 
 
 class TestFilteredIndex:
