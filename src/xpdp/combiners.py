@@ -6,9 +6,12 @@ table ``decisions.V6_JOINS``, plus two duplicate detection cases for
 only-one-applicable) and once over the pairwise
 [deny, permit] encoding (a case analysis over componentwise maxima of
 ``PairValue`` levels, 0, 1/2 and 1 stored as the ints 0, 1 and 2).
-``check_equivalence`` enumerates decision sequences exhaustively and
-confirms the two formulations agree through the pair encoding of the
-six-valued result.
+Each six-valued definition is a left fold from NotApplicable of its
+own results on pairs, so ``combine`` folds a sequence, in its own body,
+over a flat table of those 36 results built at import (``FOLD_TABLES``:
+``a`` then ``d`` at ``6*a+d``). ``check_equivalence`` enumerates
+decision sequences exhaustively and confirms that what ``combine``
+returns agrees with the pair encoding.
 
 The all-permit algorithm exists only in the pair encoding; asking for
 it under v6 is an error rather than an invented extension.
@@ -21,8 +24,13 @@ import itertools
 from typing import Callable, Mapping, Sequence
 
 from .decisions import (
+    DENY,
     HALF,
+    INDET_D,
+    INDET_P,
+    NOT_APPLICABLE,
     ONE,
+    PERMIT,
     ZERO,
     Decision6,
     PairValue,
@@ -49,7 +57,8 @@ class CombinerId(enum.Enum):
 
     # Members are singletons compared by identity, so the identity hash
     # agrees with equality. It runs in C, where ``Enum.__hash__`` runs
-    # in Python on every lookup of ``ABSORBING`` and the combiner tables.
+    # in Python on every lookup of ``ABSORBING``, ``FOLD_TABLES`` and
+    # the pair combiners.
     __hash__ = object.__hash__
 
     @property
@@ -79,7 +88,7 @@ _O1A_JOINS = V6_JOINS["o1a"]
 
 def combine_po_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Permit-overrides: least upper bound in the permit-overrides lattice."""
-    result = Decision6.NOT_APPLICABLE
+    result = NOT_APPLICABLE
     for d in decisions:
         result = _PO_JOINS[6 * result + d]
     return result
@@ -87,7 +96,7 @@ def combine_po_v6(decisions: Sequence[Decision6]) -> Decision6:
 
 def combine_do_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Deny-overrides: least upper bound in the deny-overrides lattice."""
-    result = Decision6.NOT_APPLICABLE
+    result = NOT_APPLICABLE
     for d in decisions:
         result = _DO_JOINS[6 * result + d]
     return result
@@ -96,9 +105,9 @@ def combine_do_v6(decisions: Sequence[Decision6]) -> Decision6:
 def combine_fa_v6(decisions: Sequence[Decision6]) -> Decision6:
     """First-applicable: the first decision that is not NOT_APPLICABLE."""
     for d in decisions:
-        if d is not Decision6.NOT_APPLICABLE:
+        if d is not NOT_APPLICABLE:
             return d
-    return Decision6.NOT_APPLICABLE
+    return NOT_APPLICABLE
 
 
 def combine_o1a_v6(decisions: Sequence[Decision6]) -> Decision6:
@@ -107,17 +116,17 @@ def combine_o1a_v6(decisions: Sequence[Decision6]) -> Decision6:
     The join is Deny (Permit) exactly when every value that is not
     NotApplicable is Deny (Permit), so two or more such values, which
     give Indeterminate{D} (Indeterminate{P}), are found by counting."""
-    result = Decision6.NOT_APPLICABLE
+    result = NOT_APPLICABLE
     applied = 0
     for d in decisions:
-        if d is not Decision6.NOT_APPLICABLE:
+        if d is not NOT_APPLICABLE:
             applied += 1
             result = _O1A_JOINS[6 * result + d]
     if applied >= 2:
-        if result is Decision6.DENY:
-            return Decision6.INDET_D
-        if result is Decision6.PERMIT:
-            return Decision6.INDET_P
+        if result is DENY:
+            return INDET_D
+        if result is PERMIT:
+            return INDET_P
     return result
 
 
@@ -173,23 +182,30 @@ def combine_all_permit(values: Sequence[PairValue]) -> PairValue:
     return PairValue(ONE, ZERO)
 
 
-# Member values that fix a combination whatever follows them: the top
-# of the combiner's lattice, and for first-applicable anything but
-# NotApplicable. Combining the members up to the first of these gives
-# the same value as combining them all. Tuples, not sets: membership
-# then compares identities instead of hashing enum members.
-ABSORBING: Mapping[CombinerId, tuple[Decision6, ...]] = {
-    CombinerId.PERMIT_OVERRIDES: (Decision6.PERMIT,),
-    CombinerId.DENY_OVERRIDES: (Decision6.DENY,),
-    CombinerId.FIRST_APPLICABLE: tuple(d for d in Decision6 if d is not Decision6.NOT_APPLICABLE),
-    CombinerId.ONLY_ONE_APPLICABLE: (Decision6.INDET_DP,),
+# Each six-valued definition's results on pairs, as the table ``combine``
+# folds over (see the module docstring).
+FOLD_TABLES: Mapping[CombinerId, tuple[Decision6, ...]] = {
+    combiner: tuple(fn((a, d)) for a in Decision6 for d in Decision6)
+    for combiner, fn in (
+        (CombinerId.PERMIT_OVERRIDES, combine_po_v6),
+        (CombinerId.DENY_OVERRIDES, combine_do_v6),
+        (CombinerId.FIRST_APPLICABLE, combine_fa_v6),
+        (CombinerId.ONLY_ONE_APPLICABLE, combine_o1a_v6),
+    )
 }
 
-_V6_COMBINERS: dict[CombinerId, Callable] = {
-    CombinerId.PERMIT_OVERRIDES: combine_po_v6,
-    CombinerId.DENY_OVERRIDES: combine_do_v6,
-    CombinerId.FIRST_APPLICABLE: combine_fa_v6,
-    CombinerId.ONLY_ONE_APPLICABLE: combine_o1a_v6,
+# Member values that fix a combination whatever follows them, read off
+# the fold tables: the top of the combiner's lattice, and for
+# first-applicable anything but NotApplicable. Combining the members up
+# to the first of these gives the same value as combining them all.
+# Tuples, not sets: membership then compares identities instead of
+# hashing enum members.
+ABSORBING: Mapping[CombinerId, tuple[Decision6, ...]] = {
+    combiner: tuple(
+        a for a in Decision6
+        if a is not NOT_APPLICABLE and all(table[6 * a + d] is a for d in Decision6)
+    )
+    for combiner, table in FOLD_TABLES.items()
 }
 
 _PAIR_COMBINERS: dict[CombinerId, Callable] = {
@@ -202,15 +218,22 @@ _PAIR_COMBINERS: dict[CombinerId, Callable] = {
 
 
 def combine(combiner: CombinerId, encoding: str, decisions: Sequence):
-    """Dispatch to the named algorithm under the named encoding."""
+    """The named algorithm under the named encoding. Under v6 it folds
+    ``decisions`` over the algorithm's table, in one call."""
     if encoding == "v6":
-        fn = _V6_COMBINERS.get(combiner)
+        table = FOLD_TABLES.get(combiner)
+        if table is not None:
+            result = NOT_APPLICABLE
+            for d in decisions:
+                result = table[6 * result + d]
+            return result
+        fn = None
     elif encoding == "pair":
         fn = _PAIR_COMBINERS.get(combiner)
     else:
         raise InvalidInputError(f"unknown encoding: {encoding!r}")
     if fn is None:
-        if combiner is CombinerId.ALL_PERMIT:
+        if combiner in _PAIR_COMBINERS:  # all-permit, under v6
             raise EncodingUnsupportedError(
                 "all-permit is only defined under the pair encoding"
             )
@@ -248,12 +271,11 @@ def check_equivalence(algorithm: CombinerId, max_length: int) -> EquivalenceRepo
         raise EncodingUnsupportedError(
             "all-permit has no v6 formulation to compare against"
         )
-    if algorithm not in _V6_COMBINERS:
+    if algorithm not in FOLD_TABLES:
         raise UnknownCombinerError(f"unknown combining algorithm: {algorithm!r}")
     if max_length < 0:
         raise InvalidInputError("max_length must be >= 0")
 
-    v6_fn = _V6_COMBINERS[algorithm]
     pair_fn = _PAIR_COMBINERS[algorithm]
     members = tuple(Decision6)
     checked = 0
@@ -261,7 +283,7 @@ def check_equivalence(algorithm: CombinerId, max_length: int) -> EquivalenceRepo
     for length in range(max_length + 1):
         for seq in itertools.product(members, repeat=length):
             checked += 1
-            v6_result = v6_fn(seq)
+            v6_result = combine(algorithm, "v6", seq)
             pair_result = pair_fn(delta_seq(seq))
             if delta(v6_result) != pair_result:
                 bad.append(Counterexample(seq, v6_result, pair_result))

@@ -71,7 +71,7 @@ import operator
 from collections import defaultdict
 from typing import AbstractSet, Mapping, Optional, Union
 
-from .decisions import Decision3
+from .decisions import BOTTOM, INDET, TOP, Decision3
 from .errors import InvalidInputError, UnboundVariableError
 from .requests import CATEGORIES, Constant, Request, order_constants
 from .values import Value
@@ -266,11 +266,8 @@ def check_range_restriction(expr: ConditionExpr) -> frozenset[str]:
     return frozenset(_range_restricted(_variable_uses(expr)))
 
 
-_NOT3 = {
-    Decision3.TOP: Decision3.BOTTOM,
-    Decision3.BOTTOM: Decision3.TOP,
-    Decision3.INDET: Decision3.INDET,
-}
+# Strong Kleene negation, indexed by value.
+_NOT3 = (TOP, INDET, BOTTOM)
 
 _COMPARE_FN = {
     "=": operator.eq,
@@ -383,38 +380,43 @@ def index_request(request: Request, needs: Optional[AbstractSet[str]] = None) ->
 
 def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> Decision3:
     """Evaluate a condition under one binding, with strong Kleene
-    connectives over three-valued atom and comparison outcomes."""
-    if isinstance(expr, Atom):
-        args = ()
-        for term in expr.terms:
-            if isinstance(term, Variable):
-                if term.name not in binding:
-                    raise UnboundVariableError(f"no binding for variable {term.name}")
-                term = binding[term.name]
-            args += (term,)
-        key = (expr.name, args)
-        if key in index.errors:
-            return Decision3.INDET
-        if key in index.facts:
-            return Decision3.TOP
-        return Decision3.BOTTOM
+    connectives over three-valued atom and comparison outcomes.
+
+    A conjunction or disjunction decides its atom members in its own
+    loop, and a lone atom goes through the same loop as a conjunction
+    of one; only other members are evaluated by a recursive call."""
     if isinstance(expr, And):
-        result = Decision3.TOP
-        for child in expr.children:
-            value = kleene_eval(child, binding, index)
-            if value < result:
+        members, conjunction = expr.children, True
+    elif isinstance(expr, Or):
+        members, conjunction = expr.children, False
+    elif isinstance(expr, Atom):
+        members, conjunction = (expr,), True
+    else:
+        members = None
+    if members is not None:
+        result = TOP if conjunction else BOTTOM
+        for member in members:
+            if isinstance(member, Atom):
+                args = ()
+                for term in member.terms:
+                    if isinstance(term, Variable):
+                        if term.name not in binding:
+                            raise UnboundVariableError(f"no binding for variable {term.name}")
+                        term = binding[term.name]
+                    args += (term,)
+                key = (member.name, args)
+                value = INDET if key in index.errors else TOP if key in index.facts else BOTTOM
+            else:
+                value = kleene_eval(member, binding, index)
+            if conjunction:
+                if value < result:
+                    result = value
+                    if result is BOTTOM:
+                        break
+            elif value > result:
                 result = value
-            if result is Decision3.BOTTOM:
-                break
-        return result
-    if isinstance(expr, Or):
-        result = Decision3.BOTTOM
-        for child in expr.children:
-            value = kleene_eval(child, binding, index)
-            if value > result:
-                result = value
-            if result is Decision3.TOP:
-                break
+                if result is TOP:
+                    break
         return result
     if isinstance(expr, Not):
         return _NOT3[kleene_eval(expr.expr, binding, index)]
@@ -423,7 +425,7 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
         # of the other. A function fact that is absent or marked
         # erroneous keeps it from falling below INDET, and so does a
         # string compared with a number: evaluation errors.
-        result = Decision3.BOTTOM
+        result = BOTTOM
         sides = []
         for operand in (expr.left, expr.right):
             is_function = isinstance(operand, FunctionValue)
@@ -436,7 +438,7 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
                 key = (operand.name, term)
                 values = index.functions.get(key, ())
                 if not values or key in index.function_errors:
-                    result = Decision3.INDET
+                    result = INDET
                 sides.append(values)
             else:
                 sides.append((term,))
@@ -445,12 +447,12 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
         for a in left:
             for b in right:
                 if isinstance(a, str) != isinstance(b, str):
-                    result = Decision3.INDET
+                    result = INDET
                 elif compare(a, b):
-                    return Decision3.TOP
+                    return TOP
         return result
     if isinstance(expr, BoolLiteral):
-        return Decision3.TOP if expr.value else Decision3.BOTTOM
+        return TOP if expr.value else BOTTOM
     raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
@@ -538,7 +540,7 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
         for atom, position in sources:
             rows = tuples.get((atom.name, len(atom.terms)))
             if rows is None:
-                return Decision3.BOTTOM
+                return BOTTOM
             if atom.pattern is None:
                 values = set(map(operator.itemgetter(position), rows))
             else:
@@ -556,11 +558,11 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
                             values.add(args[position])
             allowed = values if allowed is None else allowed & values
             if not allowed:
-                return Decision3.BOTTOM
+                return BOTTOM
         if errors:
             allowed &= _domain_set(index)
             if not allowed:
-                return Decision3.BOTTOM
+                return BOTTOM
         pools.append(order_constants(allowed) if len(allowed) > 1 else tuple(allowed))
     binding = {}
     names = []
@@ -595,11 +597,11 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
             spread.append(pool)
     if not spread:
         return kleene_eval(plan.expr, binding, index)
-    best = Decision3.BOTTOM
+    best = BOTTOM
     for combo in itertools.product(*spread):
         binding.update(zip(names, combo))
         value = kleene_eval(plan.expr, binding, index)
-        if value is Decision3.TOP:
+        if value is TOP:
             return value
         if value > best:
             best = value

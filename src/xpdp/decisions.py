@@ -16,7 +16,7 @@ Three families of values flow through evaluation:
 The three six-element decision lattices used by the combining
 algorithms are stored as explicit cover relations, transcribed rather
 than derived, and joins are computed from them, once, into the flat
-tables ``V6_JOINS`` that evaluation folds over.
+tables ``V6_JOINS`` that the six-valued combiners fold over.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ _D3_TOKENS = {
 
 def glb3(values: Iterable[Decision3]) -> Decision3:
     """Greatest lower bound; an empty collection yields TOP."""
-    return min(values, default=Decision3.TOP)
+    return min(values, default=TOP)
 
 
 def lub3(values: Iterable[Decision3]) -> Decision3:
     """Least upper bound; an empty collection yields BOTTOM."""
-    return max(values, default=Decision3.BOTTOM)
+    return max(values, default=BOTTOM)
 
 
 class Effect(enum.Enum):
@@ -121,10 +121,18 @@ _D6_NAMES = (
 )
 _D6_BY_NAME = {name: Decision6(i) for i, name in enumerate(_D6_NAMES)}
 
+# The members as module constants, which the decision path reads. On
+# CPython 3.11 ``EnumType`` has a Python-level ``__getattr__``, so a
+# load such as ``Decision3.TOP`` is never specialised and costs about
+# five plain global loads; 3.12 removed it.
+BOTTOM, INDET, TOP = Decision3
+NOT_APPLICABLE, INDET_D, INDET_P, INDET_DP, DENY, PERMIT = Decision6
+PERMIT_EFFECT = Effect.PERMIT
+
 
 def arrow(f: Decision3, g: Decision3) -> Decision3:
     """Gate ``g`` behind ``f``: pass ``g`` through only when ``f`` is TOP."""
-    return g if f is Decision3.TOP else f
+    return g if f is TOP else f
 
 
 def sigma(x: Decision3, effect: Effect) -> Decision6:
@@ -133,11 +141,11 @@ def sigma(x: Decision3, effect: Effect) -> Decision6:
     BOTTOM stays inapplicable; TOP and INDET pick up the effect as
     their annotation.
     """
-    if x is Decision3.BOTTOM:
-        return Decision6.NOT_APPLICABLE
-    if x is Decision3.TOP:
-        return Decision6.PERMIT if effect is Effect.PERMIT else Decision6.DENY
-    return Decision6.INDET_P if effect is Effect.PERMIT else Decision6.INDET_D
+    if x is BOTTOM:
+        return NOT_APPLICABLE
+    if x is TOP:
+        return PERMIT if effect is PERMIT_EFFECT else DENY
+    return INDET_P if effect is PERMIT_EFFECT else INDET_D
 
 
 class PairValue(Value):
@@ -323,7 +331,7 @@ def lub_order(order: str, values: Iterable[Decision6]) -> Decision6:
     joins = V6_JOINS.get(order)
     if joins is None:
         raise UnknownLatticeError(f"unknown decision lattice: {order!r}")
-    result = Decision6.NOT_APPLICABLE
+    result = NOT_APPLICABLE
     for v in values:
         result = joins[6 * result + v]
     return result

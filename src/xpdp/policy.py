@@ -42,12 +42,14 @@ decides a policy's rules in line and builds trace paths and nodes only
 when a trace is asked for. It calls the layer functions through this
 module's names (``eval_target``, ``eval_condition``, ``rule_decision``,
 ``combine``): for a rule its target, then its condition under a TOP
-target, then its decision; for a node its target, then its members,
-then one ``combine`` over their values. Without a trace, a node whose
-gate lets no member through is not entered: it is NotApplicable
-whatever its target, so neither its target nor a ``combine`` is
-evaluated. A traced walk enters it as any other node, so its trace is
-the same.
+target, then its decision; for a node its target unless it is null,
+then its members, then one ``combine`` over their values. A null
+target is TOP by definition, so a node's is not evaluated; a rule's
+is, because its condition comes right after it. Without a trace, a
+node whose gate lets no member through is not entered: it is
+NotApplicable whatever its target, so neither its target nor a
+``combine`` is evaluated. A traced walk enters it as any other node,
+so its trace is the same.
 
 An optional trace records every value the walk computed, and marks
 each node that left work undone with the reason (``TraceNode.skipped``).
@@ -83,7 +85,9 @@ from .conditions import (
     eval_condition,
     index_request,
 )
-from .decisions import Decision3, Decision6, Effect, sigma
+from .decisions import (
+    BOTTOM, INDET, NOT_APPLICABLE, PERMIT_EFFECT, TOP, Decision3, Decision6, Effect, sigma
+)
 from .errors import EncodingUnsupportedError, InvalidInputError
 from .requests import AttributeTerm, Request
 from .values import Value
@@ -296,31 +300,31 @@ def eval_target(target: Target, index: RequestIndex) -> Decision3:
     at BOTTOM and a join at TOP."""
     any_ofs = target.keys
     if any_ofs is None:
-        return Decision3.TOP
+        return TOP
     # Facts and error attributes are disjoint, so a fact is a hit
     # whatever the error set holds.
     facts = index.facts
     errors = index.errors
-    result = Decision3.TOP
+    result = TOP
     for any_of in any_ofs:
-        joined = Decision3.BOTTOM
+        joined = BOTTOM
         for all_of in any_of:
-            met = Decision3.TOP
+            met = TOP
             for key in all_of:
                 if key in facts:
                     continue
                 if key not in errors:
-                    met = Decision3.BOTTOM
+                    met = BOTTOM
                     break
-                met = Decision3.INDET
-            if met is Decision3.TOP:
+                met = INDET
+            if met is TOP:
                 joined = met
                 break
-            if met is Decision3.INDET:
+            if met is INDET:
                 joined = met
-        if joined is Decision3.BOTTOM:
+        if joined is BOTTOM:
             return joined
-        if joined is Decision3.INDET:
+        if joined is INDET:
             result = joined
     return result
 
@@ -339,8 +343,8 @@ def rule_decision(
 
     The gate reads the condition only under a TOP target, so an
     unevaluated condition (None) is fine under any other."""
-    return _LIFTED[effect is Effect.PERMIT][
-        condition_value if target_value is Decision3.TOP else target_value
+    return _LIFTED[effect is PERMIT_EFFECT][
+        condition_value if target_value is TOP else target_value
     ]
 
 
@@ -458,8 +462,8 @@ def _bottom_trace(member: Rule | PolicyNode, path: tuple[int, ...]) -> TraceNode
         kind = "policy" if isinstance(member, Policy) else "policyset"
         combiner = member.combiner
     return TraceNode(
-        path, kind, member.name, Decision3.BOTTOM, None, combiner, (), None,
-        Decision6.NOT_APPLICABLE, (), "target",
+        path, kind, member.name, BOTTOM, None, combiner, (), None,
+        NOT_APPLICABLE, (), "target",
     )
 
 
@@ -469,13 +473,13 @@ def _eval_node(
     """A node's decision, and its trace node when ``path`` is its trace
     path rather than None.
 
-    The gate is worked out before the target. Without a trace, a node
-    whose gate lets no member through is NotApplicable at once, with
-    no target evaluated and nothing combined: every standard combiner
-    maps only NotApplicable inputs to NotApplicable, which an
-    indeterminate target does not weaken. A traced node is evaluated
-    in full, and each member left out is traced as its BOTTOM target
-    makes it.
+    The gate is worked out before the target, and a null target is
+    TOP without being evaluated. Without a trace, a node whose gate
+    lets no member through is NotApplicable at once, with no target
+    evaluated and nothing combined: every standard combiner maps only
+    NotApplicable inputs to NotApplicable, which an indeterminate
+    target does not weaken. A traced node is evaluated in full, and
+    each member left out is traced as its BOTTOM target makes it.
     """
     is_policy = node.__class__ is Policy
     members = node.rules if is_policy else node.children
@@ -507,27 +511,28 @@ def _eval_node(
         visits = gate.always
     if path is None:
         if not visits:
-            return Decision6.NOT_APPLICABLE, None
+            return NOT_APPLICABLE, None
         order = visits
     else:
         order = range(len(members))
         let_through = set(visits)
         traces = []
-    target_value = eval_target(node.target, index)
-    if target_value is Decision3.BOTTOM:
-        return Decision6.NOT_APPLICABLE, None if path is None else _bottom_trace(node, path)
+    target = node.target
+    target_value = TOP if target.keys is None else eval_target(target, index)
+    if target_value is BOTTOM:
+        return NOT_APPLICABLE, None if path is None else _bottom_trace(node, path)
     absorbing = ABSORBING[node.combiner]
     inputs = []
     skipped = None
     for i in order:
         member = members[i]
         if path is not None and i not in let_through:
-            inputs.append(Decision6.NOT_APPLICABLE)
+            inputs.append(NOT_APPLICABLE)
             traces.append(_bottom_trace(member, (*path, i)))
             continue
         if is_policy:
             rule_target = eval_target(member.target, index)
-            if rule_target is Decision3.TOP:
+            if rule_target is TOP:
                 condition_value = eval_condition(member.plan, index)
             else:
                 condition_value = None
@@ -550,7 +555,7 @@ def _eval_node(
     # An indeterminate target weakens an applicable or indeterminate
     # combination. Members that are all inapplicable need no case of
     # their own: every standard combiner maps them to NOT_APPLICABLE.
-    if target_value is Decision3.INDET and combined is not Decision6.NOT_APPLICABLE:
+    if target_value is INDET and combined is not NOT_APPLICABLE:
         result = _WEAKENED[combined]
     else:
         result = combined

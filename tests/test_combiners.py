@@ -30,7 +30,7 @@ from xpdp import (
     combine_po_v6,
     delta_seq,
 )
-from xpdp.combiners import ABSORBING
+from xpdp.combiners import ABSORBING, FOLD_TABLES
 from xpdp.decisions import V6_LATTICES
 
 from oracles import (
@@ -40,6 +40,13 @@ from oracles import (
 )
 
 D6 = Decision6
+
+V6_DEFINITIONS = {
+    CombinerId.PERMIT_OVERRIDES: combine_po_v6,
+    CombinerId.DENY_OVERRIDES: combine_do_v6,
+    CombinerId.FIRST_APPLICABLE: combine_fa_v6,
+    CombinerId.ONLY_ONE_APPLICABLE: combine_o1a_v6,
+}
 NA = PairValue(ZERO, ZERO)
 PERMIT = PairValue(ZERO, ONE)
 DENY = PairValue(ONE, ZERO)
@@ -156,6 +163,15 @@ class TestDispatch:
     def test_all_permit_pair_dispatch(self):
         assert combine(CombinerId.ALL_PERMIT, "pair", (PERMIT,)) == PERMIT
 
+    @pytest.mark.parametrize("combiner", STANDARD_COMBINERS)
+    def test_v6_fold_equals_definition(self, combiner):
+        # ``combine`` folds over a table of the definition's results on
+        # pairs; it must return the definition's value on every sequence
+        # up to length 5.
+        definition = V6_DEFINITIONS[combiner]
+        for seq in _sequences(5):
+            assert combine(combiner, "v6", seq) is definition(seq), seq
+
 
 class TestCheckEquivalence:
     def test_counts(self):
@@ -168,6 +184,16 @@ class TestCheckEquivalence:
         report = check_equivalence(CombinerId.FIRST_APPLICABLE, 2)
         assert report.sequences_checked == 43
         assert report.counterexamples == ()
+
+    def test_checks_the_fold_combine_runs(self, monkeypatch):
+        # The walk combines through the fold table, so that is what the
+        # check compares with the pair encoding: a broken table is caught.
+        table = list(FOLD_TABLES[CombinerId.DENY_OVERRIDES])
+        table[6 * D6.PERMIT + D6.DENY] = D6.PERMIT
+        monkeypatch.setitem(FOLD_TABLES, CombinerId.DENY_OVERRIDES, tuple(table))
+        report = check_equivalence(CombinerId.DENY_OVERRIDES, 2)
+        assert report.counterexamples
+        assert report.counterexamples[0].decisions == (D6.PERMIT, D6.DENY)
 
     def test_rejects_all_permit_and_negative_lengths(self):
         with pytest.raises(EncodingUnsupportedError):

@@ -698,19 +698,23 @@ def recording(values):
     return recorded
 
 
-def preorder(node):
-    """A trace's nodes, each before its children, as the walk meets them."""
-    yield node
-    for child in node.children:
-        yield from preorder(child)
+def preorder(trace: TraceNode, node):
+    """A trace's nodes, each before its children, as the walk meets them,
+    each with the rule, policy or policy set it traces."""
+    yield trace, node
+    if trace.kind != "rule":
+        members = node.rules if trace.kind == "policy" else node.children
+        for child in trace.children:
+            yield from preorder(child, members[child.path[-1]])
 
 
 def entered_targets(trace: TraceNode, node, req) -> list[D3]:
     """The target values the untraced walk evaluates under ``node``, in
     order, from ``trace``, the node's trace in the ungated walk. A node
-    is entered, and its target evaluated, when some member's target is
-    not BOTTOM, as exactly those pass its gate; it then visits those
-    members up to the stop. A visited rule's target is evaluated."""
+    is entered, and its target evaluated unless it is null, when some
+    member's target is not BOTTOM, as exactly those pass its gate; it
+    then visits those members up to the stop. A visited rule's target
+    is evaluated, null or not."""
     if trace.kind == "rule":
         return [trace.target_value]
     members = node.rules if trace.kind == "policy" else node.children
@@ -723,7 +727,7 @@ def entered_targets(trace: TraceNode, node, req) -> list[D3]:
     visited = [c for c in trace.children if c.target_value is not D3.BOTTOM]
     if not visited:
         return []
-    values = [trace.target_value]
+    values = [] if node.target.keys is None else [trace.target_value]
     for child in visited:
         values += entered_targets(child, members[child.path[-1]], req)
     return values
@@ -761,9 +765,15 @@ class TestGatedEvaluation:
             # the nodes it enters and the rules it visits, in the ungated
             # walk's order.
             assert targets == entered_targets(reference.root, node, req)
-            root, *members = preorder(reference.root)
-            applicable = [m.target_value for m in members if m.target_value is not D3.BOTTOM]
-            if targets != [root.target_value, *applicable]:
+            # What it would evaluate entering every node: the root's and
+            # each applicable member's target, but no node's null target.
+            every = [
+                t.target_value
+                for i, (t, n) in enumerate(preorder(reference.root, node))
+                if (i == 0 or t.target_value is not D3.BOTTOM)
+                and (t.kind == "rule" or n.target.keys is not None)
+            ]
+            if targets != every:
                 seen["not entered"] += 1
 
             def walk(t, n):
@@ -993,7 +1003,9 @@ class TestMemberGate:
 
         monkeypatch.setattr(xpdp.policy, "eval_target", counted)
         decision, trace = evaluate(root, req, with_trace=True)
-        ancestors, hit, null_target = 2, 2, 10
+        # The root's target is null, so of the ancestors only the wide
+        # policy's target is evaluated; a rule's null target is.
+        ancestors, hit, null_target = 1, 2, 10
         assert calls["eval_target"] == ancestors + hit + null_target
         assert decision is D6.INDET_DP
         assert decision is eval_policyset(root, req)
