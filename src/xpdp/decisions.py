@@ -123,8 +123,8 @@ _D6_BY_NAME = {name: Decision6(i) for i, name in enumerate(_D6_NAMES)}
 
 # The members as module constants, which the decision path reads. On
 # CPython 3.11 ``EnumType`` has a Python-level ``__getattr__``, so a
-# load such as ``Decision3.TOP`` is never specialised and costs about
-# five plain global loads; 3.12 removed it.
+# load such as ``Decision3.TOP`` is never specialised and costs over
+# ten times a module global; 3.12 removed it.
 BOTTOM, INDET, TOP = Decision3
 NOT_APPLICABLE, INDET_D, INDET_P, INDET_DP, DENY, PERMIT = Decision6
 PERMIT_EFFECT = Effect.PERMIT
