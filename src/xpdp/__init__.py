@@ -60,12 +60,8 @@ from .conditions import (
     RequestIndex,
     TRUE_CONDITION,
     Variable,
-    atom_variables,
-    check_range_restriction,
-    compare_variables,
     compile_condition,
     eval_condition,
-    free_variables,
     index_request,
     kleene_eval,
 )

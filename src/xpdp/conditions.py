@@ -28,9 +28,9 @@ its ground key up among the errors and then the facts, and a
 comparison by looking each function operand up by its ``(f, c)`` key
 and comparing the values in place; it builds no terms.
 
-``compile_condition`` plans a condition once, when its rule is built,
-in one walk over it: it checks the range restriction, sorts the free
-variables and gives each one of three binding rules.
+``compile_condition`` plans a condition once, in one walk over it: it
+checks the range restriction, collects the names the condition reads,
+sorts the free variables and gives each one of three binding rules.
 
 * A variable occurring in an atom of the top-level conjunction (nested
   conjunctions flattened) is a join variable. It ranges over the values
@@ -198,10 +198,12 @@ class _Uses:
         self.bare = False
 
 
-def _collect_uses(expr: ConditionExpr, top: bool, uses: dict[str, _Uses]) -> None:
+def _collect_uses(expr: ConditionExpr, top: bool, uses: dict[str, _Uses], reads: set[str]) -> None:
     """Record in ``uses`` every variable occurrence in ``expr``, left to
-    right; ``top`` says whether ``expr`` is a top-level conjunct."""
+    right, and in ``reads`` the names of its atoms and function
+    operands; ``top`` says whether ``expr`` is a top-level conjunct."""
     if isinstance(expr, Atom):
+        reads.add(expr.name)
         arity = len(expr.terms)
         for i, term in enumerate(expr.terms):
             if isinstance(term, Variable):
@@ -214,56 +216,18 @@ def _collect_uses(expr: ConditionExpr, top: bool, uses: dict[str, _Uses]) -> Non
         for op in (expr.left, expr.right):
             if isinstance(op, Variable):
                 uses[op.name].bare = True
-            elif isinstance(op, FunctionValue) and isinstance(op.arg, Variable):
-                uses[op.arg.name].sites[(op.name, None, 0)] = None
+            elif isinstance(op, FunctionValue):
+                reads.add(op.name)
+                if isinstance(op.arg, Variable):
+                    uses[op.arg.name].sites[(op.name, None, 0)] = None
     elif isinstance(expr, And):
         for child in expr.children:
-            _collect_uses(child, top, uses)
+            _collect_uses(child, top, uses, reads)
     elif isinstance(expr, Or):
         for child in expr.children:
-            _collect_uses(child, False, uses)
+            _collect_uses(child, False, uses, reads)
     elif isinstance(expr, Not):
-        _collect_uses(expr.expr, False, uses)
-
-
-def _variable_uses(expr: ConditionExpr) -> dict[str, _Uses]:
-    uses: dict[str, _Uses] = defaultdict(_Uses)
-    _collect_uses(expr, True, uses)
-    return uses
-
-
-def atom_variables(expr: ConditionExpr) -> frozenset[str]:
-    """Variables occurring inside atoms (the positions that bind)."""
-    return frozenset(name for name, use in _variable_uses(expr).items() if use.bound)
-
-
-def compare_variables(expr: ConditionExpr) -> frozenset[str]:
-    """Variables occurring in comparisons, bare or as a function argument."""
-    return frozenset(
-        name
-        for name, use in _variable_uses(expr).items()
-        if use.bare or any(arity is None for _, arity, _ in use.sites)
-    )
-
-
-def free_variables(expr: ConditionExpr) -> frozenset[str]:
-    return frozenset(_variable_uses(expr))
-
-
-def _range_restricted(uses: dict[str, _Uses]) -> dict[str, _Uses]:
-    unbound = [name for name, use in uses.items() if not use.bound]
-    if unbound:
-        raise UnboundVariableError(
-            f"comparison variables bound by no atom: {', '.join(sorted(unbound))}"
-        )
-    return uses
-
-
-def check_range_restriction(expr: ConditionExpr) -> frozenset[str]:
-    """Every comparison variable must also occur in some atom, or there
-    is nothing to bind it against. Returns the free variables, which
-    are then exactly the atom variables."""
-    return frozenset(_range_restricted(_variable_uses(expr)))
+        _collect_uses(expr.expr, False, uses, reads)
 
 
 # Strong Kleene negation, indexed by value.
@@ -456,22 +420,6 @@ def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> D
     raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
-def collect_reads(expr: ConditionExpr, names: set[str]) -> None:
-    """Add to ``names`` the names of ``expr``'s atoms and function
-    operands: the request attributes its evaluation can look up."""
-    if isinstance(expr, Atom):
-        names.add(expr.name)
-    elif isinstance(expr, Compare):
-        for operand in (expr.left, expr.right):
-            if isinstance(operand, FunctionValue):
-                names.add(operand.name)
-    elif isinstance(expr, (And, Or)):
-        for child in expr.children:
-            collect_reads(child, names)
-    elif isinstance(expr, Not):
-        collect_reads(expr.expr, names)
-
-
 class ConditionPlan(Value):
     """A condition with what its evaluation needs worked out once: one
     binding rule per free variable (see the module docstring).
@@ -481,19 +429,29 @@ class ConditionPlan(Value):
     top-level positive conjunct atom; a variable with sources is a join
     variable. For any other variable, ``sites[i]`` holds its sites, or
     is None when it is a bare comparison operand and ranges over the
-    whole domain.
+    whole domain. ``reads`` holds the names of the condition's atoms and
+    function operands: the request attributes its evaluation can look up.
     """
 
     expr: ConditionExpr
     variables: tuple[str, ...]
     sources: tuple[tuple[tuple[Atom, int], ...], ...]
     sites: tuple[Optional[tuple[Site, ...]], ...]
+    reads: frozenset[str]
 
 
 def compile_condition(expr: ConditionExpr) -> ConditionPlan:
     """Plan a condition for evaluation, in one walk over it; raises
-    ``UnboundVariableError`` when it breaks the range restriction."""
-    uses = _range_restricted(_variable_uses(expr))
+    ``UnboundVariableError`` when it breaks the range restriction: a
+    comparison variable that occurs in no atom has nothing to bind it."""
+    uses: dict[str, _Uses] = defaultdict(_Uses)
+    reads: set[str] = set()
+    _collect_uses(expr, True, uses, reads)
+    unbound = [name for name, use in uses.items() if not use.bound]
+    if unbound:
+        raise UnboundVariableError(
+            f"comparison variables bound by no atom: {', '.join(sorted(unbound))}"
+        )
     variables = tuple(sorted(uses))
     sources = []
     sites = []
@@ -501,7 +459,7 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
         use = uses[name]
         sources.append(tuple(use.sources))
         sites.append(() if use.sources else None if use.bare else tuple(use.sites))
-    return ConditionPlan(expr, variables, tuple(sources), tuple(sites))
+    return ConditionPlan(expr, variables, tuple(sources), tuple(sites), frozenset(reads))
 
 
 def _domain_set(index: RequestIndex) -> frozenset[Constant]:

@@ -48,8 +48,11 @@ target is TOP by definition, so a node's is not evaluated; a rule's
 is, because its condition comes right after it. Without a trace, a
 node whose gate lets no member through is not entered: it is
 NotApplicable whatever its target, so neither its target nor a
-``combine`` is evaluated. A traced walk enters it as any other node,
-so its trace is the same.
+``combine`` is evaluated. A policy set does not even call the walk for
+a child with no null-target member and no gate key among the request's
+category keys, one set test; the child's NotApplicable is still among
+the set's inputs. A traced walk enters every such node as any other
+node, so its trace is the same.
 
 An optional trace records every value the walk computed, and marks
 each node that left work undone with the reason (``TraceNode.skipped``).
@@ -60,8 +63,10 @@ parent's inputs, so the trace is the same as without the gate.
 Rules are decided by the composed gate-and-lift form, read from a table
 built from ``sigma``; the test suite checks it exhaustively against the
 literal three-case analysis. A rule plans its condition once, when it
-is built (``compile_condition``), and a policy or policy set collects
-the names of the request attributes it reads (``needs``). ``evaluate``
+is built (``compile_condition``); rules the parser reads with equal
+condition tokens share one condition and one plan. A policy or policy
+set collects the names of the request attributes it reads (``needs``):
+its targets' match names and its plans' ``reads``. ``evaluate``
 indexes the request once, for the root's ``needs`` only
 (``index_request``), and hands the index down the walk.
 Policies and policy sets accept only the four standard combining
@@ -80,7 +85,6 @@ from .conditions import (
     ConditionPlan,
     RequestIndex,
     TermKey,
-    collect_reads,
     compile_condition,
     eval_condition,
     index_request,
@@ -227,6 +231,14 @@ class Rule(Value, derived=("plan",)):
         _check_name(self.name)
         object.__setattr__(self, "plan", compile_condition(self.condition))
 
+    def _sharing_condition(self, name: str, effect: Effect, target: Target) -> Rule:
+        """A rule with this rule's condition and plan, not planned again."""
+        rule = Rule.__new__(Rule)
+        for field, value in zip(Rule.__slots__, (name, effect, target, self.condition, self.plan)):
+            object.__setattr__(rule, field, value)
+        _check_name(name)
+        return rule
+
 
 def _collect_target_reads(target: Target, names: set[str]) -> None:
     """Add to ``names`` the names of ``target``'s matches."""
@@ -238,9 +250,9 @@ def _collect_target_reads(target: Target, names: set[str]) -> None:
 
 class Policy(Value, derived=("gate", "needs")):
     """A policy. ``needs`` holds the names of the request attributes the
-    policy reads: those its own and its rules' targets match, and those
-    of its rules' condition atoms and function operands. A request is
-    indexed for the root's ``needs`` only (``index_request``)."""
+    policy reads: those its own and its rules' targets match, and the
+    ``reads`` of its rules' condition plans. A request is indexed for
+    the root's ``needs`` only (``index_request``)."""
 
     name: str
     target: Target
@@ -259,7 +271,7 @@ class Policy(Value, derived=("gate", "needs")):
         _collect_target_reads(self.target, names)
         for rule in self.rules:
             _collect_target_reads(rule.target, names)
-            collect_reads(rule.condition, names)
+            names |= rule.plan.reads
         object.__setattr__(self, "needs", frozenset(names))
 
 
@@ -542,6 +554,13 @@ def _eval_node(
                     (*path, i), "rule", member.name, rule_target, condition_value, None, (),
                     None, value, (), None if condition_value is not None else "target",
                 ))
+        elif path is None and not member.gate.always and (
+            member.gate.keys.keys().isdisjoint(present)
+        ):
+            # No key of the child's gate is present, so it lets no member
+            # through and the child is NotApplicable without a call. A
+            # keys view walks the smaller side, usually the request's.
+            value = NOT_APPLICABLE
         else:
             value, trace = _eval_node(member, index, None if path is None else (*path, i))
             if trace is not None:

@@ -17,11 +17,19 @@ Nesting (policy sets, parenthesised target and condition groups, and
 ``not``) is bounded by ``MAX_NESTING``; deeper input is a parse error.
 
 Source positions live only in parse errors. The lexer reads every
-token text with one ``findall`` and gives each a kind from its text; a
+token text with one ``findall`` and looks for an unexpected character
+among the distinct texts only; it gives no token a kind. The parser
+tells a kind from the text at the few places it reads one, and a
 parser position is a token index. Neither the tokens nor the syntax
 tree carry offsets: only a parser raising an error scans the source
 again to the offending token and builds its ``SourceSpan`` (line and
 column counted on ``"\\n"``).
+
+In one document, equal target matches, equal variables and conditions
+with equal tokens each parse to one object. A rule whose condition
+tokens (up to its closing brace) and nesting depth an earlier rule had
+gets that rule's condition and plan, with no parsing or planning; the
+table lives for one ``parse_policy`` call.
 
 Requests are brace-wrapped fact lists; a term prefixed ``error:`` lands
 in the request's error-attribute set instead of its facts:
@@ -122,17 +130,10 @@ _TOKEN_RE = re.compile(
     + r"|(?s:.)|\Z)"
 )
 
-# A token's kind: by its text for a fixed one (the end of input is the
-# empty text), otherwise by its first character.
-_FIXED_KINDS = {
-    **{text: kind for kind, text in _SYMBOLS.items()},
-    **dict.fromkeys(_COMBINER_TOKENS, "COMBINER"),
-    "": "EOF",
-}
-_FIRST_CHAR_KINDS = {
-    **dict.fromkeys("0123456789", "NUMBER"),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
-}
+# Every token but a fixed one (the end of input is the empty text)
+# starts with one of these, unless it is one unexpected character.
+_FIXED_TEXTS = frozenset([*_SYMBOLS.values(), *_COMBINER_TOKENS, ""])
+_WORD_START = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _EFFECTS = {"permit": Effect.PERMIT, "deny": Effect.DENY}
 _LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
@@ -143,18 +144,19 @@ _TARGET_HEAD = ["target", ":"]
 _CONDITION_HEAD = ["condition", ":"]
 
 
-def _tokenize(source: str) -> tuple[list[str], list[str]]:
-    """The texts and kinds of the tokens of ``source``, ending with one
-    empty ``EOF`` token; an unexpected character is a parse error."""
+def _tokenize(source: str) -> list[str]:
+    """The texts of the tokens of ``source``, ending with one empty
+    token for the end of input; an unexpected character is a parse
+    error. Only the distinct texts are checked."""
     texts = _TOKEN_RE.findall(source)
     # The empty end of input matches once more after trailing blanks.
     if len(texts) > 1 and not texts[-2]:
         texts.pop()
-    kinds = [_FIXED_KINDS.get(t) or _FIRST_CHAR_KINDS.get(t[0], "UNEXPECTED") for t in texts]
-    if "UNEXPECTED" in kinds:
-        i = kinds.index("UNEXPECTED")
+    unexpected = {t for t in set(texts).difference(_FIXED_TEXTS) if t[0] not in _WORD_START}
+    if unexpected:
+        i = next(i for i, t in enumerate(texts) if t in unexpected)
         raise ParseError(f"unexpected character {texts[i]!r}", _span_at(source, texts, i))
-    return texts, kinds
+    return texts
 
 
 def _span_at(source: str, texts: list[str], i: int) -> SourceSpan:
@@ -169,20 +171,22 @@ def _span_at(source: str, texts: list[str], i: int) -> SourceSpan:
 
 
 class _Parser:
-    """Recursive descent over token texts and kinds read by index. A
-    production takes the index of its first token and returns what it
-    read with the index after it. Equal target matches and equal
-    variables each share one object."""
+    """Recursive descent over token texts read by index. A production
+    takes the index of its first token and returns what it read with
+    the index after it. Of the lexed tokens, only an identifier passes
+    ``str.isidentifier`` and only a number ``str.isdigit``."""
 
     def __init__(self, source: str):
         self._source = source
-        self._texts, self._kinds = _tokenize(source)
+        self._texts = _tokenize(source)
         self._depth = 0
         # A match's single-match any-of, so equal matches share one
         # term, one ground key and one any-of, which a member gate
         # weighs once however many members use it.
         self._matches: dict[tuple[str, Constant], AnyOf] = {}
         self._variables: dict[str, Variable] = {}
+        # The first rule read by (nesting depth, condition tokens).
+        self._conditions: dict[tuple[str | int, ...], Rule] = {}
         # Where the first alternation too deep for the target being
         # read starts; reported once the target has been read.
         self._too_deep: int | None = None
@@ -236,7 +240,7 @@ class _Parser:
 
     def policyset(self, i: int) -> tuple[PolicySet, int]:
         texts = self._texts
-        if self._kinds[i + 1] != "IDENT":
+        if not texts[i + 1].isidentifier():
             self._expected("a policy set name", i + 1)
         name = texts[i + 1]
         target, i = self._target_field(self._want(i + 2, "{"))
@@ -262,7 +266,7 @@ class _Parser:
 
     def policy(self, i: int) -> tuple[Policy, int]:
         texts = self._texts
-        if self._kinds[i + 1] != "IDENT":
+        if not texts[i + 1].isidentifier():
             self._expected("a policy name", i + 1)
         name = texts[i + 1]
         target, i = self._target_field(self._want(i + 2, "{"))
@@ -289,7 +293,7 @@ class _Parser:
         texts = self._texts
         if texts[i] != "rule":
             self._expected("'rule'", i)
-        if self._kinds[i + 1] != "IDENT":
+        if not texts[i + 1].isidentifier():
             self._expected("a rule name", i + 1)
         name = texts[i + 1]
         if texts[i + 2:i + 5] != _RULE_HEAD:
@@ -302,20 +306,33 @@ class _Parser:
         target, i = self._target_field(i + 7)
         if texts[i:i + 2] != _CONDITION_HEAD:
             self._want(i, *_CONDITION_HEAD)
-        condition, end = self._cor(i + 2)
+        i += 2
+        # A condition holds no brace, so a rule read with the same
+        # tokens up to its first brace read the same condition.
+        try:
+            close = texts.index("}", i)
+        except ValueError:  # no brace: reading the condition fails
+            close = i
+        key = (self._depth, *texts[i:close])
+        first = self._conditions.get(key)
+        if first is not None:
+            return first._sharing_condition(name, effect, target), close + 1
+        condition, end = self._cor(i)
         if texts[end] == ";":
             end += 1
         if texts[end] != "}":
             self._expected("'}'", end)
         try:
-            return Rule(name, effect, target, condition), end + 1
+            rule = Rule(name, effect, target, condition)
         except UnboundVariableError as exc:
-            raise ParseError(str(exc), self._span(i + 2)) from None
+            raise ParseError(str(exc), self._span(i)) from None
+        self._conditions[key] = rule
+        return rule, end + 1
 
     def _combiner_field(self, i: int) -> tuple[CombinerId, int]:
         i = self._want(i, "combiner", ":")
-        kind, text = self._kinds[i], self._texts[i]
-        if kind == "COMBINER":
+        text = self._texts[i]
+        if text in _COMBINER_TOKENS:
             combiner = CombinerId.from_token(text)
             if combiner not in STANDARD_COMBINERS:
                 self._fail(
@@ -323,7 +340,7 @@ class _Parser:
                     "a policy needs p-o, d-o, f-a or o-1-a",
                     i,
                 )
-        elif kind == "IDENT":
+        elif text.isidentifier():
             raise UnknownCombinerError(f"unknown combining algorithm: {text!r}", self._span(i))
         else:
             self._fail("expected a combining algorithm id", i)
@@ -398,7 +415,7 @@ class _Parser:
             if texts[i] != ")":
                 self._expected("')'", i)
             return part, i + 1
-        if self._kinds[i] != "IDENT":
+        if not texts[i].isidentifier():
             self._expected("a category match", i)
         category = texts[i]
         if category not in CATEGORIES:
@@ -415,10 +432,10 @@ class _Parser:
         return (any_of, None), i + 4
 
     def _constant(self, i: int, what: str) -> Constant:
-        kind, text = self._kinds[i], self._texts[i]
-        if kind == "NUMBER":
+        text = self._texts[i]
+        if text.isdigit():
             return self._number(i)
-        if kind != "IDENT":
+        if not text.isidentifier():
             self._expected(what, i)
         if text[0].isupper():
             self._fail(f"variables are not allowed here, found {text!r}", i)
@@ -498,8 +515,8 @@ class _Parser:
         return FunctionValue(value, args[0])
 
     def _term(self, i: int) -> Term:
-        kind, text = self._kinds[i], self._texts[i]
-        if kind == "IDENT":
+        text = self._texts[i]
+        if text.isidentifier():
             if text[0].isupper():
                 variable = self._variables.get(text)
                 if variable is None:
@@ -508,7 +525,7 @@ class _Parser:
             if text in RESERVED_CONDITION_WORDS:
                 self._fail(f"{text!r} cannot be used as a term", i)
             return text
-        if kind == "NUMBER":
+        if text.isdigit():
             return self._number(i)
         self._expected("a term", i)
 
@@ -543,7 +560,7 @@ class _Parser:
 
     def _request_term(self, i: int) -> tuple[AttributeTerm, int]:
         texts = self._texts
-        if self._kinds[i] != "IDENT":
+        if not texts[i].isidentifier():
             self._expected("an attribute name", i)
         name = texts[i]
         if texts[i + 1] != "(":

@@ -46,12 +46,10 @@ from xpdp import (
     TraceNode,
     UnboundVariableError,
     Variable,
-    check_range_restriction,
     combine,
     delta,
     eval_condition,
     eval_target,
-    free_variables,
     glb3,
     index_request,
     lub3,
@@ -343,6 +341,53 @@ def full_index(request: Request) -> dict:
         "function_errors": function_errors,
         "category_keys": category_keys,
     }
+
+
+def _variable_occurrences(expr: ConditionExpr):
+    """Each variable occurrence in ``expr`` as ``(name, where)``, with
+    ``where`` one of ``"atom"``, ``"bare"`` (a comparison operand) and
+    ``"function"`` (a function operand's argument)."""
+    if isinstance(expr, Atom):
+        for term in expr.terms:
+            if isinstance(term, Variable):
+                yield term.name, "atom"
+    elif isinstance(expr, Compare):
+        for op in (expr.left, expr.right):
+            if isinstance(op, Variable):
+                yield op.name, "bare"
+            elif isinstance(op, FunctionValue) and isinstance(op.arg, Variable):
+                yield op.arg.name, "function"
+    elif isinstance(expr, (And, Or)):
+        for child in expr.children:
+            yield from _variable_occurrences(child)
+    elif isinstance(expr, Not):
+        yield from _variable_occurrences(expr.expr)
+
+
+def atom_variables(expr: ConditionExpr) -> frozenset[str]:
+    """Variables occurring inside atoms (the positions that bind)."""
+    return frozenset(name for name, where in _variable_occurrences(expr) if where == "atom")
+
+
+def compare_variables(expr: ConditionExpr) -> frozenset[str]:
+    """Variables occurring in comparisons, bare or as a function argument."""
+    return frozenset(name for name, where in _variable_occurrences(expr) if where != "atom")
+
+
+def free_variables(expr: ConditionExpr) -> frozenset[str]:
+    return frozenset(name for name, _ in _variable_occurrences(expr))
+
+
+def check_range_restriction(expr: ConditionExpr) -> frozenset[str]:
+    """Every comparison variable must also occur in some atom, or there
+    is nothing to bind it against. Returns the free variables, which
+    are then exactly the atom variables."""
+    unbound = free_variables(expr) - atom_variables(expr)
+    if unbound:
+        raise UnboundVariableError(
+            f"comparison variables bound by no atom: {', '.join(sorted(unbound))}"
+        )
+    return free_variables(expr)
 
 
 def eval_condition_product(expr: ConditionExpr, request: Request) -> Decision3:

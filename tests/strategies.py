@@ -27,9 +27,9 @@ from xpdp import (
     STANDARD_COMBINERS,
     Target,
     Variable,
-    atom_variables,
-    compare_variables,
 )
+
+from oracles import atom_variables, compare_variables
 
 _IDENT_POOL = (
     "alpha", "beta", "gamma", "p", "q", "owner", "ward", "age", "dept",

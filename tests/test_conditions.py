@@ -20,11 +20,9 @@ from xpdp import (
     Request,
     UnboundVariableError,
     Variable,
-    check_range_restriction,
     compile_condition,
     eval_condition,
     evaluate,
-    free_variables,
     index_request,
     kleene_eval,
     parse_policy,
@@ -33,7 +31,13 @@ from xpdp import (
 
 import strategies
 from documents import benchmark_workloads
-from oracles import eval_condition_product, evaluate_exhaustive, kleene_eval_terms
+from oracles import (
+    check_range_restriction,
+    eval_condition_product,
+    evaluate_exhaustive,
+    free_variables,
+    kleene_eval_terms,
+)
 
 D3 = Decision3
 X = Variable("X")

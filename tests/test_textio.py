@@ -40,7 +40,7 @@ from xpdp import (
 import strategies
 from documents import wide_document
 from oracles import ORDERS, lex_with_offsets
-from xpdp.textio import MAX_NESTING, _span_at, _tokenize
+from xpdp.textio import _COMBINER_TOKENS, _SYMBOLS, MAX_NESTING, _span_at, _tokenize
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -204,6 +204,16 @@ class TestParsePolicy:
             parse_policy(MINIMAL.replace("condition: true", "condition: X = 1"))
         assert err.value.span is not None
         assert "X" in str(err.value)
+
+    def test_term_kinds(self):
+        # A term is an identifier or a number; a combiner id, which
+        # also starts with a letter, is neither.
+        cond = parse_policy(MINIMAL.replace("condition: true", "condition: p(_x, X1, 07)"))
+        assert cond.rules[0].condition == Atom("p", ("_x", Variable("X1"), 7))
+        for term in ("d-o", "all-permit", "/\\", "(", ";"):
+            with pytest.raises(ParseError) as err:
+                parse_policy(MINIMAL.replace("condition: true", f"condition: p(a, {term})"))
+            assert err.value.message == f"expected a term, found {term!r}"
 
     def test_comments_and_whitespace(self):
         node = parse_policy("# leading\n" + MINIMAL + "\n# trailing")
@@ -488,6 +498,25 @@ class TestNestingBound:
         with pytest.raises(ParseError):
             parse_policy(text.replace("condition: ", "condition: not "))
 
+    def test_shared_condition_one_level_deeper(self):
+        # The same condition text, at the bound in policy set B and one
+        # level past it in policy set D, which sits one level deeper.
+        condition = "not " * (MAX_NESTING - 2) + "ok(x)"
+        policy = (
+            "policy P { target: null; combiner: d-o; rules: ["
+            f" rule R {{ effect: permit; target: null; condition: {condition}; }} ]; }}"
+        )
+        head = "policyset {} {{ target: null; combiner: p-o; children: [ "
+        shallow = head.format("B") + policy + " ]; }"
+        deep = head.format("C") + head.format("D") + policy + " ]; } ]; }"
+        parse_policy(head.format("A") + shallow + " ]; }")
+        for children in (f"{shallow}, {deep}", f"{deep}, {shallow}"):
+            text = head.format("A") + children + " ]; }"
+            with pytest.raises(ParseError) as err:
+                parse_policy(text)
+            assert "nesting deeper than" in str(err.value)
+            assert text[err.value.span.start:].startswith("not ok(x)")
+
     def test_far_past_the_bound(self):
         with pytest.raises(ParseError):
             parse_policy(nested_sets(2000))
@@ -503,12 +532,30 @@ def lexed(lex, text: str):
         return exc.message, exc.span
 
 
+_SYMBOL_KINDS = {text: kind for kind, text in _SYMBOLS.items()}
+
+
+def token_kind(text: str) -> str:
+    """A lexed token's kind, told from its text the way the parser tells
+    it: a fixed text, then ``str.isdigit`` for a number and
+    ``str.isidentifier`` for an identifier."""
+    if text in _SYMBOL_KINDS:
+        return _SYMBOL_KINDS[text]
+    if text in _COMBINER_TOKENS:
+        return "COMBINER"
+    if not text:
+        return "EOF"
+    if text.isdigit():
+        return "NUMBER"
+    return "IDENT" if text.isidentifier() else "UNKNOWN"
+
+
 def tokens_with_offsets(text: str) -> list[tuple[str, str, int]]:
     """The lexer's tokens as ``(kind, text, start)``, each start found the
     way an error finds it."""
-    texts, kinds = _tokenize(text)
-    return [(kind, token, _span_at(text, texts, i).start)
-            for i, (kind, token) in enumerate(zip(kinds, texts))]
+    texts = _tokenize(text)
+    return [(token_kind(token), token, _span_at(text, texts, i).start)
+            for i, token in enumerate(texts)]
 
 
 class TestLexerOracle:
@@ -548,6 +595,16 @@ class TestLexerOracle:
         assert lexed(tokens_with_offsets, bad) == lexed(lex_with_offsets, bad)
 
 
+def policy_with_conditions(*conditions: str) -> str:
+    """A d-o policy of null-target permit rules ``R0``, ``R1``, ... with
+    the given conditions."""
+    rules = ",\n".join(
+        f"  rule R{k} {{ effect: permit; target: null; condition: {condition}; }}"
+        for k, condition in enumerate(conditions)
+    )
+    return f"policy P {{ target: null; combiner: d-o; rules: [\n{rules}\n]; }}\n"
+
+
 def target_matches(target):
     for any_of in target.any_ofs or ():
         for all_of in any_of.all_ofs:
@@ -555,8 +612,9 @@ def target_matches(target):
 
 
 class TestSharedObjects:
-    """Equal matches and equal variables of one document each parse to
-    one object; the tree equals one built from separate objects."""
+    """Equal matches, equal variables and equal condition texts of one
+    document each parse to one object; the tree equals one built from
+    separate objects."""
 
     def test_variables(self):
         node = parse_policy(with_condition("p(X) /\\ q(X, Y) /\\ X != Y"))
@@ -578,6 +636,49 @@ class TestSharedObjects:
         assert pickle.loads(pickle.dumps(node)) == fresh
         assert pickle.loads(pickle.dumps(fresh)) == node
         assert serialize_policy(node) == serialize_policy(fresh)
+
+    def test_conditions(self):
+        """Rules whose condition tokens are equal share one condition and
+        one plan, however the texts are spaced or commented; different
+        texts and different parses share neither."""
+        texts = (
+            "p(X) /\\ q(X, Y) /\\ X != Y",
+            "p(X)/\\q(X,Y)  # a comment\n   /\\ X!=Y",
+            "p(X) /\\ q(Y, X) /\\ X != Y",
+            "p(X) /\\ q(X, Y) /\\ X != Y",
+        )
+        document = policy_with_conditions(*texts)
+        node = parse_policy(document)
+        first, spaced, other, repeated = node.rules
+        assert first.condition is spaced.condition is repeated.condition
+        assert first.plan is spaced.plan is repeated.plan
+        assert other.condition is not first.condition and other.plan is not first.plan
+        # Only the document's variables are shared between different texts.
+        assert not {id(c) for c in other.condition.children} & {
+            id(c) for c in first.condition.children
+        }
+        again = parse_policy(document)
+        assert again == node
+        for mine, theirs in zip(again.rules, node.rules):
+            assert mine.condition is not theirs.condition and mine.plan is not theirs.plan
+        fresh = Policy(
+            "P",
+            NULL_TARGET,
+            tuple(
+                Rule(f"R{k}", Effect.PERMIT, NULL_TARGET,
+                     parse_policy(policy_with_conditions(text)).rules[0].condition)
+                for k, text in enumerate(texts)
+            ),
+            CombinerId.DENY_OVERRIDES,
+        )
+        assert len({id(r.condition) for r in fresh.rules}) == 4
+        assert node == fresh and node.needs == fresh.needs
+        assert [r.plan for r in node.rules] == [r.plan for r in fresh.rules]
+        assert pickle.loads(pickle.dumps(node)) == fresh
+        assert pickle.loads(pickle.dumps(fresh)) == node
+        assert serialize_policy(node) == serialize_policy(fresh)
+        request = parse_request("{ p(a), q(a, b), q(b, a) }")
+        assert evaluate(node, request, with_trace=True) == evaluate(fresh, request, with_trace=True)
 
     def test_wide_document(self):
         """A 1 000-rule document round-trips, and every member gate is

@@ -112,9 +112,11 @@ EXAMPLES = [
      "Compare(left=FunctionValue(name='age', arg=Variable(name='X')), op='>=', right=18)))"),
     (Or, dict(children=(TRUE_CONDITION, ATOM)),
      "Or(children=(BoolLiteral(value=True), Atom(name='doctor', terms=(Variable(name='X'),))))"),
-    (ConditionPlan, dict(expr=ATOM, variables=("X",), sources=(((ATOM, 0),),), sites=(None,)),
+    (ConditionPlan, dict(expr=ATOM, variables=("X",), sources=(((ATOM, 0),),), sites=(None,),
+                         reads=frozenset({"doctor"})),
      "ConditionPlan(expr=Atom(name='doctor', terms=(Variable(name='X'),)), variables=('X',), "
-     "sources=(((Atom(name='doctor', terms=(Variable(name='X'),)), 0),),), sites=(None,))"),
+     "sources=(((Atom(name='doctor', terms=(Variable(name='X'),)), 0),),), sites=(None,), "
+     "reads=frozenset({'doctor'}))"),
     (AllOf, dict(matches=(DOCTOR,)), "AllOf(matches=(AttributeTerm(subject(doctor)),))"),
     (AnyOf, dict(all_ofs=(ALL_OF,)),
      "AnyOf(all_ofs=(AllOf(matches=(AttributeTerm(subject(doctor)),)),))"),
