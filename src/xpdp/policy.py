@@ -21,18 +21,20 @@ gives one object, share one key. A match hits when its key is among
 the ``facts`` of the request index and is indeterminate when it is
 among its ``errors``; no term is hashed or compared during a walk.
 
-A node visits exactly the members whose target is not BOTTOM. When a
-policy or policy set is built it compiles a ``MemberGate``: each
+A node visits exactly the members that can apply. When a policy or
+policy set is built it compiles a ``MemberGate``, bottom-up: each
 member with a non-null target is listed under the key of one match
 from each all-of of one of its any-ofs, chosen so that as few siblings
 as possible share them. The choice is made once per distinct any-of,
 however many members share it. A target that is not BOTTOM needs, in
 every any-of, an all-of whose matches are all facts or error
 attributes, so one listed key of each such member is among the
-request's category keys. The node takes the members those keys hit and
-visits, in order, the ones whose every any-of has an all-of with all
-its keys among the request's category keys, plus the null-target
-members. Every other member has a BOTTOM target and is NotApplicable,
+request's category keys. A null-target child with no ``always``
+member of its own is listed under every key of its gate, so a set's
+gate holds its descendants' keys at any depth. The node visits, in
+order, the hit members whose single-all-of keys are all present (one
+set test) and whose other any-ofs each have an all-of all present,
+plus the ``always`` members. Every other member is NotApplicable,
 which every standard combiner ignores (the bottom of the p-o and d-o
 lattices, skipped by f-a, a blank to o-1-a), so leaving it out changes
 no value.
@@ -48,11 +50,9 @@ target is TOP by definition, so a node's is not evaluated; a rule's
 is, because its condition comes right after it. Without a trace, a
 node whose gate lets no member through is not entered: it is
 NotApplicable whatever its target, so neither its target nor a
-``combine`` is evaluated. A policy set does not even call the walk for
-a child with no null-target member and no gate key among the request's
-category keys, one set test; the child's NotApplicable is still among
-the set's inputs. A traced walk enters every such node as any other
-node, so its trace is the same.
+``combine`` is evaluated, and a policy set calls the walk only for the
+children its gate lets through. A traced walk enters every null-target
+child as any other node, so its trace is the same.
 
 An optional trace records every value the walk computed, and marks
 each node that left work undone with the reason (``TraceNode.skipped``).
@@ -171,20 +171,24 @@ class MemberGate(Value):
     """A node's members indexed by target (see the module docstring).
 
     ``keys`` maps a match's ground key to the positions of the members
-    listed under it; a member listed under no key of the request's
-    category facts and error attributes has a BOTTOM target. ``always``
-    holds the null-target members' positions.
+    listed under it, ascending; a member listed under no present key is
+    NotApplicable. ``always`` holds null-target rules and null-target
+    children with ``always`` members. ``required[i]`` holds the keys of
+    member ``i``'s single-all-of any-ofs, ``alternations[i]`` the rest.
     """
 
     keys: Mapping[TermKey, tuple[int, ...]]
     always: tuple[int, ...]
+    required: tuple[tuple[TermKey, ...], ...]
+    alternations: tuple[tuple[tuple[TermKey, ...], ...], ...]
 
 
-def compile_gate(targets: Sequence[Target]) -> MemberGate:
+def compile_gate(targets: Sequence[Target], gates: Optional[Sequence] = None) -> MemberGate:
     """Index members by target. Each member is listed under the any-of,
     and each all-of under the match, that the fewest siblings mention,
     so a request hits as few members as it can. An any-of that several
-    members share (the parser gives equal matches one) is weighed once."""
+    members share (the parser gives equal matches one) is weighed once.
+    ``gates`` holds the members' own gates, None for rules (the default)."""
     # Any-ofs by the id of their keys, with the number of members using them.
     any_ofs: dict[int, tuple[tuple[TermKey, ...], ...]] = {}
     users: Counter[int] = Counter()
@@ -204,20 +208,32 @@ def compile_gate(targets: Sequence[Target]) -> MemberGate:
         picks[ident] = (sum(map(count, chosen)), chosen)
     keys: dict[TermKey, list[int]] = {}
     always = []
+    required, alternations = [], []
     for i, target in enumerate(targets):
-        if target.keys is None:
-            always.append(i)
-            continue
         best = None
-        for any_of in target.keys:
+        needed, alternating = [], []
+        for any_of in target.keys or ():
             pick = picks[id(any_of)]
             if best is None or pick[0] < best[0]:
                 best = pick
-        for key in best[1]:
-            positions = keys.setdefault(key, [])
-            if not positions or positions[-1] != i:
-                positions.append(i)
-    return MemberGate({k: tuple(p) for k, p in keys.items()}, tuple(always))
+            if len(any_of) == 1:
+                needed.extend(any_of[0])
+            else:
+                alternating.append(any_of)
+        required.append(tuple(needed))
+        alternations.append(tuple(alternating))
+        if best is None and (gates is None or gates[i].always):
+            always.append(i)
+        elif best is None:
+            for key in gates[i].keys:
+                keys.setdefault(key, []).append(i)
+        else:
+            for key in best[1]:
+                positions = keys.setdefault(key, [])
+                if not positions or positions[-1] != i:
+                    positions.append(i)
+    return MemberGate({k: tuple(p) for k, p in keys.items()}, tuple(always),
+                      tuple(required), tuple(alternations))
 
 
 class Rule(Value, derived=("plan",)):
@@ -294,7 +310,8 @@ class PolicySet(Value, derived=("gate", "needs")):
             raise InvalidInputError(
                 f"policy set {self.name!r} mixes policies and policy sets"
             )
-        object.__setattr__(self, "gate", compile_gate([c.target for c in self.children]))
+        gate = compile_gate([c.target for c in self.children], [c.gate for c in self.children])
+        object.__setattr__(self, "gate", gate)
         names: set[str] = set()
         _collect_target_reads(self.target, names)
         for child in self.children:
@@ -490,44 +507,48 @@ def _eval_node(
     lets no member through is NotApplicable at once, with no target
     evaluated and nothing combined: every standard combiner maps only
     NotApplicable inputs to NotApplicable, which an indeterminate
-    target does not weaken. A traced node is evaluated in full, and
-    each member left out is traced as its BOTTOM target makes it.
+    target does not weaken. A traced node is evaluated in full: it
+    enters every null-target child, and each other member left out is
+    traced as its BOTTOM target makes it.
     """
     is_policy = node.__class__ is Policy
     members = node.rules if is_policy else node.children
     present = index.category_keys
     gate = node.gate
-    hits = set()
+    # The members listed under a present key and the always ones,
+    # ascending: a lone hit key's positions as they are.
+    candidates = gate.always
     if gate.keys:
         listed = gate.keys.get
         for key in present:
             positions = listed(key)
             if positions is not None:
-                hits.update(positions)
-    if hits:
-        # The gate is exact: a hit member is let through only when, in
-        # every any-of of its target, some all-of's keys are all among
-        # the request's category facts and error attributes; any other
-        # member's target is BOTTOM.
-        visits = []
-        for i in sorted(hits.union(gate.always)):
-            for any_of in members[i].target.keys or ():
-                for all_of in any_of:
-                    if present.issuperset(all_of):
-                        break
-                else:
-                    break  # no all-of of this any-of is present
+                candidates = sorted({*candidates, *positions}) if candidates else positions
+    # The gate is exact: a candidate can apply only when its required
+    # keys are present and each of its alternations has an all-of whose
+    # keys all are; any other member is NotApplicable.
+    required, alternations = gate.required, gate.alternations
+    visits = []
+    for i in candidates:
+        needed = required[i]
+        if needed and not present.issuperset(needed):
+            continue
+        for any_of in alternations[i]:
+            for all_of in any_of:
+                if present.issuperset(all_of):
+                    break
             else:
-                visits.append(i)
-    else:
-        visits = gate.always
+                break  # no all-of of this any-of is present
+        else:
+            visits.append(i)
     if path is None:
         if not visits:
             return NOT_APPLICABLE, None
         order = visits
     else:
         order = range(len(members))
-        let_through = set(visits)
+        # Every null-target member is entered, as in the ungated walk.
+        let_through = {i for i, m in enumerate(members) if m.target.keys is None}.union(visits)
         traces = []
     target = node.target
     target_value = TOP if target.keys is None else eval_target(target, index)
@@ -554,13 +575,6 @@ def _eval_node(
                     (*path, i), "rule", member.name, rule_target, condition_value, None, (),
                     None, value, (), None if condition_value is not None else "target",
                 ))
-        elif path is None and not member.gate.always and (
-            member.gate.keys.keys().isdisjoint(present)
-        ):
-            # No key of the child's gate is present, so it lets no member
-            # through and the child is NotApplicable without a call. A
-            # keys view walks the smaller side, usually the request's.
-            value = NOT_APPLICABLE
         else:
             value, trace = _eval_node(member, index, None if path is None else (*path, i))
             if trace is not None:

@@ -118,16 +118,23 @@ _SYMBOLS = {
 
 _COMBINER_TOKENS = ("all-permit", "o-1-a", "p-o", "d-o", "f-a")
 
+# The symbols by shape: punctuation, connectives and comparisons.
+_CONNECTIVES = [t for t in _SYMBOLS.values() if t[0] in "/\\"]
+_COMPARISONS = [t for t in _SYMBOLS.values() if t[0] in "<>=!"]
+_PUNCTUATION = "".join(t for t in _SYMBOLS.values() if t not in _CONNECTIVES + _COMPARISONS)
+
 # One match per token: whitespace and comments skipped, then the token
 # as group 1. The group matches wherever the skipping stops (at worst
 # one unexpected character, or the empty end of input), so the skipped
 # prefix is never backtracked into and a scan is linear in the input.
+# The commonest tokens come first; an identifier followed by "-" may be
+# a combiner, so it is tried again after the combiners.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*((?:"
-    + "|".join(_COMBINER_TOKENS)
-    + r")(?![A-Za-z0-9_-])|[0-9]+|[A-Za-z_][A-Za-z0-9_]*"
-    + "".join("|" + re.escape(text) for text in _SYMBOLS.values())
-    + r"|(?s:.)|\Z)"
+    r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+([A-Za-z_][A-Za-z0-9_]*+(?!-)|["
+    + re.escape(_PUNCTUATION) + "]|" + "|".join(map(re.escape, _CONNECTIVES))
+    + "|(?:" + "|".join(_COMBINER_TOKENS) + r")(?![A-Za-z0-9_-])|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|"
+    + "|".join(t for t in _COMPARISONS if len(t) > 1)
+    + "|[" + "".join(t for t in _COMPARISONS if len(t) == 1) + r"]|(?s:.)|\Z)"
 )
 
 # Every token but a fixed one (the end of input is the empty text)

@@ -8,7 +8,10 @@ without member gates, kept as the reference the gated walk's traces
 must equal; ``eval_target_terms``, the target loop over
 ``AttributeTerm`` matches that ground keys replaced;
 ``lex_with_offsets``, the lexer the one-call lexer replaced, kept as
-the reference for its tokens, offsets and diagnostics; and
+the reference for its tokens, offsets and diagnostics;
+``REFERENCE_TOKEN_RE``, the one-call lexer's pattern before its
+alternatives were reordered for speed, the reference for its matches;
+and
 ``constants_with_fallback`` and ``full_index``, the request's constants
 and index as they were built before the index read only the names a
 tree reads.
@@ -678,3 +681,19 @@ def lex_with_offsets(source: str) -> list[tuple[str, str, int]]:
         tokens.append((kind, match.group(), start))
     tokens.append(("EOF", "", len(source)))
     return tokens
+
+
+# -- the one-call lexer's pattern before its alternatives were reordered ----
+
+_REFERENCE_COMBINERS = ("all-permit", "o-1-a", "p-o", "d-o", "f-a")
+
+# Whitespace and comments skipped, then the token as group 1, tried
+# longest-prefix first: combiners, numbers, identifiers, then the
+# symbols, each before any symbol it is a prefix of.
+REFERENCE_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*((?:"
+    + "|".join(_REFERENCE_COMBINERS)
+    + r")(?![A-Za-z0-9_-])|[0-9]+|[A-Za-z_][A-Za-z0-9_]*"
+    + "".join("|" + re.escape(text) for text in _LEX_SYMBOLS.values())
+    + r"|(?s:.)|\Z)"
+)

@@ -1,14 +1,16 @@
-"""Deterministic cost guards: Python function calls per decision,
-condition plans per parse, and no enum class attribute loads on the
-decision path.
+"""Deterministic cost guards: Python function calls and builtin calls
+per decision, condition plans per parse, and no enum class attribute
+loads on the decision path.
 
 Wall-clock speed on a shared machine drifts between runs; the number of
 Python function calls an evaluation makes does not, and per-call cost
 is most of a decision's cost when it runs with cold caches, as the
-benchmark times it. The ceilings are the counts measured when they were
-last lowered, on small instances of the two in-process benchmark
-workloads. A change that makes evaluation call more fails here; lower
-a ceiling when a change makes evaluation call less.
+benchmark times it. Builtin calls (set and dict methods and the like)
+are counted apart, since a change can trade Python calls for C-level
+work. The ceilings are the counts measured when they were last
+lowered, on small instances of the two in-process benchmark workloads.
+A change that makes evaluation call more fails here; lower a ceiling
+when a change makes evaluation call less.
 
 On CPython 3.11 a load such as ``Decision3.TOP`` goes through
 ``EnumType.__getattr__`` and is never specialised, so the decision path
@@ -35,6 +37,12 @@ CEILINGS = {
     "fact_heavy": (264, 14),
 }
 
+# Builtin calls for one pass over the shape's requests: (ceiling, requests).
+BUILTIN_CEILINGS = {
+    "wide_policy": (2199, 24),
+    "fact_heavy": (1832, 14),
+}
+
 DECISION_PATH = (
     xpdp.policy.evaluate,
     xpdp.policy._eval_node,
@@ -57,17 +65,19 @@ PACKAGE = os.path.dirname(xpdp.__file__) + os.sep
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-def python_calls(fn, *args) -> int:
+def python_calls(fn, *args, event: str = "call") -> int:
     """The number of calls of the package's Python functions that
     ``fn(*args)`` makes. Calls into C are not counted, nor calls of
     other Python code, such as the ``gc`` callback Hypothesis installs
     once any of its tests has run, which a collection inside ``fn``
-    would otherwise add to the count."""
+    would otherwise add to the count. With ``event="c_call"``, it
+    counts the builtin calls the package's Python functions make
+    instead."""
     calls = 0
 
-    def profile(frame, event, arg):
+    def profile(frame, kind, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+        if kind == event and frame.f_code.co_filename.startswith(PACKAGE):
             calls += 1
 
     sys.setprofile(profile)
@@ -78,21 +88,46 @@ def python_calls(fn, *args) -> int:
     return calls
 
 
-@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
-def test_python_calls_per_decision(shape):
+def one_pass(shape: str):
+    """A function deciding each request of the shape once, and the
+    number of requests."""
     workload = BENCHMARK_SHAPES[shape](benchmark_workloads())
     policy = xpdp.parse_policy(workload.policy_text)
     requests = [xpdp.parse_request(text) for text in workload.request_texts]
-    ceiling, count = CEILINGS[shape]
-    assert len(requests) == count
 
     def decide_all():
         for req in requests:
             xpdp.evaluate(policy, req)
 
+    return decide_all, len(requests)
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_python_calls_per_decision(shape):
+    decide_all, count = one_pass(shape)
+    ceiling, expected = CEILINGS[shape]
+    assert count == expected
     calls = python_calls(decide_all)
     assert calls <= ceiling, f"{calls / count:.2f} calls per decision, ceiling {ceiling / count:.2f}"
     print(f"{shape}: {calls} calls, {calls / count:.2f} per decision")
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_builtin_calls_per_decision(shape):
+    """Builtin calls (``c_call`` profile events) the package's functions
+    make in one pass: set and dict methods, ``sorted``, ``len`` and the
+    like, the C-level work a Python call count does not see. It counts
+    calls only: not operators, such as ``in`` or ``is``, and not the
+    memory a decision touches, so a change can pass it and still be
+    slower on cold caches."""
+    decide_all, count = one_pass(shape)
+    ceiling, expected = BUILTIN_CEILINGS[shape]
+    assert count == expected
+    calls = python_calls(decide_all, event="c_call")
+    assert calls <= ceiling, (
+        f"{calls / count:.2f} builtin calls per decision, ceiling {ceiling / count:.2f}"
+    )
+    print(f"{shape}: {calls} builtin calls, {calls / count:.2f} per decision")
 
 
 def test_a_collection_adds_no_calls():

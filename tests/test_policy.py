@@ -70,6 +70,7 @@ from xpdp import (
 )
 import xpdp.policy
 from xpdp.combiners import ABSORBING
+from xpdp.policy import compile_gate
 
 D3 = Decision3
 D6 = Decision6
@@ -708,23 +709,34 @@ def preorder(trace: TraceNode, node):
             yield from preorder(child, members[child.path[-1]])
 
 
+def passes(member, req) -> bool:
+    """Whether a member passes its node's gate: its target is not
+    BOTTOM, and, for a null-target policy or policy set, its own gate
+    has an ``always`` member or a key among the request's category
+    keys, the only way one of its members can apply."""
+    if eval_target_lattice(member.target, req) is D3.BOTTOM:
+        return False
+    if isinstance(member, Rule) or member.target.keys is not None or member.gate.always:
+        return True
+    return not index_request(req).category_keys.isdisjoint(member.gate.keys)
+
+
 def entered_targets(trace: TraceNode, node, req) -> list[D3]:
     """The target values the untraced walk evaluates under ``node``, in
     order, from ``trace``, the node's trace in the ungated walk. A node
     is entered, and its target evaluated unless it is null, when some
-    member's target is not BOTTOM, as exactly those pass its gate; it
-    then visits those members up to the stop. A visited rule's target
-    is evaluated, null or not."""
+    member passes its gate (``passes``); it then visits those members
+    up to the stop. A visited rule's target is evaluated, null or not."""
     if trace.kind == "rule":
         return [trace.target_value]
     members = node.rules if trace.kind == "policy" else node.children
     if trace.target_value is D3.BOTTOM:
         # The ungated walk visits no member under a BOTTOM target.
-        entered = any(eval_target_lattice(m.target, req) is not D3.BOTTOM for m in members)
+        entered = any(passes(m, req) for m in members)
         return [D3.BOTTOM] if entered else []
     # Members after the stop are not traced, but the stop's own target is
     # not BOTTOM, so a node with one is entered whatever follows.
-    visited = [c for c in trace.children if c.target_value is not D3.BOTTOM]
+    visited = [c for c in trace.children if passes(members[c.path[-1]], req)]
     if not visited:
         return []
     values = [] if node.target.keys is None else [trace.target_value]
@@ -964,6 +976,43 @@ def wide_gated_policy() -> PolicySet:
     return PolicySet("root", NULL_TARGET, (wide,), CombinerId.PERMIT_OVERRIDES)
 
 
+def decided_as_references(node, req) -> tuple[D6, list[D3]]:
+    """``node``'s decision on ``req`` and the target values its untraced
+    walk evaluates, after checking that the decision is the exhaustive
+    walk's, the trace the ungated walk's, and the targets those of the
+    nodes and rules that pass their gates (``entered_targets``)."""
+    targets = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(xpdp.policy, "eval_target", recording(targets))
+        decision, _ = evaluate(node, req)
+    assert decision is evaluate_exhaustive(node, req)
+    traced, trace = evaluate(node, req, with_trace=True)
+    expected, reference = evaluate_ungated(node, req, with_trace=True)
+    assert traced is expected is decision
+    assert trace.lines() == reference.lines()
+    assert trace.to_obj() == reference.to_obj()
+    assert targets == entered_targets(reference.root, node, req)
+    return decision, targets
+
+
+def subject_policy(name, subject, effect=Effect.PERMIT):
+    """A p-o policy for ``subject(<subject>)`` with one ``action(read)``
+    rule whose condition is true."""
+    rule = Rule(name + "_r", effect, target_of(match("action", "read")), TRUE_CONDITION)
+    return Policy(name, target_of(match("subject", subject)), (rule,), CombinerId.PERMIT_OVERRIDES)
+
+
+def null_set(name, *children, combiner=CombinerId.DENY_OVERRIDES):
+    return PolicySet(name, NULL_TARGET, children, combiner)
+
+
+def policy_sets_in(node):
+    if isinstance(node, PolicySet):
+        yield node
+        for child in node.children:
+            yield from policy_sets_in(child)
+
+
 class TestMemberGate:
     @pytest.mark.parametrize(
         "request_file",
@@ -977,6 +1026,95 @@ class TestMemberGate:
         assert decision is expected
         assert trace.lines() == reference.lines()
         assert trace.to_obj() == reference.to_obj()
+
+    def test_empty_child_is_listed_nowhere(self):
+        empty = null_set("empty")
+        root = null_set("root", empty, null_set("full", subject_policy("p", "s")))
+        assert empty.gate.keys == {} and empty.gate.always == ()
+        assert root.gate.always == ()
+        assert root.gate.keys == {match("subject", "s").key: (1,)}
+        read = request([match("subject", "s"), match("action", "read")])
+        assert decided_as_references(root, read) == (D6.PERMIT, [D3.TOP, D3.TOP])
+        other = request([match("subject", "t"), match("action", "read")])
+        assert decided_as_references(root, other) == (D6.NOT_APPLICABLE, [])
+
+    def test_gates_compose_through_a_chain_of_null_target_sets(self):
+        # Three levels of null-target sets; only the branch whose policy
+        # names the request's subject is entered.
+        inner = null_set("inner", subject_policy("p1", "s1"), subject_policy("p2", "s2"))
+        middle = null_set("middle", inner, null_set("side", subject_policy("p3", "s3")))
+        root = null_set("root", middle, null_set("far", null_set("deep", subject_policy(
+            "p4", "s4", Effect.DENY))))
+        subjects = {match("subject", f"s{k}").key for k in range(1, 5)}
+        assert set(root.gate.keys) == subjects
+        assert root.gate.keys[match("subject", "s4").key] == (1,)
+        assert set(middle.gate.keys) == subjects - {match("subject", "s4").key}
+        assert all(ps.gate.always == () for ps in policy_sets_in(root))
+        for k, expected in ((1, D6.PERMIT), (3, D6.PERMIT), (4, D6.DENY)):
+            req = request([match("subject", f"s{k}"), match("action", "read")])
+            # The policy's target and its rule's; no set's null target.
+            assert decided_as_references(root, req) == (expected, [D3.TOP, D3.TOP])
+        req = request([match("subject", "s2"), match("subject", "s4"), match("action", "read")])
+        assert decided_as_references(root, req) == (D6.DENY, [D3.TOP, D3.TOP, D3.TOP, D3.TOP])
+        req = request([match("subject", "s5"), match("action", "read")])
+        assert decided_as_references(root, req) == (D6.NOT_APPLICABLE, [])
+
+    def test_null_target_child_with_an_always_member(self):
+        # A null-target rule makes the child's gate let it through on
+        # any request, so its parent lists it in ``always``.
+        anywhere = Policy(
+            "anywhere", NULL_TARGET, (rule_with_value("any", Effect.DENY, D3.TOP),),
+            CombinerId.PERMIT_OVERRIDES,
+        )
+        root = PolicySet(
+            "root", NULL_TARGET, (subject_policy("p", "s"), anywhere),
+            CombinerId.FIRST_APPLICABLE,
+        )
+        assert anywhere.gate.always == (0,)
+        assert root.gate.always == (1,)
+        assert root.gate.keys == {match("subject", "s").key: (0,)}
+        read = request([PAD, match("subject", "s"), match("action", "read")])
+        assert decided_as_references(root, read) == (D6.PERMIT, [D3.TOP, D3.TOP])
+        assert decided_as_references(root, PLAIN_REQUEST) == (D6.DENY, [D3.TOP])
+
+    def test_error_on_a_key_listed_through_a_child_gate(self):
+        # subject(s) is a key of the root's gate only through the null-
+        # target set under it; an error attribute on it enters both.
+        policy = Policy(
+            "p", target_of(match("subject", "s")),
+            (rule_with_value("r", Effect.PERMIT, D3.TOP),), CombinerId.PERMIT_OVERRIDES,
+        )
+        root = null_set("root", null_set("set", policy), null_set("other", subject_policy(
+            "q", "t")))
+        assert root.gate.keys[match("subject", "s").key] == (0,)
+        assert root.children[0].target.keys is None
+        req = request([PAD], [match("subject", "s")])
+        assert decided_as_references(root, req) == (D6.INDET_P, [D3.INDET, D3.TOP])
+
+    def test_set_gate_holds_only_its_picks_and_null_children_keys(self):
+        """A set's gate lists its members' own picks, as a gate over their
+        targets alone would, and each null-target child with no ``always``
+        member once under each key of that child's gate: nothing more."""
+        seen = Counter()
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(strategies.policy_sets(depth=3, width=3))
+        def check(node):
+            for ps in policy_sets_in(node):
+                children = ps.children
+                picks = compile_gate([c.target for c in children])
+                inherited = [
+                    c.gate for c in children if c.target.keys is None and not c.gate.always
+                ]
+                assert set(ps.gate.keys) == set(picks.keys).union(*(g.keys for g in inherited))
+                assert sum(map(len, ps.gate.keys.values())) == sum(
+                    map(len, picks.keys.values())
+                ) + sum(len(g.keys) for g in inherited)
+                assert set(ps.gate.always) <= set(picks.always)
+                seen["inherited"] += any(g.keys for g in inherited)
+
+        check()
+        assert seen["inherited"] > 0
 
     def test_keys_are_the_rarest_matches(self):
         gate = wide_gated_policy().children[0].gate

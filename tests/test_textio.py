@@ -39,8 +39,10 @@ from xpdp import (
 
 import strategies
 from documents import wide_document
-from oracles import ORDERS, lex_with_offsets
-from xpdp.textio import _COMBINER_TOKENS, _SYMBOLS, MAX_NESTING, _span_at, _tokenize
+from oracles import ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets
+from xpdp.textio import (
+    _COMBINER_TOKENS, _SYMBOLS, _TOKEN_RE, MAX_NESTING, _span_at, _tokenize
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -558,9 +560,39 @@ def tokens_with_offsets(text: str) -> list[tuple[str, str, int]]:
             for i, token in enumerate(texts)]
 
 
+# Pieces of token soups: every fixed token, combiners and their
+# prefixes with a character after them, identifiers, digits running into
+# letters, comments with and without a final newline, line ends, the
+# lone first characters of two-character symbols and non-ASCII text.
+_SOUP_PIECES = st.one_of(
+    st.sampled_from([
+        *_SYMBOLS.values(), *_COMBINER_TOKENS, "p-ox", "all-permitx", "o-1-a1", "p-", "all-",
+        "o-1", "d-o-", "f-a_", "12ab", "007", "x9", "_a", "-", "!", "/", "\\", "#", "# note",
+        "# note\n", "\r\n", "\n", "\r", "\t", " ", "é", "ß", "€", "\x00", "\u2028",
+    ]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}[A-Za-z]?", fullmatch=True),
+    st.text(max_size=2),
+)
+
+
+def token_matches(pattern, text: str) -> list[tuple[int, str]]:
+    """Where each of ``pattern``'s matches over ``text`` starts its token,
+    and the token text."""
+    return [(m.start(1), m.group(1)) for m in pattern.finditer(text)]
+
+
 class TestLexerOracle:
     """The one-call lexer gives the reference lexer's tokens, offsets and
     diagnostics."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SOUP_PIECES, max_size=30).map("".join))
+    def test_token_soups_match_the_reference_pattern(self, text):
+        # The token pattern's alternatives are ordered for speed; it
+        # matches the same tokens at the same places as the reference.
+        assert token_matches(_TOKEN_RE, text) == token_matches(REFERENCE_TOKEN_RE, text)
+        assert lexed(tokens_with_offsets, text) == lexed(lex_with_offsets, text)
 
     def test_samples(self):
         for path in sorted(SAMPLES.iterdir()):
@@ -683,22 +715,26 @@ class TestSharedObjects:
     def test_wide_document(self):
         """A 1 000-rule document round-trips, and every member gate is
         keyed by the ground key of the one term object the parser made
-        for its match."""
+        for its match. A set's gate may hold its descendants' keys, so
+        every term is collected before any gate is checked."""
         node = parse_policy(wide_document())
         assert parse_policy(serialize_policy(node)) == node
         shared = {}
+        nodes = []
         pending = [node]
         rules = 0
         while pending:
             n = pending.pop()
+            nodes.append(n)
             members = n.rules if isinstance(n, Policy) else n.children
             for member in (n, *members):
                 for match in target_matches(member.target):
                     assert shared.setdefault(match, match) is match
-            for key in n.gate.keys:
-                assert shared[AttributeTerm(*key)].key is key
             if isinstance(n, Policy):
                 rules += len(n.rules)
             else:
                 pending.extend(n.children)
         assert rules == 1000
+        for n in nodes:
+            for key in n.gate.keys:
+                assert shared[AttributeTerm(*key)].key is key

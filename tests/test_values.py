@@ -247,12 +247,12 @@ def test_a_field_that_differs_breaks_equality():
 
 def test_derived_fields_are_not_compared():
     other = Policy(name="p", target=NULL_TARGET, rules=(RULE,), combiner=PO)
-    object.__setattr__(other, "gate", MemberGate({}, (0, 0)))
+    object.__setattr__(other, "gate", MemberGate({}, (0, 0), ((), ()), ((), ())))
     assert other.gate != POLICY.gate
     assert other == POLICY and hash(other) == hash(POLICY)
     node = PolicySet("s", NULL_TARGET, (POLICY,), PO)
     twin = PolicySet("s", NULL_TARGET, (POLICY,), PO)
-    object.__setattr__(twin, "gate", MemberGate({}, ()))
+    object.__setattr__(twin, "gate", MemberGate({}, (), (), ()))
     assert twin == node and hash(twin) == hash(node)
     rule = Rule("r", Effect.PERMIT, NULL_TARGET, TRUE_CONDITION)
     object.__setattr__(rule, "plan", None)
