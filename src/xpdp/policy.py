@@ -547,8 +547,7 @@ def _eval_node(
         order = visits
     else:
         order = range(len(members))
-        # Every null-target member is entered, as in the ungated walk.
-        let_through = {i for i, m in enumerate(members) if m.target.keys is None}.union(visits)
+        let_through = set(visits)
         traces = []
     target = node.target
     target_value = TOP if target.keys is None else eval_target(target, index)
@@ -559,7 +558,9 @@ def _eval_node(
     skipped = None
     for i in order:
         member = members[i]
-        if path is not None and i not in let_through:
+        # Every null-target member is entered, as in the ungated walk
+        # (null-target rules are always visited).
+        if path is not None and i not in let_through and member.target.keys is not None:
             inputs.append(NOT_APPLICABLE)
             traces.append(_bottom_trace(member, (*path, i)))
             continue

@@ -1,6 +1,7 @@
 """DSL parsing, canonical serialization, and lattice export."""
 
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -593,6 +594,11 @@ class TestLexerOracle:
         # matches the same tokens at the same places as the reference.
         assert token_matches(_TOKEN_RE, text) == token_matches(REFERENCE_TOKEN_RE, text)
         assert lexed(tokens_with_offsets, text) == lexed(lex_with_offsets, text)
+
+    def test_pattern_compiles_before_python_3_11(self):
+        # Possessive quantifiers and atomic groups compile from Python
+        # 3.11 only; on 3.10 the package would fail to import.
+        assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", _TOKEN_RE.pattern)
 
     def test_samples(self):
         for path in sorted(SAMPLES.iterdir()):
