@@ -127,12 +127,10 @@ _PUNCTUATION = "".join(t for t in _SYMBOLS.values() if t not in _CONNECTIVES + _
 # as group 1. The group matches wherever the skipping stops (at worst
 # one unexpected character, or the empty end of input), so the skipped
 # prefix is never backtracked into and a scan is linear in the input.
-# The comments are one comment then any more, or nothing: a branch
-# that starts with "#" is passed over at once, a repeated group is not.
-# The commonest tokens come first; an identifier followed by "-" may be
-# a combiner, so it is tried again after the combiners (the lookahead
-# also refuses a shorter identifier, which backtracking would offer).
-# No possessive quantifier is used: Python accepts them from 3.11 only.
+# Comments are one then any more, or none: a branch starting with "#"
+# is passed over at once. Commonest tokens first; the first identifier
+# refuses a shorter or "-"-followed match, which may be a combiner. No
+# possessive quantifiers: Python accepts them from 3.11 only.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*|)([A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_-])|["
     + re.escape(_PUNCTUATION) + "]|" + "|".join(map(re.escape, _CONNECTIVES))
