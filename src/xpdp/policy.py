@@ -75,7 +75,6 @@ algorithms, the ones defined over six-valued decisions.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from typing import Mapping, Optional, Sequence, Union
 
@@ -96,11 +95,8 @@ from .errors import EncodingUnsupportedError, InvalidInputError
 from .requests import AttributeTerm, Request
 from .values import Value
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 def _check_name(name: str) -> None:
-    if not _NAME_RE.match(name):
+    if not (name.isidentifier() and name.isascii()):
         raise InvalidInputError(f"not a usable node name: {name!r}")
 
 

@@ -20,22 +20,17 @@ CATEGORIES = ("subject", "action", "resource", "environment")
 Constant = Union[str, int]
 
 
-class AttributeTerm(Value, derived=("key", "_hash")):
+class AttributeTerm(Value, derived=("key",)):
     """A named fact: a category attribute or an external-state predicate.
 
     ``key`` is the term's ground key ``(name, args)``, built once with
     the term. Evaluation looks keys up, never terms, so it hashes and
-    compares plain tuples in C. Terms are still set members when a
-    request is built, so the hash is computed once too, and equality is
-    written out rather than taken from ``Value``. String hashes differ
-    from one process to the next, so a pickled term is rebuilt through
-    the constructor rather than restored with its old hash.
+    compares plain tuples in C.
     """
 
     name: str
     args: tuple[Constant, ...]
     key: tuple[str, tuple[Constant, ...]]
-    _hash: int
 
     def __post_init__(self) -> None:
         if not self.args:
@@ -48,17 +43,7 @@ class AttributeTerm(Value, derived=("key", "_hash")):
             raise InvalidInputError(
                 f"category attribute {self.name!r} takes exactly one argument"
             )
-        key = (self.name, self.args)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.args == other.args
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "key", (self.name, self.args))
 
     @property
     def is_category(self) -> bool:

@@ -6,6 +6,10 @@ The policy grammar, sketched:
     policy NAME { target: TEXPR|null; combiner: ID; rules: [ RULE, ... ]; }
     rule NAME { effect: permit|deny; target: TEXPR|null; condition: CEXPR; }
 
+A policy and a policy set share one shape, a target and a combiner over
+members, so one production reads both kinds and one writer prints
+them; the kind word picks the members field and what a member is.
+
 Target expressions combine category matches like ``subject(doctor)``
 with ``/\\`` and ``\\/`` (conjunction binds tighter) and normalize into
 the fixed three-level target shape; nesting the grammar cannot express
@@ -238,65 +242,62 @@ class _Parser:
         self._depth -= 1
         return result
 
+    def _joined(self, i: int, read: Callable, connective: str, join: Callable | None = None):
+        """What ``read`` reads at ``i`` and after each ``connective``
+        that follows: as a list, or with ``join``, a lone item as it is
+        and several as ``join`` of their tuple."""
+        item, i = read(i)
+        items = [item]
+        while self._texts[i] == connective:
+            item, i = read(i + 1)
+            items.append(item)
+        if join is None:
+            return items, i
+        return (join(tuple(items)) if len(items) > 1 else item), i
+
     # -- policy documents -------------------------------------------------
 
     def policy_node(self, i: int) -> tuple[PolicyNode, int]:
         if self._texts[i] == "policyset":
-            return self._nested(i, self.policyset, i)
+            return self._nested(i, self._node, i)
         if self._texts[i] == "policy":
-            return self.policy(i)
+            return self._node(i)
         self._fail("expected 'policyset' or 'policy'", i)
 
-    def policyset(self, i: int) -> tuple[PolicySet, int]:
+    def _node(self, i: int) -> tuple[PolicyNode, int]:
+        """A policy or policy set, as the word at ``i`` says: a target
+        and a combiner over its members, rules or nodes."""
         texts = self._texts
+        is_set = texts[i] == "policyset"
         if not texts[i + 1].isidentifier():
-            self._expected("a policy set name", i + 1)
+            self._expected("a policy set name" if is_set else "a policy name", i + 1)
         name = texts[i + 1]
         target, i = self._target_field(self._want(i + 2, "{"))
         combiner, i = self._combiner_field(i)
-        i = self._want(i, "children", ":", "[")
-        children: list[PolicyNode] = []
+        i = self._want(i, "children" if is_set else "rules", ":", "[")
+        member = self.policy_node if is_set else self.rule
+        members: list = []
         firsts: list[int] = []
         while texts[i] != "]":
             firsts.append(i)
-            child, i = self.policy_node(i)
-            children.append(child)
-            if texts[i] != ",":
-                break
-            i += 1
-        i = self._want(i, "]")
-        if texts[i] == ";":
-            i += 1
-        i = self._want(i, "}")
-        odd = [at for at, c in zip(firsts, children) if type(c) is not type(children[0])]
-        if odd:
-            self._fail("a policy set may hold only policies or only policy sets", odd[0])
-        return PolicySet(name, target, tuple(children), combiner), i
-
-    def policy(self, i: int) -> tuple[Policy, int]:
-        texts = self._texts
-        if not texts[i + 1].isidentifier():
-            self._expected("a policy name", i + 1)
-        name = texts[i + 1]
-        target, i = self._target_field(self._want(i + 2, "{"))
-        combiner, i = self._combiner_field(i)
-        i = self._want(i, "rules", ":", "[")
-        rules: list[Rule] = []
-        while texts[i] != "]":
-            rule, i = self.rule(i)
-            rules.append(rule)
+            item, i = member(i)
+            members.append(item)
             if texts[i] != ",":
                 break
             i += 1
         if texts[i] != "]":
             self._expected("']'", i)
-        if not rules:
+        if not members and not is_set:
             raise ArityError("a policy needs at least one rule", self._span(i))
         i += 1
         if texts[i] == ";":
             i += 1
         i = self._want(i, "}")
-        return Policy(name, target, tuple(rules), combiner), i
+        # Rules are of one kind; a set's children may not mix kinds.
+        odd = [at for at, m in zip(firsts, members) if type(m) is not type(members[0])]
+        if odd:
+            self._fail("a policy set may hold only policies or only policy sets", odd[0])
+        return (PolicySet if is_set else Policy)(name, target, tuple(members), combiner), i
 
     def rule(self, i: int) -> tuple[Rule, int]:
         texts = self._texts
@@ -384,26 +385,17 @@ class _Parser:
     def _texpr(self, i: int, top: bool = False):
         """At the top, the any-ofs of a target expression; elsewhere its part."""
         start = i
-        parts, i = self._tconj(i)
+        parts, i = self._joined(i, self._tatom, "/\\")
         if self._texts[i] != "\\/":
             if top:
                 return tuple(any_of for any_of, _ in parts), i
             return (parts[0] if len(parts) == 1 else (self._all_of(parts), None)), i
         all_ofs = self._all_of(parts).all_ofs
         while self._texts[i] == "\\/":
-            parts, i = self._tconj(i + 1)
+            parts, i = self._joined(i + 1, self._tatom, "/\\")
             all_ofs += self._all_of(parts).all_ofs
         any_of = AnyOf(all_ofs)
         return ((any_of,) if top else (any_of, start)), i
-
-    def _tconj(self, i: int) -> tuple[list, int]:
-        """The parts of a conjunction of target atoms."""
-        part, i = self._tatom(i)
-        parts = [part]
-        while self._texts[i] == "/\\":
-            part, i = self._tatom(i + 1)
-            parts.append(part)
-        return parts, i
 
     def _all_of(self, parts: list) -> AnyOf:
         """A conjunction's parts as one any-of: a lone part as it is,
@@ -453,24 +445,10 @@ class _Parser:
     # -- conditions ----------------------------------------------------------
 
     def _cor(self, i: int) -> tuple[ConditionExpr, int]:
-        item, i = self._cand(i)
-        if self._texts[i] != "\\/":
-            return item, i
-        items = [item]
-        while self._texts[i] == "\\/":
-            item, i = self._cand(i + 1)
-            items.append(item)
-        return Or(tuple(items)), i
+        return self._joined(i, self._cand, "\\/", Or)
 
     def _cand(self, i: int) -> tuple[ConditionExpr, int]:
-        item, i = self._cnot(i)
-        if self._texts[i] != "/\\":
-            return item, i
-        items = [item]
-        while self._texts[i] == "/\\":
-            item, i = self._cnot(i + 1)
-            items.append(item)
-        return And(tuple(items)), i
+        return self._joined(i, self._cnot, "/\\", And)
 
     def _cnot(self, i: int) -> tuple[ConditionExpr, int]:
         texts = self._texts
@@ -607,7 +585,10 @@ def parse_request(text: str) -> Request:
 def _ident_text(value, where: str) -> str:
     if isinstance(value, int):
         return str(value)
-    if not isinstance(value, str) or not re.match(r"[a-z_][A-Za-z0-9_]*\Z", value):
+    if not (
+        isinstance(value, str) and value.isidentifier() and value.isascii()
+        and not value[0].isupper()
+    ):
         raise InvalidInputError(f"{value!r} is not writable as {where}")
     if where == "a term" and value in RESERVED_CONDITION_WORDS:
         raise InvalidInputError(f"{value!r} collides with a keyword")
@@ -626,20 +607,9 @@ def _operand_text(op: Operand) -> str:
     return _term_text(op)
 
 
-_COND_LEVEL_OR = 1
-_COND_LEVEL_AND = 2
-_COND_LEVEL_NOT = 3
-_COND_LEVEL_ATOM = 4
-
-
-def _cond_level(expr: ConditionExpr) -> int:
-    if isinstance(expr, Or):
-        return _COND_LEVEL_OR
-    if isinstance(expr, And):
-        return _COND_LEVEL_AND
-    if isinstance(expr, Not):
-        return _COND_LEVEL_NOT
-    return _COND_LEVEL_ATOM
+# How tightly each connective binds; anything else binds tighter (4).
+# An operand that binds no tighter than its context is parenthesized.
+_COND_LEVELS = {Or: 1, And: 2, Not: 3}
 
 
 def _cond_text(expr: ConditionExpr, parent_level: int = 0) -> str:
@@ -653,14 +623,14 @@ def _cond_text(expr: ConditionExpr, parent_level: int = 0) -> str:
     elif isinstance(expr, Not):
         # "not not a" parses as nested negation; parentheses would add a
         # nesting level per "not" and could push the text past MAX_NESTING.
-        text = f"not {_cond_text(expr.expr, _COND_LEVEL_AND)}"
+        text = f"not {_cond_text(expr.expr, _COND_LEVELS[And])}"
     elif isinstance(expr, And):
-        text = " /\\ ".join(_cond_text(c, _COND_LEVEL_AND) for c in expr.children)
+        text = " /\\ ".join(_cond_text(c, _COND_LEVELS[And]) for c in expr.children)
     elif isinstance(expr, Or):
-        text = " \\/ ".join(_cond_text(c, _COND_LEVEL_OR) for c in expr.children)
+        text = " \\/ ".join(_cond_text(c, _COND_LEVELS[Or]) for c in expr.children)
     else:
         raise InvalidInputError(f"not a condition expression: {expr!r}")
-    if _cond_level(expr) <= parent_level:
+    if _COND_LEVELS.get(type(expr), 4) <= parent_level:
         return f"({text})"
     return text
 
@@ -691,29 +661,24 @@ def _node_lines(node: PolicyNode, depth: int) -> list[str]:
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if isinstance(node, Policy):
-        lines = [f"{pad}policy {node.name} {{"]
-        lines.append(f"{inner}target: {_target_text(node.target)};")
-        lines.append(f"{inner}combiner: {node.combiner.token};")
-        lines.append(f"{inner}rules: [")
-        for i, rule in enumerate(node.rules):
-            lines.extend(_rule_lines(rule, depth + 2))
-            if i + 1 < len(node.rules):
-                lines[-1] += ","
-        lines.append(f"{inner}];")
-        lines.append(f"{pad}}}")
-        return lines
-    lines = [f"{pad}policyset {node.name} {{"]
-    lines.append(f"{inner}target: {_target_text(node.target)};")
-    lines.append(f"{inner}combiner: {node.combiner.token};")
-    if node.children:
-        lines.append(f"{inner}children: [")
-        for i, child in enumerate(node.children):
-            lines.extend(_node_lines(child, depth + 2))
-            if i + 1 < len(node.children):
+        kind, field, member_lines = "policy", "rules", _rule_lines
+    else:
+        kind, field, member_lines = "policyset", "children", _node_lines
+    members = getattr(node, field)
+    lines = [
+        f"{pad}{kind} {node.name} {{",
+        f"{inner}target: {_target_text(node.target)};",
+        f"{inner}combiner: {node.combiner.token};",
+    ]
+    if members:
+        lines.append(f"{inner}{field}: [")
+        for i, member in enumerate(members):
+            lines.extend(member_lines(member, depth + 2))
+            if i + 1 < len(members):
                 lines[-1] += ","
         lines.append(f"{inner}];")
     else:
-        lines.append(f"{inner}children: [];")
+        lines.append(f"{inner}{field}: [];")
     lines.append(f"{pad}}}")
     return lines
 

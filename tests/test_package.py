@@ -1,8 +1,15 @@
-"""What ``import xpdp`` exports."""
+"""What ``import xpdp`` exports, and the grammar its sources keep to."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import xpdp
+
+# The oldest Python that ``pyproject.toml`` supports.
+OLDEST_PYTHON = (3, 10)
 
 # The public classes, functions and constants exported before ``__all__``
 # stopped listing submodules, less the four condition-variable queries
@@ -40,3 +47,17 @@ def test_all_lists_no_module():
 def test_all_keeps_every_public_name():
     assert set(PUBLIC) <= set(xpdp.__all__)
     assert all(hasattr(xpdp, name) for name in xpdp.__all__)
+
+
+def test_sources_parse_with_the_oldest_supported_grammar():
+    """Syntax only: library calls and ``re`` features new in a later
+    Python are not seen here."""
+    sources = sorted(Path(xpdp.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_grammar_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)

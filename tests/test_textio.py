@@ -23,6 +23,7 @@ from xpdp import (
     Compare,
     EmptyRequestError,
     FunctionValue,
+    InvalidInputError,
     Not,
     Or,
     ParseError,
@@ -41,8 +42,9 @@ from xpdp import (
 import strategies
 from documents import wide_document
 from oracles import ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets
+from xpdp.policy import _check_name
 from xpdp.textio import (
-    _COMBINER_TOKENS, _SYMBOLS, _TOKEN_RE, MAX_NESTING, _span_at, _tokenize
+    _COMBINER_TOKENS, _SYMBOLS, _TOKEN_RE, MAX_NESTING, _ident_text, _span_at, _tokenize
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -315,6 +317,37 @@ class TestSerialize:
     @given(strategies.policy_nodes())
     def test_round_trip_generated(self, node):
         assert parse_policy(serialize_policy(node)) == node
+
+
+# Short strings near the edges of a name: ASCII letters, digits, "_",
+# "-", blanks, and non-ASCII letters and digits.
+NAME_LIKE = st.text(
+    st.sampled_from("aZz_09- \n\t")
+    | st.characters(min_codepoint=128, categories=("Lu", "Ll", "Lt", "Lo", "Nd")),
+    max_size=5,
+)
+
+
+def accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except InvalidInputError:
+        return False
+    return True
+
+
+class TestNamePredicates:
+    """The name checks without a regex agree with the patterns they replaced."""
+
+    @given(NAME_LIKE)
+    def test_node_name(self, name):
+        assert accepts(_check_name, name) == bool(re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", name))
+
+    @given(NAME_LIKE)
+    def test_written_identifier(self, value):
+        assert accepts(_ident_text, value, "a match value") == bool(
+            re.match(r"[a-z_][A-Za-z0-9_]*\Z", value)
+        )
 
 
 DOT_EXPECTATIONS = {
