@@ -50,22 +50,6 @@ TRUTH_LATTICE = FiniteLattice(
 )
 
 
-def belnap_join_k(a: BelnapValue, b: BelnapValue) -> BelnapValue:
-    return KNOWLEDGE_LATTICE.join(a, b)
-
-
-def belnap_meet_k(a: BelnapValue, b: BelnapValue) -> BelnapValue:
-    return KNOWLEDGE_LATTICE.meet(a, b)
-
-
-def belnap_join_t(a: BelnapValue, b: BelnapValue) -> BelnapValue:
-    return TRUTH_LATTICE.join(a, b)
-
-
-def belnap_meet_t(a: BelnapValue, b: BelnapValue) -> BelnapValue:
-    return TRUTH_LATTICE.meet(a, b)
-
-
 class BelnapOps(Value):
     join_k: BelnapValue
     meet_k: BelnapValue
@@ -76,10 +60,10 @@ class BelnapOps(Value):
 def belnap_ops(a: BelnapValue, b: BelnapValue) -> BelnapOps:
     """All four bilattice operations applied to one pair."""
     return BelnapOps(
-        join_k=belnap_join_k(a, b),
-        meet_k=belnap_meet_k(a, b),
-        join_t=belnap_join_t(a, b),
-        meet_t=belnap_meet_t(a, b),
+        join_k=KNOWLEDGE_LATTICE.join(a, b),
+        meet_k=KNOWLEDGE_LATTICE.meet(a, b),
+        join_t=TRUTH_LATTICE.join(a, b),
+        meet_t=TRUTH_LATTICE.meet(a, b),
     )
 
 
@@ -112,16 +96,14 @@ def belnap_combine(combiner: CombinerId, p: BelnapValue, q: BelnapValue) -> Beln
     Deny-overrides and all-permit have no encoding here and are
     rejected rather than improvised.
     """
+    join, meet = KNOWLEDGE_LATTICE.join, KNOWLEDGE_LATTICE.meet
     if combiner is CombinerId.PERMIT_OVERRIDES:
-        return belnap_overwrite(belnap_join_k(p, q), _B.BOTH, _B.FALSE)
+        return belnap_overwrite(join(p, q), _B.BOTH, _B.FALSE)
     if combiner is CombinerId.FIRST_APPLICABLE:
         return belnap_priority(p, q)
     if combiner is CombinerId.ONLY_ONE_APPLICABLE:
-        both_sides = belnap_meet_k(
-            belnap_join_k(p, belnap_negate(p)),
-            belnap_join_k(q, belnap_negate(q)),
-        )
-        return belnap_join_k(belnap_join_k(p, q), both_sides)
+        both_sides = meet(join(p, belnap_negate(p)), join(q, belnap_negate(q)))
+        return join(join(p, q), both_sides)
     raise UnsupportedCombinerError(
         f"no Belnap encoding for {combiner.token}"
     )

@@ -164,18 +164,17 @@ def _report_obj(report: EquivalenceReport) -> dict:
     return obj
 
 
-def _report_lines(report: EquivalenceReport) -> list[str]:
+def _report_lines(obj: dict) -> list[str]:
+    """The text form of a report's ``_report_obj``."""
     lines = [
-        f"{report.algorithm.token}: {report.sequences_checked} sequences "
-        f"(length <= {report.max_length}), "
-        f"{len(report.counterexamples)} counterexamples"
+        f"{obj['algorithm']}: {obj['sequences_checked']} sequences "
+        f"(length <= {obj['max_length']}), {obj['counterexamples']} counterexamples"
     ]
-    if report.counterexamples:
-        first = report.counterexamples[0]
-        decisions = ", ".join(d.canonical for d in first.decisions)
+    first = obj.get("first_counterexample")
+    if first is not None:
         lines.append(
-            f"  first counterexample: <{decisions}> "
-            f"v6={first.v6_result.canonical} pair={first.pair_result}"
+            f"  first counterexample: <{', '.join(first['decisions'])}> "
+            f"v6={first['v6']} pair={first['pair']}"
         )
     return lines
 
@@ -197,11 +196,8 @@ def _cmd_check_equivalence(args) -> int:
     failed = False
     for algorithm in algorithms:
         report = check_equivalence(algorithm, args.max_len)
-        if args.format == "structured":
-            print(json.dumps(_report_obj(report)))
-        else:
-            for line in _report_lines(report):
-                print(line)
+        obj = _report_obj(report)
+        print(json.dumps(obj) if args.format == "structured" else "\n".join(_report_lines(obj)))
         failed = failed or not report.ok
     return EXIT_CHECK_FAILED if failed else 0
 
@@ -214,31 +210,25 @@ def _cmd_compare(args) -> int:
         print(f"xpdp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     row = compare_logics((left, right))
+    obj = {
+        "algorithm": "p-o",
+        "inputs": [left.canonical, right.canonical],
+        "v6": row.v6_result.canonical,
+        "pair": str(row.pair_result),
+        "belnap": row.belnap_result.token,
+        "dalg": str(row.dalg_result),
+        "pair_agrees": row.pair_agrees,
+        "belnap_agrees": row.belnap_agrees,
+        "dalg_agrees": row.dalg_agrees,
+    }
     if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "algorithm": "p-o",
-                    "inputs": [left.canonical, right.canonical],
-                    "v6": row.v6_result.canonical,
-                    "pair": str(row.pair_result),
-                    "belnap": row.belnap_result.token,
-                    "dalg": str(row.dalg_result),
-                    "pair_agrees": row.pair_agrees,
-                    "belnap_agrees": row.belnap_agrees,
-                    "dalg_agrees": row.dalg_agrees,
-                }
-            )
-        )
+        print(json.dumps(obj))
         return 0
-    def verdict(agrees: bool) -> str:
-        return "agrees" if agrees else "DIVERGES from standard"
-
-    print(f"permit-overrides of {left.canonical}, {right.canonical}")
-    print(f"  V6 (standard): {row.v6_result.canonical}")
-    print(f"  pair:          {row.pair_result}  ({verdict(row.pair_agrees)})")
-    print(f"  Belnap:        {row.belnap_result.token}  ({verdict(row.belnap_agrees)})")
-    print(f"  D-algebra:     {row.dalg_result}  ({verdict(row.dalg_agrees)})")
+    print(f"permit-overrides of {', '.join(obj['inputs'])}")
+    print(f"  {'V6 (standard):':15}{obj['v6']}")
+    for key, label in (("pair", "pair:"), ("belnap", "Belnap:"), ("dalg", "D-algebra:")):
+        verdict = "agrees" if obj[key + "_agrees"] else "DIVERGES from standard"
+        print(f"  {label:15}{obj[key]}  ({verdict})")
     return 0
 
 

@@ -1,17 +1,17 @@
 """The combining algorithms, in both decision encodings.
 
 Every standard algorithm exists twice: once over six-valued decisions
-(a least upper bound in a purpose-built lattice, folded over its join
-table ``decisions.V6_JOINS``, plus two duplicate detection cases for
-only-one-applicable) and once over the pairwise
-[deny, permit] encoding (a case analysis over componentwise maxima of
-``PairValue`` levels, 0, 1/2 and 1 stored as the ints 0, 1 and 2).
-Each six-valued definition is a left fold from NotApplicable of its
-own results on pairs, so ``combine`` folds a sequence, in its own body,
-over a flat table of those 36 results built at import (``FOLD_TABLES``:
-``a`` then ``d`` at ``6*a+d``). ``check_equivalence`` enumerates
-decision sequences exhaustively and confirms that what ``combine``
-returns agrees with the pair encoding.
+(a least upper bound in a purpose-built lattice, folded through
+``decisions.lub_order``; only-one-applicable folds its applicable
+members and adds two duplicate detection cases) and once over the
+pairwise [deny, permit] encoding (a case analysis over componentwise
+maxima of ``PairValue`` levels, 0, 1/2 and 1 stored as the ints 0, 1
+and 2). Each six-valued definition is a left fold from NotApplicable of
+its own results on pairs, so ``combine`` folds a sequence, in its own
+body, over a flat table of those 36 results built at import
+(``FOLD_TABLES``: ``a`` then ``d`` at ``6*a+d``). ``check_equivalence``
+enumerates decision sequences exhaustively and confirms that what
+``combine`` returns agrees with the pair encoding.
 
 The all-permit algorithm exists only in the pair encoding; asking for
 it under v6 is an error rather than an invented extension.
@@ -34,9 +34,9 @@ from .decisions import (
     ZERO,
     Decision6,
     PairValue,
-    V6_JOINS,
     delta,
     delta_seq,
+    lub_order,
     max_pair,
     min_pair,
 )
@@ -81,25 +81,14 @@ STANDARD_COMBINERS = (
 )
 
 
-_PO_JOINS = V6_JOINS["po"]
-_DO_JOINS = V6_JOINS["do"]
-_O1A_JOINS = V6_JOINS["o1a"]
-
-
 def combine_po_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Permit-overrides: least upper bound in the permit-overrides lattice."""
-    result = NOT_APPLICABLE
-    for d in decisions:
-        result = _PO_JOINS[6 * result + d]
-    return result
+    return lub_order("po", decisions)
 
 
 def combine_do_v6(decisions: Sequence[Decision6]) -> Decision6:
     """Deny-overrides: least upper bound in the deny-overrides lattice."""
-    result = NOT_APPLICABLE
-    for d in decisions:
-        result = _DO_JOINS[6 * result + d]
-    return result
+    return lub_order("do", decisions)
 
 
 def combine_fa_v6(decisions: Sequence[Decision6]) -> Decision6:
@@ -116,13 +105,9 @@ def combine_o1a_v6(decisions: Sequence[Decision6]) -> Decision6:
     The join is Deny (Permit) exactly when every value that is not
     NotApplicable is Deny (Permit), so two or more such values, which
     give Indeterminate{D} (Indeterminate{P}), are found by counting."""
-    result = NOT_APPLICABLE
-    applied = 0
-    for d in decisions:
-        if d is not NOT_APPLICABLE:
-            applied += 1
-            result = _O1A_JOINS[6 * result + d]
-    if applied >= 2:
+    applied = [d for d in decisions if d is not NOT_APPLICABLE]
+    result = lub_order("o1a", applied)
+    if len(applied) >= 2:
         if result is DENY:
             return INDET_D
         if result is PERMIT:

@@ -422,25 +422,8 @@ class TraceNode(Value):
     skipped: str | None = None
 
     def lines(self) -> list[str]:
-        indent = "  " * len(self.path)
-        path_text = "/" + "/".join(str(i) for i in self.path)
-        parts = [f"{indent}{path_text} {self.kind} {self.name}:"]
-        parts.append(f"target={self.target_value.token}")
-        if self.condition_value is not None:
-            parts.append(f"condition={self.condition_value.token}")
-        if self.combiner is not None:
-            inputs = ",".join(v.canonical for v in self.inputs)
-            parts.append(f"combiner={self.combiner.token}")
-            parts.append(f"inputs=[{inputs}]")
-        if self.combined is not None:
-            parts.append(f"combined={self.combined.canonical}")
-        if self.skipped is not None:
-            parts.append(f"skipped={self.skipped}")
-        parts.append(f"result={self.result.canonical}")
-        out = [" ".join(parts)]
-        for child in self.children:
-            out.extend(child.lines())
-        return out
+        """The text form of ``to_obj()``: one line per node, indented by depth."""
+        return _trace_lines(self.to_obj())
 
     def to_obj(self) -> dict:
         obj: dict = {
@@ -462,6 +445,19 @@ class TraceNode(Value):
         if self.children:
             obj["children"] = [c.to_obj() for c in self.children]
         return obj
+
+
+def _trace_lines(obj: dict) -> list[str]:
+    path = obj["path"]
+    parts = ["  " * len(path) + "/" + "/".join(map(str, path)), obj["kind"], obj["name"] + ":"]
+    for key, value in obj.items():
+        if key not in ("path", "kind", "name", "children"):
+            text = f"[{','.join(value)}]" if isinstance(value, list) else value
+            parts.append(f"{key}={text}")
+    out = [" ".join(parts)]
+    for child in obj.get("children", ()):
+        out.extend(_trace_lines(child))
+    return out
 
 
 class EvalTrace(Value):

@@ -89,7 +89,6 @@ from .errors import (
 )
 from .policy import AllOf, AnyOf, NULL_TARGET, Policy, PolicyNode, PolicySet, Rule, Target
 from .requests import CATEGORIES, AttributeTerm, Constant, Request
-from .values import Value
 
 # Deepest nesting of policy sets, parenthesised groups and ``not`` a
 # document may use; the parser, evaluator and serializer all recurse on it.
@@ -583,8 +582,11 @@ def parse_request(text: str) -> Request:
 
 
 def _ident_text(value, where: str) -> str:
-    if isinstance(value, int):
-        return str(value)
+    if type(value) is int and value >= 0:
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's int digit limit
+            raise InvalidInputError(f"an int too long to write as {where}") from None
     if not (
         isinstance(value, str) and value.isidentifier() and value.isascii()
         and not value[0].isupper()
@@ -597,6 +599,8 @@ def _ident_text(value, where: str) -> str:
 
 def _term_text(term: Term) -> str:
     if isinstance(term, Variable):
+        if not (term.name.isidentifier() and term.name.isascii()):
+            raise InvalidInputError(f"{term.name!r} is not writable as a variable")
         return term.name
     return _ident_text(term, "a term")
 
@@ -703,37 +707,20 @@ def serialize_policy(node: PolicyNode) -> str:
 # -- lattice export --------------------------------------------------------
 
 
-class _LatticeView(Value):
-    elements: tuple
-    leq: Callable
-    label: Callable
+_TOKEN = operator.attrgetter("token")
+_CANONICAL = operator.attrgetter("canonical")
 
+# Each exportable order as (elements, leq, label), in the order the CLI lists them.
+_ORDERS: dict[str, tuple[tuple, Callable, Callable]] = {
+    "l3": (tuple(Decision3), operator.le, _TOKEN),
+    **{name: (tuple(Decision6), lattice.leq, _CANONICAL) for name, lattice in V6_LATTICES.items()},
+    "pair6": (PAIR6_VALUES, leq_pair, str),
+    "pair9": (PAIR9_VALUES, leq_pair, str),
+    "belnap-k": (tuple(altlogics.BelnapValue), altlogics.KNOWLEDGE_LATTICE.leq, _TOKEN),
+    "belnap-t": (tuple(altlogics.BelnapValue), altlogics.TRUTH_LATTICE.leq, _TOKEN),
+}
 
-def _lattice_views() -> dict[str, _LatticeView]:
-    views: dict[str, _LatticeView] = {
-        "l3": _LatticeView(
-            tuple(Decision3),
-            operator.le,
-            lambda v: v.token,
-        ),
-        "pair6": _LatticeView(PAIR6_VALUES, leq_pair, str),
-        "pair9": _LatticeView(PAIR9_VALUES, leq_pair, str),
-        "belnap-k": _LatticeView(
-            tuple(altlogics.BelnapValue),
-            altlogics.KNOWLEDGE_LATTICE.leq,
-            lambda v: v.token,
-        ),
-        "belnap-t": _LatticeView(
-            tuple(altlogics.BelnapValue),
-            altlogics.TRUTH_LATTICE.leq,
-            lambda v: v.token,
-        ),
-    }
-    for name, lattice in V6_LATTICES.items():
-        views[name] = _LatticeView(
-            tuple(Decision6), lattice.leq, lambda v: v.canonical
-        )
-    return views
+LATTICE_NAMES = tuple(_ORDERS)
 
 
 def _cover_edges(elements: tuple, leq: Callable) -> list[tuple]:
@@ -752,18 +739,17 @@ def _cover_edges(elements: tuple, leq: Callable) -> list[tuple]:
 
 def emit_lattice_dot(name: str) -> str:
     """Render the named finite order as a DOT digraph of its cover edges."""
-    view = _lattice_views().get(name)
-    if view is None:
+    order = _ORDERS.get(name)
+    if order is None:
         raise UnknownLatticeError(f"unknown lattice: {name!r}")
-    index = {e: i for i, e in enumerate(view.elements)}
-    covers = sorted(_cover_edges(view.elements, view.leq), key=lambda e: (index[e[0]], index[e[1]]))
+    elements, leq, label = order
+    index = {e: i for i, e in enumerate(elements)}
+    covers = sorted(_cover_edges(elements, leq), key=lambda e: (index[e[0]], index[e[1]]))
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
-    for element in view.elements:
-        lines.append(f'  "{view.label(element)}";')
+    for element in elements:
+        lines.append(f'  "{label(element)}";')
     for a, b in covers:
-        lines.append(f'  "{view.label(a)}" -> "{view.label(b)}";')
+        lines.append(f'  "{label(a)}" -> "{label(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-LATTICE_NAMES = ("l3", "po", "do", "o1a", "pair6", "pair9", "belnap-k", "belnap-t")

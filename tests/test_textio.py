@@ -43,6 +43,7 @@ import strategies
 from documents import wide_document
 from oracles import ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets
 from xpdp.policy import _check_name
+from xpdp.values import Value
 from xpdp.textio import (
     _COMBINER_TOKENS, _SYMBOLS, _TOKEN_RE, MAX_NESTING, _ident_text, _span_at, _tokenize
 )
@@ -317,6 +318,65 @@ class TestSerialize:
     @given(strategies.policy_nodes())
     def test_round_trip_generated(self, node):
         assert parse_policy(serialize_policy(node)) == node
+
+    @pytest.mark.parametrize("condition", [
+        Atom("owns", (-3,)),
+        Atom("owns", (True,)),
+        Atom("owns", (10 ** 5000,)),
+        Atom("owns", (Variable("X\u00e9"),)),
+        Atom("owns", (Variable("X-Y"),)),
+        Atom("owns", (Variable("X Y"),)),
+    ])
+    def test_unreadable_values_are_refused(self, condition):
+        rule = Rule("R", Effect.PERMIT, NULL_TARGET, condition)
+        with pytest.raises(InvalidInputError):
+            serialize_policy(Policy("P", NULL_TARGET, (rule,), CombinerId.DENY_OVERRIDES))
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.policy_nodes(), st.data())
+    def test_wide_values_round_trip_or_are_refused(self, node, data):
+        # The tree's constants and variable names, each replaced
+        # consistently by one from a pool the grammar partly cannot read.
+        constants: dict = {}
+        names: dict = {}
+        node = rebuilt(
+            node,
+            lambda c: constants.setdefault(c, data.draw(WIDE_CONSTANTS)),
+            lambda n: names.setdefault(n, data.draw(WIDE_VARIABLE_NAMES)),
+        )
+        try:
+            text = serialize_policy(node)
+        except InvalidInputError:
+            return
+        assert parse_policy(text) == node
+
+
+WIDE_CONSTANTS = st.sampled_from(
+    (0, 7, -3, True, False, 10 ** 5000, "alpha", "a_b", "a-b", "a b", "\u00e9t\u00e9")
+)
+WIDE_VARIABLE_NAMES = st.sampled_from(("X", "Y_2", "X\u00e9", "\u00c9t\u00e9", "X-Y", "X Y"))
+
+# The fields that hold constant terms, directly or in a tuple.
+_CONSTANT_FIELDS = {
+    (AttributeTerm, "args"), (Atom, "terms"), (FunctionValue, "arg"),
+    (Compare, "left"), (Compare, "right"),
+}
+
+
+def rebuilt(value, constant, variable_name, holds_constants=False):
+    """``value`` rebuilt through its constructors, with each constant
+    term mapped by ``constant`` and each variable name by ``variable_name``."""
+    if isinstance(value, Variable):
+        return Variable(variable_name(value.name))
+    if isinstance(value, tuple):
+        return tuple(rebuilt(v, constant, variable_name, holds_constants) for v in value)
+    if isinstance(value, Value):
+        cls = type(value)
+        return cls(*(
+            rebuilt(getattr(value, f), constant, variable_name, (cls, f) in _CONSTANT_FIELDS)
+            for f in cls._fields
+        ))
+    return constant(value) if holds_constants else value
 
 
 # Short strings near the edges of a name: ASCII letters, digits, "_",
