@@ -76,9 +76,10 @@ class Request(Value):
         """Constants occurring as fact arguments, deduplicated, in the
         domain's order (``order_constants``)."""
         # order_constants written out over the facts, splitting the
-        # arguments as they are read: this runs once per evaluation, and
-        # with cold caches, as perfbench times a decision, the call and
-        # the extra pass cost about 7 of 150 us (fact_heavy, 2-vCPU VM).
+        # arguments as they are read, with no call or second pass: this
+        # runs once per evaluation, and with cold caches, as perfbench
+        # times a decision, it takes about 10 of 56 us (fact_heavy,
+        # timed inside the decision, 2-vCPU VM).
         strings = set()
         numbers = set()
         for fact in self.facts:

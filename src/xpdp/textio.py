@@ -20,14 +20,16 @@ accepted in a policy document; ``all-permit`` is rejected at its token.
 Nesting (policy sets, parenthesised target and condition groups, and
 ``not``) is bounded by ``MAX_NESTING``; deeper input is a parse error.
 
-Source positions live only in parse errors. The lexer reads every
-token text with one ``findall`` and looks for an unexpected character
-among the distinct texts only; it gives no token a kind. The parser
-tells a kind from the text at the few places it reads one, and a
-parser position is a token index. Neither the tokens nor the syntax
-tree carry offsets: only a parser raising an error scans the source
-again to the offending token and builds its ``SourceSpan`` (line and
-column counted on ``"\\n"``).
+Source positions live only in parse errors. The lexer reads the token
+texts with one ``findall`` per slice of whole lines, so only one
+slice's copies exist at once, and keeps one string per distinct text;
+it looks for an unexpected character among the distinct texts only and
+gives no token a kind. A source without ``"\\n"`` line ends (none, or
+``"\\r"`` only) is one slice. The parser tells a kind from the text
+at the few places it reads one, and a parser position is a token
+index. Neither the tokens nor the syntax tree carry offsets: only a
+parser raising an error scans the source again to the offending token
+and builds its ``SourceSpan`` (line and column counted on ``"\\n"``).
 
 In one document, equal target matches, equal variables and conditions
 with equal tokens each parse to one object. A rule whose condition
@@ -147,6 +149,10 @@ _TOKEN_RE = re.compile(
 _FIXED_TEXTS = frozenset([*_SYMBOLS.values(), *_COMBINER_TOKENS, ""])
 _WORD_START = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
+# The fewest characters the lexer reads with one ``findall``; a slice
+# runs on to the end of its last line.
+_LEX_SLICE = 16_384
+
 _EFFECTS = {"permit": Effect.PERMIT, "deny": Effect.DENY}
 _LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
 
@@ -159,12 +165,31 @@ _CONDITION_HEAD = ["condition", ":"]
 def _tokenize(source: str) -> list[str]:
     """The texts of the tokens of ``source``, ending with one empty
     token for the end of input; an unexpected character is a parse
-    error. Only the distinct texts are checked."""
-    texts = _TOKEN_RE.findall(source)
+    error. Equal texts are one string, and only the distinct texts are
+    checked. Each ``findall`` reads a slice that ends just after the
+    first ``"\\n"`` at least ``_LEX_SLICE`` characters in: no token or
+    comment runs past a ``"\\n"``, so the cut falls between tokens. A
+    source without ``"\\n"`` (none, or ``"\\r"``-only line ends) is one
+    slice."""
+    shared: dict[str, str] = {}
+    keep = shared.setdefault
+    texts: list[str] = []
+    start, size = 0, len(source)
+    while True:
+        end = source.find("\n", start + _LEX_SLICE - 1) + 1 or size
+        found = _TOKEN_RE.findall(source, start, end)
+        if end < size:
+            # The slice ends in blanks, so its end matches the empty
+            # text twice: after the blanks, then once more at the end.
+            del found[-2:]
+        texts += map(keep, found, found)
+        if end == size:
+            break
+        start = end
     # The empty end of input matches once more after trailing blanks.
     if len(texts) > 1 and not texts[-2]:
         texts.pop()
-    unexpected = {t for t in set(texts).difference(_FIXED_TEXTS) if t[0] not in _WORD_START}
+    unexpected = {t for t in shared.keys() - _FIXED_TEXTS if t[0] not in _WORD_START}
     if unexpected:
         i = next(i for i, t in enumerate(texts) if t in unexpected)
         raise ParseError(f"unexpected character {texts[i]!r}", _span_at(source, texts, i))

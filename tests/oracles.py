@@ -7,10 +7,12 @@ other. The exceptions are ``evaluate_ungated``, the evaluator's walk
 without member gates, kept as the reference the gated walk's traces
 must equal; ``eval_target_terms``, the target loop over
 ``AttributeTerm`` matches that ground keys replaced;
-``lex_with_offsets``, the lexer the one-call lexer replaced, kept as
+``lex_with_offsets``, the lexer the ``findall`` lexer replaced, kept as
 the reference for its tokens, offsets and diagnostics;
-``REFERENCE_TOKEN_RE``, the one-call lexer's pattern before its
+``REFERENCE_TOKEN_RE``, the ``findall`` lexer's pattern before its
 alternatives were reordered for speed, the reference for its matches;
+``one_findall_texts``, the token texts as the lexer read them before it
+read its input a slice of lines at a time;
 and
 ``constants_with_fallback`` and ``full_index``, the request's constants
 and index as they were built before the index read only the names a
@@ -60,6 +62,7 @@ from xpdp import (
     weaken_to_indeterminate,
 )
 from xpdp.combiners import ABSORBING
+from xpdp.textio import _TOKEN_RE
 
 D3 = Decision3
 D6 = Decision6
@@ -683,7 +686,7 @@ def lex_with_offsets(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# -- the one-call lexer's pattern before its alternatives were reordered ----
+# -- the findall lexer's pattern before its alternatives were reordered ----
 
 _REFERENCE_COMBINERS = ("all-permit", "o-1-a", "p-o", "d-o", "f-a")
 
@@ -697,3 +700,14 @@ REFERENCE_TOKEN_RE = re.compile(
     + "".join("|" + re.escape(text) for text in _LEX_SYMBOLS.values())
     + r"|(?s:.)|\Z)"
 )
+
+
+def one_findall_texts(source: str) -> list[str]:
+    """The token texts of ``source`` from one ``findall`` of the lexer's
+    pattern over all of it, less the second empty end-of-input match
+    that trailing blanks leave: the lexer before it read in slices.
+    Unexpected characters are not checked."""
+    texts = _TOKEN_RE.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()
+    return texts

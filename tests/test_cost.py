@@ -1,6 +1,6 @@
 """Deterministic cost guards: Python function calls and builtin calls
-per decision, condition plans per parse, and no enum class attribute
-loads on the decision path.
+per decision, condition plans and heap bytes per parse, and no enum
+class attribute loads on the decision path.
 
 Wall-clock speed on a shared machine drifts between runs; the number of
 Python function calls an evaluation makes does not, and per-call cost
@@ -22,6 +22,7 @@ import dis
 import gc
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,29 @@ def test_one_plan_per_distinct_condition(monkeypatch):
     rules = [r for ps in node.children for p in ps.children for r in p.rules]
     assert len(rules) == 1000
     assert len(planned) == len({r.condition for r in rules}) == 11
+
+
+def test_parse_heap_peak():
+    """Parsing the benchmark's wide policy (1 000 rules, 205 kB) peaks
+    at no more than 1.0 MB of Python heap, with one token string per
+    distinct text. The peak counts the bytes Python allocates while
+    ``tracemalloc`` traces, not the process's RSS, which also holds the
+    interpreter, its modules and memory freed but not given back. The
+    lexer reads a slice of lines at a time, so only one slice's copies
+    of the token texts exist at once; one ``findall`` over the whole
+    document peaked at 1.79 MB."""
+    text = benchmark_workloads().wide_policy(7).policy_text
+    texts = xpdp.textio._tokenize(text)
+    assert len({id(t) for t in texts}) == len(set(texts)) < len(texts)
+    del texts
+    tracemalloc.start()
+    try:
+        xpdp.parse_policy(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, f"parse peak {peak / 1e6:.2f} MB"
+    print(f"wide_policy parse: tracemalloc peak {peak / 1e6:.3f} MB")
 
 
 def enum_class_loads(fn) -> list[str]:

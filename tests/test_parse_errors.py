@@ -22,7 +22,7 @@ from pathlib import Path
 
 from documents import varied_policy
 from oracles import lex_with_offsets
-from xpdp import PolicyEngineError, parse_policy, parse_request
+from xpdp import PolicyEngineError, parse_policy, parse_request, textio
 
 HERE = Path(__file__).resolve().parent
 DATA = HERE / "data" / "parse_errors.json"
@@ -94,6 +94,12 @@ def test_diagnostics_match_the_recording():
     assert len(got) == len(recorded["cases"])
     wrong = [(want, have) for want, have in zip(recorded["cases"], got) if want != have]
     assert not wrong, f"{len(wrong)} mutants differ; first: {wrong[:3]}"
+
+
+def test_diagnostics_match_the_recording_a_slice_per_line(monkeypatch):
+    """The recording holds when the lexer reads each line as its own slice."""
+    monkeypatch.setattr(textio, "_LEX_SLICE", 1)
+    test_diagnostics_match_the_recording()
 
 
 def test_recording_covers_every_error_class():

@@ -41,7 +41,8 @@ from xpdp import (
 
 import strategies
 from documents import wide_document
-from oracles import ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets
+from oracles import ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets, one_findall_texts
+from xpdp import textio
 from xpdp.policy import _check_name
 from xpdp.values import Value
 from xpdp.textio import (
@@ -677,7 +678,7 @@ def token_matches(pattern, text: str) -> list[tuple[int, str]]:
 
 
 class TestLexerOracle:
-    """The one-call lexer gives the reference lexer's tokens, offsets and
+    """The lexer gives the reference lexer's tokens, offsets and
     diagnostics."""
 
     @settings(max_examples=500, deadline=None)
@@ -724,6 +725,45 @@ class TestLexerOracle:
         assert err.value.span.start == lex_with_offsets(unclosed)[-1][2] == len(unclosed)
         bad = unclosed + "%"
         assert lexed(tokens_with_offsets, bad) == lexed(lex_with_offsets, bad)
+
+    def test_wide_document_as_one_findall(self):
+        # 11 slices at the default size; at size 1, one a line.
+        text = wide_document()
+        assert _tokenize(text) == one_findall_texts(text)
+
+    def test_no_line_end_is_one_slice(self, monkeypatch):
+        text = wide_document(subjects=24).replace("\n", " ")
+        assert len(text) >= 100_000 and "\n" not in text
+        counting = CountingFindall(_TOKEN_RE)
+        monkeypatch.setattr(textio, "_TOKEN_RE", counting)
+        assert _tokenize(text) == one_findall_texts(text)
+        assert counting.calls == 1
+
+
+class CountingFindall:
+    """A token pattern that counts its ``findall`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def findall(self, *args):
+        self.calls += 1
+        return self.pattern.findall(*args)
+
+
+class TestSlicedLexerOracle(TestLexerOracle):
+    """The lexer oracle's checks with a slice boundary after every line
+    (slices of at least 1 character) or after most lines (7)."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 7])
+    def lex_slice(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textio, "_LEX_SLICE", request.param)
+            yield
+
+    # The pattern does not depend on the slice size.
+    test_pattern_compiles_before_python_3_11 = None
 
 
 def policy_with_conditions(*conditions: str) -> str:
