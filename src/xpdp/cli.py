@@ -18,13 +18,17 @@ data errors: exit 65 with a one-line diagnostic naming the input.
 ``check-equivalence --max-len`` above ``MAX_EQUIVALENCE_LENGTH`` is a
 usage error: the check enumerates 6^N sequences per length N. Results
 go to stdout, diagnostics to stderr. Structured output is one JSON
-object per line with a fixed key order.
+object per line with a fixed key order. A reader that closes stdout
+early (``xpdp eval ... | head -1``) ends the output, not the command:
+the rest is dropped, stderr stays empty and the exit code is the one
+the command computes (for ``eval``, the decision's).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -110,6 +114,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(text: str = "", end: str = "\n", flush: bool = False) -> None:
+    """``print`` to stdout. Once the reader has closed the pipe, fd 1 is
+    pointed at ``os.devnull``, as the Python docs' note on SIGPIPE
+    shows, so the rest of the output and the flush at exit are dropped
+    there and the command runs on to its exit code."""
+    try:
+        print(text, end=end, flush=flush)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _read_input(option: str, path: str) -> str | None:
     """The text of an input file, or None after a diagnostic naming
     the option and the path."""
@@ -138,12 +153,12 @@ def _cmd_eval(args) -> int:
         obj = {"decision": decision.canonical}
         if trace is not None:
             obj["trace"] = trace.to_obj()
-        print(json.dumps(obj))
+        _print(json.dumps(obj))
     else:
-        print(decision.canonical)
+        _print(decision.canonical)
         if trace is not None:
             for line in trace.lines():
-                print(line)
+                _print(line)
     return _DECISION_EXIT[decision]
 
 
@@ -197,7 +212,7 @@ def _cmd_check_equivalence(args) -> int:
     for algorithm in algorithms:
         report = check_equivalence(algorithm, args.max_len)
         obj = _report_obj(report)
-        print(json.dumps(obj) if args.format == "structured" else "\n".join(_report_lines(obj)))
+        _print(json.dumps(obj) if args.format == "structured" else "\n".join(_report_lines(obj)))
         failed = failed or not report.ok
     return EXIT_CHECK_FAILED if failed else 0
 
@@ -222,13 +237,13 @@ def _cmd_compare(args) -> int:
         "dalg_agrees": row.dalg_agrees,
     }
     if args.format == "structured":
-        print(json.dumps(obj))
+        _print(json.dumps(obj))
         return 0
-    print(f"permit-overrides of {', '.join(obj['inputs'])}")
-    print(f"  {'V6 (standard):':15}{obj['v6']}")
+    _print(f"permit-overrides of {', '.join(obj['inputs'])}")
+    _print(f"  {'V6 (standard):':15}{obj['v6']}")
     for key, label in (("pair", "pair:"), ("belnap", "Belnap:"), ("dalg", "D-algebra:")):
         verdict = "agrees" if obj[key + "_agrees"] else "DIVERGES from standard"
-        print(f"  {label:15}{obj[key]}  ({verdict})")
+        _print(f"  {label:15}{obj[key]}  ({verdict})")
     return 0
 
 
@@ -245,7 +260,7 @@ def _cmd_lattice(args) -> int:
             print(f"xpdp: cannot write output: {exc}", file=sys.stderr)
             return EXIT_DATA
     else:
-        sys.stdout.write(dot)
+        _print(dot, end="")
     return 0
 
 
@@ -264,7 +279,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        _print(end="", flush=True)  # a closed pipe shows here, not at exit
+        return code
     except Exception as exc:  # the last resort: one line, never a traceback
         print(f"xpdp: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

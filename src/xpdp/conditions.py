@@ -292,18 +292,15 @@ class RequestIndex:
         self.category_keys = category_keys
 
 
-def index_request(request: Request, needs: Optional[AbstractSet[str]] = None) -> RequestIndex:
+def index_request(request: Request, needs: AbstractSet[str]) -> RequestIndex:
     """Index a request for evaluation; done once per evaluation.
 
     ``needs`` names the attributes a policy tree reads (``Policy.needs``
     and ``PolicySet.needs``): the names its targets match and the names
     of its conditions' atoms and function operands. A fact or error
     attribute of any other name is left out, as no part of the tree can
-    look it up; its constants stay in ``domain``. Without ``needs``,
-    every fact and error attribute is indexed.
+    look it up; its constants stay in ``domain``.
     """
-    if needs is None:
-        needs = {term.name for term in itertools.chain(request.facts, request.error_attributes)}
     tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
     functions: dict[tuple[str, Constant], list[Constant]] = {}
     facts = set()

@@ -14,39 +14,40 @@ visiting members at the first value that absorbs its combination (the
 top of the combiner's lattice, or any value but NotApplicable for
 first-applicable; ``combiners.ABSORBING``).
 
-Targets are compared as ground keys. Each match's ``(name, args)`` key
-is built once, with its term, and every all-of, any-of and target
-keeps its matches' keys (``keys``), so equal matches, which the parser
-gives one object, share one key. A match hits when its key is among
-the ``facts`` of the request index and is indeterminate when it is
-among its ``errors``; no term is hashed or compared during a walk.
+The null target is the empty conjunction of any-ofs, XACML's empty
+target, so it is TOP. Targets are compared as ground keys. Each match's
+``(name, args)`` key is built once, with its term, and every all-of,
+any-of and target keeps its matches' keys (``keys``), so equal matches,
+which the parser gives one object, share one key. A match hits when its
+key is among the ``facts`` of the request index and is indeterminate
+when it is among its ``errors``; no term is hashed or compared.
 
 A node visits exactly the members that can apply. When a policy or
 policy set is built it compiles a ``MemberGate``, bottom-up: each
 member with a non-null target is listed under the key of one match
 from each all-of of one of its any-ofs, chosen so that as few siblings
-as possible share them. The choice is made once per distinct any-of,
-however many members share it. A target that is not BOTTOM needs, in
-every any-of, an all-of whose matches are all facts or error
-attributes, so one listed key of each such member is among the
-request's category keys. A null-target child with no ``always``
-member of its own is listed under every key of its gate, so a set's
-gate holds its descendants' keys at any depth. The node visits, in
-order, the hit members whose single-all-of keys are all present (one
-set test) and whose other any-ofs each have an all-of all present,
-plus the ``always`` members. Every other member is NotApplicable,
-which every standard combiner ignores (the bottom of the p-o and d-o
-lattices, skipped by f-a, a blank to o-1-a), so leaving it out changes
-no value.
+as possible share them: one pass counts every member's match keys, and
+a second makes each distinct any-of's choice at its first use. A
+target that is not BOTTOM needs, in every any-of, an all-of whose
+matches are all facts or error attributes, so one listed key of each
+such member is among the request's category keys. A null-target child
+with no ``always`` member of its own is listed under every key of its
+gate, so a set's gate holds its descendants' keys at any depth. The
+node visits, in order, the hit members whose single-all-of keys are
+all present (one set test) and whose other any-ofs each have an all-of
+all present, plus the ``always`` members. Every other member is
+NotApplicable, which every standard combiner ignores (the bottom of
+the p-o and d-o lattices, skipped by f-a, a blank to o-1-a), so
+leaving it out changes no value.
 
 One walk, ``_eval_node``, serves traced and untraced evaluation: it
 decides a policy's rules in line and builds trace paths and nodes only
 when a trace is asked for. It calls the layer functions through this
-module's names (``eval_target``, ``eval_condition``, ``rule_decision``,
-``combine``): for a rule its target, then its condition under a TOP
-target, then its decision; for a node its target unless it is null,
-then its members, then one ``combine`` over their values. A null
-target is TOP by definition, so a node's is not evaluated; a rule's
+module's names (``eval_target``, ``eval_condition``,
+``rule_decision``, ``combine``): for a rule its target, then its
+condition under a TOP target, then its decision; for a node its target
+unless it is null, then its members, then one ``combine`` over their
+values. A null target is TOP, so a node's is not evaluated; a rule's
 is, because its condition comes right after it. Without a trace, a
 node whose gate lets no member through is not entered: it is
 NotApplicable whatever its target, so neither its target nor a
@@ -140,27 +141,18 @@ class AnyOf(Value, derived=("keys",)):
 
 
 class Target(Value, derived=("keys",)):
-    """Applicability filter: a conjunction of any-of groups, or null.
+    """Applicability filter: a conjunction of any-of groups. The null
+    target ``Target(())``, the empty conjunction and XACML's empty
+    target, applies to every request. ``keys`` holds the any-ofs' keys."""
 
-    ``any_ofs`` is None for the null target, which applies to every
-    request; a present tuple must be non-empty. ``keys`` is the target
-    as ground keys, the any-ofs' keys, or None for the null target.
-    """
-
-    any_ofs: tuple[AnyOf, ...] | None
-    keys: tuple[tuple[tuple[TermKey, ...], ...], ...] | None
+    any_ofs: tuple[AnyOf, ...]
+    keys: tuple[tuple[tuple[TermKey, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.any_ofs is None:
-            keys = None
-        elif not self.any_ofs:
-            raise InvalidInputError("a non-null target needs at least one any-of")
-        else:
-            keys = tuple(a.keys for a in self.any_ofs)
-        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "keys", tuple(a.keys for a in self.any_ofs))
 
 
-NULL_TARGET = Target(None)
+NULL_TARGET = Target(())
 
 
 class MemberGate(Value):
@@ -182,34 +174,26 @@ class MemberGate(Value):
 def compile_gate(targets: Sequence[Target], gates: Optional[Sequence] = None) -> MemberGate:
     """Index members by target. Each member is listed under the any-of,
     and each all-of under the match, that the fewest siblings mention,
-    so a request hits as few members as it can. An any-of that several
-    members share (the parser gives equal matches one) is weighed once.
-    ``gates`` holds the members' own gates, None for rules (the default)."""
-    # Any-ofs by the id of their keys, with the number of members using them.
-    any_ofs: dict[int, tuple[tuple[TermKey, ...], ...]] = {}
-    users: Counter[int] = Counter()
-    for target in targets:
-        for any_of in target.keys or ():
-            any_ofs[id(any_of)] = any_of
-            users[id(any_of)] += 1
-    mentions: Counter[TermKey] = Counter()
-    for ident, any_of in any_ofs.items():
-        for all_of in any_of:
-            for key in all_of:
-                mentions[key] += users[ident]
-    count = mentions.__getitem__
+    so a request hits as few members as it can. One pass counts every
+    member's match keys; a second lists the members, choosing for each
+    distinct any-of once, at its first use. ``gates`` holds the members'
+    own gates, None for rules (the default)."""
+    count = Counter(
+        key for target in targets for any_of in target.keys for all_of in any_of
+        for key in all_of
+    ).__getitem__
     picks: dict[int, tuple[int, tuple[TermKey, ...]]] = {}
-    for ident, any_of in any_ofs.items():
-        chosen = tuple(min(all_of, key=count) for all_of in any_of)
-        picks[ident] = (sum(map(count, chosen)), chosen)
     keys: dict[TermKey, list[int]] = {}
     always = []
     required, alternations = [], []
     for i, target in enumerate(targets):
         best = None
         needed, alternating = [], []
-        for any_of in target.keys or ():
-            pick = picks[id(any_of)]
+        for any_of in target.keys:
+            pick = picks.get(id(any_of))
+            if pick is None:
+                chosen = tuple(min(all_of, key=count) for all_of in any_of)
+                pick = picks[id(any_of)] = (sum(map(count, chosen)), chosen)
             if best is None or pick[0] < best[0]:
                 best = pick
             if len(any_of) == 1:
@@ -252,14 +236,6 @@ class Rule(Value, derived=("plan",)):
         return rule
 
 
-def _collect_target_reads(target: Target, names: set[str]) -> None:
-    """Add to ``names`` the names of ``target``'s matches."""
-    for any_of in target.keys or ():
-        for all_of in any_of:
-            for name, _ in all_of:
-                names.add(name)
-
-
 class Policy(Value, derived=("gate", "needs")):
     """A policy. ``needs`` holds the names of the request attributes the
     policy reads: those its own and its rules' targets match, and the
@@ -278,12 +254,13 @@ class Policy(Value, derived=("gate", "needs")):
         _check_combiner(self.combiner)
         if not self.rules:
             raise InvalidInputError(f"policy {self.name!r} needs at least one rule")
-        object.__setattr__(self, "gate", compile_gate([r.target for r in self.rules]))
-        names: set[str] = set()
-        _collect_target_reads(self.target, names)
-        for rule in self.rules:
-            _collect_target_reads(rule.target, names)
-            names |= rule.plan.reads
+        targets = [r.target for r in self.rules]
+        object.__setattr__(self, "gate", compile_gate(targets))
+        names = {
+            name for target in (self.target, *targets) for any_of in target.keys
+            for all_of in any_of for name, _ in all_of
+        }
+        names.update(*[r.plan.reads for r in self.rules])
         object.__setattr__(self, "needs", frozenset(names))
 
 
@@ -308,10 +285,8 @@ class PolicySet(Value, derived=("gate", "needs")):
             )
         gate = compile_gate([c.target for c in self.children], [c.gate for c in self.children])
         object.__setattr__(self, "gate", gate)
-        names: set[str] = set()
-        _collect_target_reads(self.target, names)
-        for child in self.children:
-            names |= child.needs
+        names = {name for any_of in self.target.keys for all_of in any_of for name, _ in all_of}
+        names.update(*[c.needs for c in self.children])
         object.__setattr__(self, "needs", frozenset(names))
 
 
@@ -321,17 +296,14 @@ PolicyNode = Union[Policy, PolicySet]
 def eval_target(target: Target, index: RequestIndex) -> Decision3:
     """Meet over any-ofs of the join over all-ofs of the meet of matches,
     each match looked up by its ground key among the request's facts
-    and error attributes; the null target always matches. A meet stops
-    at BOTTOM and a join at TOP."""
-    any_ofs = target.keys
-    if any_ofs is None:
-        return TOP
+    and error attributes; the null target, a meet over no any-ofs, is
+    TOP. A meet stops at BOTTOM and a join at TOP."""
     # Facts and error attributes are disjoint, so a fact is a hit
     # whatever the error set holds.
     facts = index.facts
     errors = index.errors
     result = TOP
-    for any_of in any_ofs:
+    for any_of in target.keys:
         joined = BOTTOM
         for all_of in any_of:
             met = TOP
@@ -542,7 +514,7 @@ def _eval_node(
         let_through = set(visits)
         traces = []
     target = node.target
-    target_value = TOP if target.keys is None else eval_target(target, index)
+    target_value = eval_target(target, index) if target.keys else TOP
     if target_value is BOTTOM:
         return NOT_APPLICABLE, None if path is None else _bottom_trace(node, path)
     absorbing = ABSORBING[node.combiner]
@@ -552,7 +524,7 @@ def _eval_node(
         member = members[i]
         # Every null-target member is entered, as in the ungated walk
         # (null-target rules are always visited).
-        if path is not None and i not in let_through and member.target.keys is not None:
+        if path is not None and i not in let_through and member.target.keys:
             inputs.append(NOT_APPLICABLE)
             traces.append(_bottom_trace(member, (*path, i)))
             continue

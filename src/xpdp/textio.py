@@ -156,11 +156,6 @@ _LEX_SLICE = 16_384
 _EFFECTS = {"permit": Effect.PERMIT, "deny": Effect.DENY}
 _LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
 
-# Runs of fixed tokens the parser compares as one slice of texts.
-_RULE_HEAD = ["{", "effect", ":"]
-_TARGET_HEAD = ["target", ":"]
-_CONDITION_HEAD = ["condition", ":"]
-
 
 def _tokenize(source: str) -> list[str]:
     """The texts of the tokens of ``source``, ending with one empty
@@ -330,17 +325,14 @@ class _Parser:
         if not texts[i + 1].isidentifier():
             self._expected("a rule name", i + 1)
         name = texts[i + 1]
-        if texts[i + 2:i + 5] != _RULE_HEAD:
-            self._want(i + 2, *_RULE_HEAD)
-        effect = _EFFECTS.get(texts[i + 5])
+        i = self._want(i + 2, "{", "effect", ":")
+        effect = _EFFECTS.get(texts[i])
         if effect is None:
-            self._expected("'permit' or 'deny'", i + 5)
-        if texts[i + 6] != ";":
-            self._expected("';'", i + 6)
-        target, i = self._target_field(i + 7)
-        if texts[i:i + 2] != _CONDITION_HEAD:
-            self._want(i, *_CONDITION_HEAD)
-        i += 2
+            self._expected("'permit' or 'deny'", i)
+        if texts[i + 1] != ";":
+            self._expected("';'", i + 1)
+        target, i = self._target_field(i + 2)
+        i = self._want(i, "condition", ":")
         # A condition holds no brace, so a rule read with the same
         # tokens up to its first brace read the same condition.
         try:
@@ -392,12 +384,11 @@ class _Parser:
 
     def _target_field(self, i: int) -> tuple[Target, int]:
         texts = self._texts
-        if texts[i:i + 2] != _TARGET_HEAD:
-            self._want(i, *_TARGET_HEAD)
-        if texts[i + 2] == "null":
-            return NULL_TARGET, self._want(i + 3, ";")
+        i = self._want(i, "target", ":")
+        if texts[i] == "null":
+            return NULL_TARGET, self._want(i + 1, ";")
         self._too_deep = None
-        any_ofs, i = self._texpr(i + 2, top=True)
+        any_ofs, i = self._texpr(i, top=True)
         if texts[i] != ";":
             self._expected("';'", i)
         if self._too_deep is not None:
@@ -669,7 +660,7 @@ def _match_text(match: AttributeTerm) -> str:
 
 
 def _target_text(target: Target) -> str:
-    if target.any_ofs is None:
+    if not target.any_ofs:
         return "null"
     parts = []
     for any_of in target.any_ofs:

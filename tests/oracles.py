@@ -13,16 +13,18 @@ the reference for its tokens, offsets and diagnostics;
 alternatives were reordered for speed, the reference for its matches;
 ``one_findall_texts``, the token texts as the lexer read them before it
 read its input a slice of lines at a time;
-and
 ``constants_with_fallback`` and ``full_index``, the request's constants
 and index as they were built before the index read only the names a
-tree reads.
+tree reads; ``index_all``, ``index_request`` over every name a request
+holds; and ``compile_gate_reference``, the member gate as it was
+compiled in four passes, over distinct any-ofs weighed by their users.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from typing import Optional, Sequence
 
 from xpdp import (
@@ -45,6 +47,7 @@ from xpdp import (
     Policy,
     PolicySet,
     Request,
+    RequestIndex,
     Rule,
     SourceSpan,
     Target,
@@ -62,6 +65,7 @@ from xpdp import (
     weaken_to_indeterminate,
 )
 from xpdp.combiners import ABSORBING
+from xpdp.policy import MemberGate
 from xpdp.textio import _TOKEN_RE
 
 D3 = Decision3
@@ -349,6 +353,67 @@ def full_index(request: Request) -> dict:
     }
 
 
+def index_all(request: Request) -> RequestIndex:
+    """``index_request`` for every name among the request's facts and
+    error attributes, so every one of them is indexed."""
+    return index_request(
+        request, {t.name for t in itertools.chain(request.facts, request.error_attributes)}
+    )
+
+
+def compile_gate_reference(
+    targets: Sequence[Target], gates: Optional[Sequence] = None
+) -> MemberGate:
+    """``compile_gate`` in four passes: the distinct any-ofs with the
+    number of members using each, the count of each match key weighted
+    by those users, each distinct any-of's pick, then the members."""
+    # Any-ofs by the id of their keys, with the number of members using them.
+    any_ofs: dict[int, tuple] = {}
+    users: Counter[int] = Counter()
+    for target in targets:
+        for any_of in target.keys:
+            any_ofs[id(any_of)] = any_of
+            users[id(any_of)] += 1
+    mentions: Counter = Counter()
+    for ident, any_of in any_ofs.items():
+        for all_of in any_of:
+            for key in all_of:
+                mentions[key] += users[ident]
+    count = mentions.__getitem__
+    picks: dict[int, tuple] = {}
+    for ident, any_of in any_ofs.items():
+        chosen = tuple(min(all_of, key=count) for all_of in any_of)
+        picks[ident] = (sum(map(count, chosen)), chosen)
+    keys: dict = {}
+    always = []
+    required, alternations = [], []
+    for i, target in enumerate(targets):
+        best = None
+        needed, alternating = [], []
+        for any_of in target.keys:
+            pick = picks[id(any_of)]
+            if best is None or pick[0] < best[0]:
+                best = pick
+            if len(any_of) == 1:
+                needed.extend(any_of[0])
+            else:
+                alternating.append(any_of)
+        required.append(tuple(needed))
+        alternations.append(tuple(alternating))
+        if best is None and (gates is None or gates[i].always):
+            always.append(i)
+        elif best is None:
+            for key in gates[i].keys:
+                keys.setdefault(key, []).append(i)
+        else:
+            for key in best[1]:
+                positions = keys.setdefault(key, [])
+                if not positions or positions[-1] != i:
+                    positions.append(i)
+    return MemberGate({k: tuple(p) for k, p in keys.items()}, tuple(always),
+                      tuple(required), tuple(alternations))
+
+
 def _variable_occurrences(expr: ConditionExpr):
     """Each variable occurrence in ``expr`` as ``(name, where)``, with
     ``where`` one of ``"atom"``, ``"bare"`` (a comparison operand) and
@@ -425,9 +490,7 @@ def eval_match(match: AttributeTerm, request: Request) -> Decision3:
 def eval_target_lattice(target: Target, request: Request) -> Decision3:
     """A target's value as the lattice expression: the glb over any-ofs
     of the lub over all-ofs of the glb of the match values. The null
-    target is TOP."""
-    if target.any_ofs is None:
-        return D3.TOP
+    target, a glb over no any-ofs, is TOP."""
     return glb3(
         lub3(
             glb3(eval_match(m, request) for m in all_of.matches)
@@ -441,8 +504,6 @@ def eval_target_terms(target: Target, request: Request) -> Decision3:
     """A target's value from its ``AttributeTerm`` matches, looked up in
     the request's fact and error sets: the meet over any-ofs of the join
     over all-ofs of the meet of matches, each loop stopping early."""
-    if target.any_ofs is None:
-        return D3.TOP
     result = D3.TOP
     for any_of in target.any_ofs:
         joined = D3.BOTTOM
@@ -625,7 +686,7 @@ def evaluate_ungated(node: Policy | PolicySet, request: Request, with_trace: boo
     combiners), so it is the reference for the gate and the index's
     relevance filter: the two must give equal decisions and equal
     traces."""
-    decision, trace_node = _ungated(node, index_request(request), (), with_trace)
+    decision, trace_node = _ungated(node, index_all(request), (), with_trace)
     return decision, EvalTrace(trace_node) if trace_node is not None else None
 
 

@@ -290,7 +290,7 @@ def tree_nodes(node):
 
 def target_matches(target):
     """Every category match in a target, in order."""
-    for any_of in target.any_ofs or ():
+    for any_of in target.any_ofs:
         for all_of in any_of.all_ofs:
             yield from all_of.matches
 

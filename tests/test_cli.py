@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xpdp.cli
+from documents import benchmark_workloads
 from xpdp import CombinerId, PairValue, ZERO
 from xpdp.cli import (
     EXIT_CHECK_FAILED,
@@ -304,6 +308,61 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", "--name", "nope")
         assert code == EXIT_USAGE
         assert "nope" in err
+
+
+def first_line_then_close(*argv: str) -> tuple[bytes, int, bytes]:
+    """Run ``xpdp *argv`` in its own process, read one line of its stdout
+    and close the pipe, as ``| head -1`` does. Returns that line, the
+    exit code and everything written to stderr."""
+    src = str(Path(xpdp.cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xpdp", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, proc.wait(), err
+
+
+class TestEarlyReader:
+    """A reader that closes stdout after one line ends the output, not
+    the command: the exit code is the one the command computes, and
+    stderr stays empty."""
+
+    def test_trace_longer_than_a_pipe_holds(self, capsys, tmp_path):
+        rules = ",\n".join(
+            f"rule r{k} {{ effect: permit; target: subject(s{k}); condition: true; }}"
+            for k in range(3000)
+        )
+        pol = tmp_path / "wide.pol"
+        pol.write_text(f"policy P {{ target: null; combiner: d-o; rules: [\n{rules}\n]; }}\n")
+        req = tmp_path / "errored.req"
+        req.write_text("{ action(read), error:subject(s2999) }\n")
+        argv = ("eval", "--policy", str(pol), "--request", str(req), "--trace")
+        code, out, _ = run(capsys, *argv)
+        # Far more than a pipe buffers (64 KiB on Linux), so the process
+        # is still writing when the pipe closes.
+        assert code == EXIT_INDETERMINATE and len(out) > 2 ** 17
+        assert first_line_then_close(*argv) == (b"Indeterminate{P}\n", EXIT_INDETERMINATE, b"")
+
+    def test_wide_policy_trace(self, tmp_path):
+        workload = benchmark_workloads().wide_policy(7)
+        case = next(i for i, d in enumerate(workload.expected) if d.startswith("Indeterminate"))
+        pol = tmp_path / "wide.pol"
+        pol.write_text(workload.policy_text)
+        req = tmp_path / "case.req"
+        req.write_text(workload.request_texts[case])
+        first, code, err = first_line_then_close(
+            "eval", "--policy", str(pol), "--request", str(req), "--trace"
+        )
+        assert (first.decode(), code, err) == (workload.expected[case] + "\n", 3, b"")
+
+    def test_check_equivalence(self):
+        first, code, err = first_line_then_close("check-equivalence", "--max-len", "3")
+        assert (first, code, err) == (b"p-o: 259 sequences (length <= 3), 0 counterexamples\n",
+                                      0, b"")
 
 
 class TestUsage:

@@ -23,7 +23,6 @@ from xpdp import (
     compile_condition,
     eval_condition,
     evaluate,
-    index_request,
     kleene_eval,
     parse_policy,
     parse_request,
@@ -36,6 +35,7 @@ from oracles import (
     eval_condition_product,
     evaluate_exhaustive,
     free_variables,
+    index_all,
     kleene_eval_terms,
 )
 
@@ -49,7 +49,7 @@ def request(facts, errors=()):
 
 
 def condition_value(expr, req):
-    return eval_condition(compile_condition(expr), index_request(req))
+    return eval_condition(compile_condition(expr), index_all(req))
 
 
 # One request realizing all three atom outcomes: yes(a) holds, err(a)
@@ -73,7 +73,7 @@ GROUND_ATOMS = {
 def kleene(expr, binding, req):
     """kleene_eval over the request's index, checked against the
     reference evaluator that builds a term for every atom."""
-    value = kleene_eval(expr, binding, index_request(req))
+    value = kleene_eval(expr, binding, index_all(req))
     assert value is kleene_eval_terms(expr, binding, req)
     return value
 
@@ -127,7 +127,7 @@ class TestKleeneEval:
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
-            kleene_eval(Atom("yes", (X,)), {}, index_request(GROUND_REQUEST))
+            kleene_eval(Atom("yes", (X,)), {}, index_all(GROUND_REQUEST))
         with pytest.raises(UnboundVariableError):
             kleene_eval_terms(Atom("yes", (X,)), {}, GROUND_REQUEST)
 
@@ -334,7 +334,7 @@ class TestJoin:
             [fact("r", "a", "b"), fact("r", "c"), fact("r", "a", "f")],
             [fact("r", "d", "e"), fact("s", "d")],
         )
-        index = index_request(req)
+        index = index_all(req)
         assert index.domain == req.constants() == ("a", "b", "c", "f")
         assert sorted(index.tuples[("r", 2)]) == [("a", "b"), ("a", "f"), ("d", "e")]
         assert index.tuples[("r", 1)] == [("c",)]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import strategies
 from documents import benchmark_workloads
 from oracles import (
+    compile_gate_reference,
     constants_with_fallback,
     eval_match,
     eval_policy,
@@ -26,6 +27,7 @@ from oracles import (
     evaluate_ungated,
     exhaustive_results,
     full_index,
+    index_all,
     node_result,
     node_result_with_blank_case,
     rule_decision_cases,
@@ -65,6 +67,7 @@ from xpdp import (
     parse_policy,
     parse_request,
     rule_decision,
+    serialize_policy,
     sigma,
     weaken_to_indeterminate,
 )
@@ -95,7 +98,7 @@ def target_of(*matches):
 def decide_target(target, req):
     """``eval_target`` on the request's index; equal to the loop over
     the target's terms."""
-    value = eval_target(target, index_request(req))
+    value = eval_target(target, index_all(req))
     assert value is eval_target_terms(target, req)
     return value
 
@@ -112,6 +115,34 @@ class TestMatchAndTarget:
 
     def test_null_target(self):
         assert decide_target(NULL_TARGET, request([match("subject", "s")])) is D3.TOP
+
+    def test_null_target_is_the_empty_conjunction(self):
+        # XACML's empty target: a meet over no any-ofs, TOP on every
+        # request, errored ones too.
+        assert Target(()) == NULL_TARGET
+        assert NULL_TARGET.any_ofs == () and NULL_TARGET.keys == ()
+        for req in (PLAIN_REQUEST, ERRORED_REQUEST):
+            assert decide_target(Target(()), req) is D3.TOP
+            assert eval_target(Target(()), index_request(req, frozenset())) is D3.TOP
+            assert eval_target_lattice(Target(()), req) is D3.TOP
+
+    def test_none_is_not_a_target(self):
+        with pytest.raises(TypeError):
+            Target(None)
+
+    def test_null_reads_and_writes_as_the_empty_conjunction(self):
+        text = (
+            "policy P {\n  target: null;\n  combiner: d-o;\n  rules: [\n    rule R {\n"
+            "      effect: permit;\n      target: null;\n      condition: true;\n    }\n"
+            "  ];\n}\n"
+        )
+        policy = parse_policy(text)
+        assert policy.target == Target(()) and policy.target is NULL_TARGET
+        assert policy.rules[0].target == Target(())
+        assert serialize_policy(policy) == text
+        built = Policy("P", Target(()), (Rule("R", Effect.PERMIT, Target(()), TRUE_CONDITION),),
+                       CombinerId.DENY_OVERRIDES)
+        assert serialize_policy(built) == text
 
     def test_conjunction(self):
         req = request([match("subject", "patient"), match("action", "read")])
@@ -716,9 +747,9 @@ def passes(member, req) -> bool:
     keys, the only way one of its members can apply."""
     if eval_target_lattice(member.target, req) is D3.BOTTOM:
         return False
-    if isinstance(member, Rule) or member.target.keys is not None or member.gate.always:
+    if isinstance(member, Rule) or member.target.keys or member.gate.always:
         return True
-    return not index_request(req).category_keys.isdisjoint(member.gate.keys)
+    return not index_all(req).category_keys.isdisjoint(member.gate.keys)
 
 
 def entered_targets(trace: TraceNode, node, req) -> list[D3]:
@@ -739,7 +770,7 @@ def entered_targets(trace: TraceNode, node, req) -> list[D3]:
     visited = [c for c in trace.children if passes(members[c.path[-1]], req)]
     if not visited:
         return []
-    values = [] if node.target.keys is None else [trace.target_value]
+    values = [trace.target_value] if node.target.keys else []
     for child in visited:
         values += entered_targets(child, members[child.path[-1]], req)
     return values
@@ -783,7 +814,7 @@ class TestGatedEvaluation:
                 t.target_value
                 for i, (t, n) in enumerate(preorder(reference.root, node))
                 if (i == 0 or t.target_value is not D3.BOTTOM)
-                and (t.kind == "rule" or n.target.keys is not None)
+                and (t.kind == "rule" or n.target.keys)
             ]
             if targets != every:
                 seen["not entered"] += 1
@@ -837,7 +868,7 @@ class TestGatedEvaluation:
         def check(case):
             targets, req = case
             for target in targets:
-                value = eval_target(target, index_request(req))
+                value = eval_target(target, index_all(req))
                 assert value is eval_target_lattice(target, req)
                 assert value is eval_target_terms(target, req)
                 seen[value] += 1
@@ -897,11 +928,11 @@ class TestFilteredIndex:
             _, reference = evaluate_ungated(node, req, with_trace=True)
             assert trace.lines() == reference.lines()
             assert trace.to_obj() == reference.to_obj()
-            # Without needs, the index is the full one; with them, it is
-            # cut down to the names the tree reads, with the constants of
-            # every fact.
+            # For every name, the index is the full one; for the tree's
+            # needs, it is cut down to the names the tree reads, with the
+            # constants of every fact.
             full = full_index(req)
-            assert index_fields(index_request(req)) == full
+            assert index_fields(index_all(req)) == full
             filtered = index_fields(index_request(req, node.needs))
             reads = node.needs.__contains__
             assert filtered["domain"] == full["domain"]
@@ -1013,6 +1044,29 @@ def policy_sets_in(node):
             yield from policy_sets_in(child)
 
 
+def tree_nodes(node):
+    """``node`` and every policy and policy set under it."""
+    yield node
+    if isinstance(node, PolicySet):
+        for child in node.children:
+            yield from tree_nodes(child)
+
+
+def assert_gate_is_reference(gate, reference):
+    assert gate == reference
+    assert list(gate.keys.items()) == list(reference.keys.items())
+
+
+def assert_reference_gate(node):
+    """``node``'s gate is the one ``compile_gate_reference`` compiles."""
+    if isinstance(node, Policy):
+        reference = compile_gate_reference([r.target for r in node.rules])
+    else:
+        reference = compile_gate_reference([c.target for c in node.children],
+                                           [c.gate for c in node.children])
+    assert_gate_is_reference(node.gate, reference)
+
+
 class TestMemberGate:
     @pytest.mark.parametrize(
         "request_file",
@@ -1087,24 +1141,80 @@ class TestMemberGate:
         root = null_set("root", null_set("set", policy), null_set("other", subject_policy(
             "q", "t")))
         assert root.gate.keys[match("subject", "s").key] == (0,)
-        assert root.children[0].target.keys is None
+        assert not root.children[0].target.keys
         req = request([PAD], [match("subject", "s")])
         assert decided_as_references(root, req) == (D6.INDET_P, [D3.INDET, D3.TOP])
+
+    def test_null_target_rule_is_always_visited(self):
+        # The empty conjunction has no any-of to be listed under.
+        action = match("action", "a").key
+        gate = compile_gate([target_of(match("action", "a")), Target(()), NULL_TARGET])
+        assert gate.always == (1, 2)
+        assert gate.keys == {action: (0,)}
+        assert gate.required == ((action,), (), ())
+        assert gate == compile_gate_reference([target_of(match("action", "a")), NULL_TARGET,
+                                               NULL_TARGET])
+
+    def test_gates_equal_the_reference_on_wide_policy(self):
+        root = parse_policy(benchmark_workloads().wide_policy(7).policy_text)
+        assert sum(1 for _ in tree_nodes(root)) == 45
+        for node in tree_nodes(root):
+            assert_reference_gate(node)
+
+    def test_gates_equal_the_reference_on_shared_any_ofs(self):
+        doc, read = match("resource", "doc"), match("action", "read")
+        shared = AnyOf((AllOf((doc,)),))
+        alternation = AnyOf((AllOf((read,)), AllOf((match("action", "list"),))))
+        targets = [
+            Target((shared,)),
+            Target((shared,)),
+            Target((shared,)),
+            # doc is mentioned four times, read three times, twice through
+            # one any-of used twice in one target: the pair picks read.
+            Target((AnyOf((AllOf((doc, read)),)),)),
+            # After that any-of, a rarer one, which is the member's pick.
+            Target((alternation, alternation, AnyOf((AllOf((match("subject", "s"),)),)))),
+            NULL_TARGET,
+        ]
+        gate = compile_gate(targets)
+        assert gate.keys[read.key] == (3,)
+        assert gate.keys[match("subject", "s").key] == (4,)
+        assert gate.always == (5,)
+        assert_gate_is_reference(gate, compile_gate_reference(targets))
+
+    def test_gates_equal_the_reference_over_null_target_children(self):
+        anywhere = Policy(
+            "anywhere", NULL_TARGET, (rule_with_value("any", Effect.DENY, D3.TOP),),
+            CombinerId.PERMIT_OVERRIDES,
+        )
+        root = null_set(
+            "root", null_set("with_always", anywhere, subject_policy("p", "s")),
+            null_set("without", subject_policy("q", "s"), subject_policy("r", "t")),
+            PolicySet("targeted", target_of(match("subject", "s")), (subject_policy("u", "t"),),
+                      CombinerId.FIRST_APPLICABLE),
+            null_set("empty"),
+        )
+        assert root.gate.always == (0,)
+        for node in tree_nodes(root):
+            assert_reference_gate(node)
 
     def test_set_gate_holds_only_its_picks_and_null_children_keys(self):
         """A set's gate lists its members' own picks, as a gate over their
         targets alone would, and each null-target child with no ``always``
-        member once under each key of that child's gate: nothing more."""
+        member once under each key of that child's gate: nothing more.
+        Every node's gate is the one ``compile_gate_reference`` compiles."""
         seen = Counter()
 
         @settings(max_examples=100, deadline=None, derandomize=True)
         @given(strategies.policy_sets(depth=3, width=3))
         def check(node):
+            for each in tree_nodes(node):
+                assert_reference_gate(each)
             for ps in policy_sets_in(node):
                 children = ps.children
                 picks = compile_gate([c.target for c in children])
                 inherited = [
-                    c.gate for c in children if c.target.keys is None and not c.gate.always
+                    c.gate for c in children if not c.target.keys and not c.gate.always
                 ]
                 assert set(ps.gate.keys) == set(picks.keys).union(*(g.keys for g in inherited))
                 assert sum(map(len, ps.gate.keys.values())) == sum(

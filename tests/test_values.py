@@ -120,20 +120,20 @@ EXAMPLES = [
     (AllOf, dict(matches=(DOCTOR,)), "AllOf(matches=(AttributeTerm(subject(doctor)),))"),
     (AnyOf, dict(all_ofs=(ALL_OF,)),
      "AnyOf(all_ofs=(AllOf(matches=(AttributeTerm(subject(doctor)),)),))"),
-    (Target, dict(any_ofs=None), "Target(any_ofs=None)"),
+    (Target, dict(any_ofs=()), "Target(any_ofs=())"),
     (Rule, dict(name="r", effect=Effect.DENY, target=TARGET, condition=ATOM),
      "Rule(name='r', effect=<Effect.DENY: 'deny'>, target=Target(any_ofs=(AnyOf(all_ofs=("
      "AllOf(matches=(AttributeTerm(subject(doctor)),)),)),)), "
      "condition=Atom(name='doctor', terms=(Variable(name='X'),)))"),
     (Policy, dict(name="p", target=NULL_TARGET, rules=(RULE,), combiner=PO),
-     "Policy(name='p', target=Target(any_ofs=None), rules=(Rule(name='r', "
-     "effect=<Effect.PERMIT: 'permit'>, target=Target(any_ofs=None), "
+     "Policy(name='p', target=Target(any_ofs=()), rules=(Rule(name='r', "
+     "effect=<Effect.PERMIT: 'permit'>, target=Target(any_ofs=()), "
      "condition=BoolLiteral(value=True)),), combiner=<CombinerId.PERMIT_OVERRIDES: 'p-o'>)"),
     (PolicySet, dict(name="s", target=NULL_TARGET, children=(POLICY,),
                      combiner=CombinerId.FIRST_APPLICABLE),
-     "PolicySet(name='s', target=Target(any_ofs=None), children=(Policy(name='p', "
-     "target=Target(any_ofs=None), rules=(Rule(name='r', effect=<Effect.PERMIT: 'permit'>, "
-     "target=Target(any_ofs=None), condition=BoolLiteral(value=True)),), "
+     "PolicySet(name='s', target=Target(any_ofs=()), children=(Policy(name='p', "
+     "target=Target(any_ofs=()), rules=(Rule(name='r', effect=<Effect.PERMIT: 'permit'>, "
+     "target=Target(any_ofs=()), condition=BoolLiteral(value=True)),), "
      "combiner=<CombinerId.PERMIT_OVERRIDES: 'p-o'>),), "
      "combiner=<CombinerId.FIRST_APPLICABLE: 'f-a'>)"),
     (TraceNode, dict(path=(), kind="policy", name="p", target_value=Decision3.INDET,
