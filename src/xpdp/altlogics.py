@@ -13,6 +13,7 @@ carriers and flags the divergences.
 from __future__ import annotations
 
 import enum
+import itertools
 
 from .combiners import CombinerId, combine_po_pair, combine_po_v6
 from .decisions import Decision6, FiniteLattice, PairValue, delta, delta_seq
@@ -138,11 +139,9 @@ D_DENY = DDecision(frozenset(["d"]))
 D_NA = DDecision(frozenset(["na"]))
 
 D_CARRIER = tuple(
-    DDecision(frozenset(m for m, bit in zip(_D_MEMBERS, bits) if bit))
-    for bits in (
-        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1),
-    )
+    DDecision(frozenset(members))
+    for size in range(len(_D_MEMBERS) + 1)
+    for members in itertools.combinations(_D_MEMBERS, size)
 )
 
 

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--algorithm",
-        choices=("p-o", "d-o", "f-a", "o-1-a", "all"),
+        choices=(*(combiner.token for combiner in STANDARD_COMBINERS), "all"),
         default="all",
     )
     p_check.add_argument(
@@ -226,7 +226,7 @@ def _cmd_compare(args) -> int:
         return EXIT_USAGE
     row = compare_logics((left, right))
     obj = {
-        "algorithm": "p-o",
+        "algorithm": CombinerId.PERMIT_OVERRIDES.token,
         "inputs": [left.canonical, right.canonical],
         "v6": row.v6_result.canonical,
         "pair": str(row.pair_result),

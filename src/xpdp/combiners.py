@@ -67,18 +67,10 @@ class CombinerId(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "CombinerId":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise UnknownCombinerError(f"unknown combining algorithm: {token!r}")
-
-
-STANDARD_COMBINERS = (
-    CombinerId.PERMIT_OVERRIDES,
-    CombinerId.DENY_OVERRIDES,
-    CombinerId.FIRST_APPLICABLE,
-    CombinerId.ONLY_ONE_APPLICABLE,
-)
+        try:
+            return cls(token)
+        except ValueError:
+            raise UnknownCombinerError(f"unknown combining algorithm: {token!r}") from None
 
 
 def combine_po_v6(decisions: Sequence[Decision6]) -> Decision6:
@@ -192,6 +184,9 @@ ABSORBING: Mapping[CombinerId, tuple[Decision6, ...]] = {
     )
     for combiner, table in FOLD_TABLES.items()
 }
+
+# The standard combining algorithms: those with a six-valued definition.
+STANDARD_COMBINERS: tuple[CombinerId, ...] = tuple(FOLD_TABLES)
 
 _PAIR_COMBINERS: dict[CombinerId, Callable] = {
     CombinerId.PERMIT_OVERRIDES: combine_po_pair,

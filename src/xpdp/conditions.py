@@ -72,11 +72,20 @@ from collections import defaultdict
 from typing import AbstractSet, Mapping, Optional, Union
 
 from .decisions import BOTTOM, INDET, TOP, Decision3
-from .errors import InvalidInputError, UnboundVariableError
+from .errors import InvalidInputError, UnboundVariableError, check_type
 from .requests import CATEGORIES, Constant, Request, order_constants
 from .values import Value
 
-COMPARISON_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
+# Each comparison operator and the function it applies.
+_COMPARE_FN = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+COMPARISON_OPERATORS = tuple(_COMPARE_FN)
 
 
 class Variable(Value):
@@ -124,6 +133,7 @@ class Atom(Value, derived=("pattern",)):
     pattern: Optional[tuple[tuple[tuple[int, Constant], ...], tuple[tuple[int, int], ...]]]
 
     def __post_init__(self) -> None:
+        check_type(self, "terms", tuple)
         if not self.terms:
             raise InvalidInputError(f"atom {self.name!r} needs at least one term")
         fixed = []
@@ -158,6 +168,7 @@ class And(Value):
     children: tuple["ConditionExpr", ...]
 
     def __post_init__(self) -> None:
+        check_type(self, "children", tuple)
         if len(self.children) < 2:
             raise InvalidInputError("a conjunction needs at least two members")
 
@@ -166,6 +177,7 @@ class Or(Value):
     children: tuple["ConditionExpr", ...]
 
     def __post_init__(self) -> None:
+        check_type(self, "children", tuple)
         if len(self.children) < 2:
             raise InvalidInputError("a disjunction needs at least two members")
 
@@ -233,24 +245,15 @@ def _collect_uses(expr: ConditionExpr, top: bool, uses: dict[str, _Uses], reads:
 # Strong Kleene negation, indexed by value.
 _NOT3 = (TOP, INDET, BOTTOM)
 
-_COMPARE_FN = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
 
 # A request's facts or error attributes, each as its ``(name, args)`` key.
 TermKey = tuple[str, tuple[Constant, ...]]
 
 
 class RequestIndex:
-    """A request prepared for evaluation, once per evaluation, and only
-    read after that. It is built on every evaluation, so it is a plain
-    slots class, not a ``Value``, and has no equality of its own.
+    """A request prepared for evaluation. ``index_request`` makes one
+    per evaluation and fills its slots; it is only read after that. It
+    is a plain slots class, not a ``Value``, with no equality of its own.
 
     ``domain`` is ``request.constants()``, the constants variables range
     over, from every fact of the request. ``domain_set`` is the same as
@@ -280,20 +283,11 @@ class RequestIndex:
     __slots__ = ("domain", "domain_set", "tuples", "facts", "errors",
                  "functions", "function_errors", "category_keys")
 
-    def __init__(self, domain, tuples, facts, errors,
-                 functions, function_errors, category_keys) -> None:
-        self.domain = domain
-        self.domain_set = None
-        self.tuples = tuples
-        self.facts = facts
-        self.errors = errors
-        self.functions = functions
-        self.function_errors = function_errors
-        self.category_keys = category_keys
-
 
 def index_request(request: Request, needs: AbstractSet[str]) -> RequestIndex:
-    """Index a request for evaluation; done once per evaluation.
+    """Index a request for evaluation; done once per evaluation. Each
+    slot is set as it is computed, ``domain`` last, from one
+    ``request.constants()`` call after the passes over the request.
 
     ``needs`` names the attributes a policy tree reads (``Policy.needs``
     and ``PolicySet.needs``): the names its targets match and the names
@@ -301,12 +295,14 @@ def index_request(request: Request, needs: AbstractSet[str]) -> RequestIndex:
     attribute of any other name is left out, as no part of the tree can
     look it up; its constants stay in ``domain``.
     """
-    tuples: dict[tuple[str, int], list[tuple[Constant, ...]]] = {}
-    functions: dict[tuple[str, Constant], list[Constant]] = {}
-    facts = set()
-    errors = set()
-    function_errors = set()
-    category_keys = set()
+    index = RequestIndex()
+    index.domain_set = None
+    index.tuples = tuples = {}
+    index.functions = functions = {}
+    index.facts = facts = set()
+    index.errors = errors = set()
+    index.function_errors = function_errors = set()
+    index.category_keys = category_keys = set()
     for term in request.facts:
         key = term.key
         name, args = key
@@ -328,15 +324,8 @@ def index_request(request: Request, needs: AbstractSet[str]) -> RequestIndex:
         function_errors.add((name, args[0]))
         if name in CATEGORIES:
             category_keys.add(key)
-    return RequestIndex(
-        request.constants(),
-        tuples,
-        facts,
-        errors,
-        functions,
-        function_errors,
-        category_keys,
-    )
+    index.domain = request.constants()
+    return index
 
 
 def kleene_eval(expr: ConditionExpr, binding: Binding, index: RequestIndex) -> Decision3:

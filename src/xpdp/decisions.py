@@ -15,8 +15,9 @@ Three families of values flow through evaluation:
 
 The three six-element decision lattices used by the combining
 algorithms are stored as explicit cover relations, transcribed rather
-than derived, and joins are computed from them, once, into the flat
-tables ``V6_JOINS`` that the six-valued combiners fold over.
+than derived; their joins and meets are computed from them, once, and
+``lub_order`` folds the joins. The combiners build their flat fold
+tables from it (``combiners.FOLD_TABLES``).
 """
 
 from __future__ import annotations
@@ -313,25 +314,16 @@ V6_LATTICES: Mapping[str, FiniteLattice] = {
 }
 
 
-# Each decision lattice's joins as one flat tuple: the join of a and b
-# is at 6*a+b. Folding over it costs a multiply, an add and a tuple
-# index per value, all in C.
-V6_JOINS: Mapping[str, tuple[Decision6, ...]] = {
-    name: tuple(lattice.join(a, b) for a in Decision6 for b in Decision6)
-    for name, lattice in V6_LATTICES.items()
-}
-
-
 def lub_order(order: str, values: Iterable[Decision6]) -> Decision6:
     """Least upper bound in the named decision lattice (po, do or o1a).
 
     The empty collection yields the lattice bottom, NOT_APPLICABLE in
     all three.
     """
-    joins = V6_JOINS.get(order)
-    if joins is None:
+    lattice = V6_LATTICES.get(order)
+    if lattice is None:
         raise UnknownLatticeError(f"unknown decision lattice: {order!r}")
     result = NOT_APPLICABLE
     for v in values:
-        result = joins[6 * result + v]
+        result = lattice.join(result, v)
     return result

@@ -29,6 +29,17 @@ class InvalidInputError(PolicyEngineError, ValueError):
     """A value outside an operation's declared domain."""
 
 
+def check_type(value: object, field: str, kind: type) -> None:
+    """Refuse a field that is not a ``kind``, naming the value's class
+    and the field: a list where a tuple belongs would build a value that
+    fails later, and far away, as unhashable."""
+    got = getattr(value, field)
+    if not isinstance(got, kind):
+        raise InvalidInputError(
+            f"{type(value).__name__}.{field} must be a {kind.__name__}, not {type(got).__name__}"
+        )
+
+
 class _LocatedError(PolicyEngineError):
     """An error that may carry a source location, printed before the
     message as ``line:column``."""

@@ -92,7 +92,7 @@ from .conditions import (
 from .decisions import (
     BOTTOM, INDET, NOT_APPLICABLE, PERMIT_EFFECT, TOP, Decision3, Decision6, Effect, sigma
 )
-from .errors import EncodingUnsupportedError, InvalidInputError
+from .errors import EncodingUnsupportedError, InvalidInputError, check_type
 from .requests import AttributeTerm, Request
 from .values import Value
 
@@ -117,6 +117,7 @@ class AllOf(Value, derived=("keys",)):
     keys: tuple[TermKey, ...]
 
     def __post_init__(self) -> None:
+        check_type(self, "matches", tuple)
         if not self.matches:
             raise InvalidInputError("an all-of group needs at least one match")
         for m in self.matches:
@@ -135,6 +136,7 @@ class AnyOf(Value, derived=("keys",)):
     keys: tuple[tuple[TermKey, ...], ...]
 
     def __post_init__(self) -> None:
+        check_type(self, "all_ofs", tuple)
         if not self.all_ofs:
             raise InvalidInputError("an any-of group needs at least one all-of")
         object.__setattr__(self, "keys", tuple(a.keys for a in self.all_ofs))
@@ -149,6 +151,7 @@ class Target(Value, derived=("keys",)):
     keys: tuple[tuple[tuple[TermKey, ...], ...], ...]
 
     def __post_init__(self) -> None:
+        check_type(self, "any_ofs", tuple)
         object.__setattr__(self, "keys", tuple(a.keys for a in self.any_ofs))
 
 
@@ -252,6 +255,7 @@ class Policy(Value, derived=("gate", "needs")):
     def __post_init__(self) -> None:
         _check_name(self.name)
         _check_combiner(self.combiner)
+        check_type(self, "rules", tuple)
         if not self.rules:
             raise InvalidInputError(f"policy {self.name!r} needs at least one rule")
         targets = [r.target for r in self.rules]
@@ -278,6 +282,7 @@ class PolicySet(Value, derived=("gate", "needs")):
     def __post_init__(self) -> None:
         _check_name(self.name)
         _check_combiner(self.combiner)
+        check_type(self, "children", tuple)
         kinds = {type(c) for c in self.children}
         if len(kinds) > 1:
             raise InvalidInputError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_type
 from .values import Value
 
 CATEGORIES = ("subject", "action", "resource", "environment")
@@ -33,6 +33,7 @@ class AttributeTerm(Value, derived=("key",)):
     key: tuple[str, tuple[Constant, ...]]
 
     def __post_init__(self) -> None:
+        check_type(self, "args", tuple)
         if not self.args:
             raise InvalidInputError(f"attribute {self.name!r} needs arguments")
         if any(not isinstance(a, (str, int)) for a in self.args):
@@ -63,6 +64,8 @@ class Request(Value):
     error_attributes: frozenset[AttributeTerm] = frozenset()
 
     def __post_init__(self) -> None:
+        check_type(self, "facts", frozenset)
+        check_type(self, "error_attributes", frozenset)
         if not self.facts:
             raise InvalidInputError("a request needs at least one attribute fact")
         overlap = self.facts & self.error_attributes

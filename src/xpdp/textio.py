@@ -96,37 +96,19 @@ from .requests import CATEGORIES, AttributeTerm, Constant, Request
 # document may use; the parser, evaluator and serializer all recurse on it.
 MAX_NESTING = 100
 
+_LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
+_EFFECTS = {effect.token: effect for effect in Effect}
+
 # Words with a fixed meaning in condition position; they cannot double
 # as predicate or constant identifiers there.
-RESERVED_CONDITION_WORDS = frozenset(["true", "false", "not"])
+RESERVED_CONDITION_WORDS = frozenset([*_LITERALS, "not"])
 
-# Fixed-text tokens, each listed before any token it is a prefix of.
-_SYMBOLS = {
-    "AND": "/\\",
-    "OR": "\\/",
-    "LE": "<=",
-    "GE": ">=",
-    "NE": "!=",
-    "EQ": "=",
-    "LT": "<",
-    "GT": ">",
-    "LBRACE": "{",
-    "RBRACE": "}",
-    "LBRACK": "[",
-    "RBRACK": "]",
-    "LPAREN": "(",
-    "RPAREN": ")",
-    "SEMI": ";",
-    "COMMA": ",",
-    "COLON": ":",
-}
-
-_COMBINER_TOKENS = ("all-permit", "o-1-a", "p-o", "d-o", "f-a")
-
-# The symbols by shape: punctuation, connectives and comparisons.
-_CONNECTIVES = [t for t in _SYMBOLS.values() if t[0] in "/\\"]
-_COMPARISONS = [t for t in _SYMBOLS.values() if t[0] in "<>=!"]
-_PUNCTUATION = "".join(t for t in _SYMBOLS.values() if t not in _CONNECTIVES + _COMPARISONS)
+# The fixed-text tokens are the punctuation, the two connectives, the
+# comparison operators and the combiner tokens; the last two are read
+# from the modules that define them.
+_PUNCTUATION = "{}[]();,:"
+_CONNECTIVES = ("/\\", "\\/")
+_COMBINER_TOKENS = tuple(combiner.token for combiner in CombinerId)
 
 # One match per token: whitespace and comments skipped, then the token
 # as group 1. The group matches wherever the skipping stops (at worst
@@ -134,27 +116,25 @@ _PUNCTUATION = "".join(t for t in _SYMBOLS.values() if t not in _CONNECTIVES + _
 # prefix is never backtracked into and a scan is linear in the input.
 # Comments are one then any more, or none: a branch starting with "#"
 # is passed over at once. Commonest tokens first; the first identifier
-# refuses a shorter or "-"-followed match, which may be a combiner. No
+# refuses a shorter or "-"-followed match, which may be a combiner, and
+# a two-character comparison comes before the one-character ones. No
 # possessive quantifiers: Python accepts them from 3.11 only.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*|)([A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_-])|["
     + re.escape(_PUNCTUATION) + "]|" + "|".join(map(re.escape, _CONNECTIVES))
     + "|(?:" + "|".join(_COMBINER_TOKENS) + r")(?![A-Za-z0-9_-])|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|"
-    + "|".join(t for t in _COMPARISONS if len(t) > 1)
-    + "|[" + "".join(t for t in _COMPARISONS if len(t) == 1) + r"]|(?s:.)|\Z)"
+    + "|".join(t for t in COMPARISON_OPERATORS if len(t) > 1)
+    + "|[" + "".join(t for t in COMPARISON_OPERATORS if len(t) == 1) + r"]|(?s:.)|\Z)"
 )
 
 # Every token but a fixed one (the end of input is the empty text)
 # starts with one of these, unless it is one unexpected character.
-_FIXED_TEXTS = frozenset([*_SYMBOLS.values(), *_COMBINER_TOKENS, ""])
+_FIXED_TEXTS = frozenset([*_PUNCTUATION, *_CONNECTIVES, *COMPARISON_OPERATORS, *_COMBINER_TOKENS, ""])
 _WORD_START = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 # The fewest characters the lexer reads with one ``findall``; a slice
 # runs on to the end of its last line.
 _LEX_SLICE = 16_384
-
-_EFFECTS = {"permit": Effect.PERMIT, "deny": Effect.DENY}
-_LITERALS = {"true": BoolLiteral(True), "false": BoolLiteral(False)}
 
 
 def _tokenize(source: str) -> list[str]:

@@ -30,6 +30,7 @@ from xpdp import (
 )
 
 from oracles import atom_variables, compare_variables
+from xpdp.conditions import COMPARISON_OPERATORS
 
 _IDENT_POOL = (
     "alpha", "beta", "gamma", "p", "q", "owner", "ward", "age", "dept",
@@ -44,7 +45,7 @@ idents = st.sampled_from(_IDENT_POOL)
 node_names = st.sampled_from(_NAME_POOL)
 variables = st.sampled_from(("X", "Y", "Z")).map(Variable)
 constants = st.one_of(idents, st.integers(min_value=0, max_value=99))
-comparison_ops = st.sampled_from(("=", "!=", "<", "<=", ">", ">="))
+comparison_ops = st.sampled_from(COMPARISON_OPERATORS)
 effects = st.sampled_from(tuple(Effect))
 node_combiners = st.sampled_from(STANDARD_COMBINERS)
 

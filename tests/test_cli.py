@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import xpdp.cli
 from documents import benchmark_workloads
-from xpdp import CombinerId, PairValue, ZERO
+from xpdp import STANDARD_COMBINERS, CombinerId, PairValue, ZERO
 from xpdp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DATA,
@@ -200,6 +200,14 @@ class TestCheckEquivalence:
         assert code == 0
         assert "p-o: 1 sequences (length <= 0), 0 counterexamples" in out
 
+    @pytest.mark.parametrize("combiner", STANDARD_COMBINERS, ids=lambda c: c.token)
+    def test_every_standard_algorithm(self, capsys, combiner):
+        code, out, _ = run(
+            capsys, "check-equivalence", "--algorithm", combiner.token, "--max-len", "2"
+        )
+        assert code == 0
+        assert out == f"{combiner.token}: 43 sequences (length <= 2), 0 counterexamples\n"
+
     def test_all_default_length(self, capsys):
         code, out, _ = run(capsys, "check-equivalence")
         assert code == 0
@@ -303,6 +311,12 @@ class TestLattice:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith('digraph "po"')
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "po.dot"
+        code, out, err = run(capsys, "lattice", "--name", "po", "--out", str(out_path))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("xpdp: cannot write output: ") and err.count("\n") == 1
 
     def test_unknown(self, capsys):
         code, _, err = run(capsys, "lattice", "--name", "nope")

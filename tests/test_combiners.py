@@ -16,6 +16,7 @@ from xpdp import (
     PAIR9_VALUES,
     PairValue,
     STANDARD_COMBINERS,
+    UnknownCombinerError,
     ZERO,
     check_equivalence,
     combine,
@@ -69,6 +70,23 @@ class TestCombinerId:
         assert CombinerId.ALL_PERMIT.token == "all-permit"
         for cid in CombinerId:
             assert CombinerId.from_token(cid.token) is cid
+
+    def test_standard_combiners_are_those_with_a_six_valued_definition(self):
+        assert STANDARD_COMBINERS == tuple(c for c in CombinerId if c in FOLD_TABLES)
+        assert CombinerId.ALL_PERMIT not in STANDARD_COMBINERS
+
+    @pytest.mark.parametrize("refuse", [
+        lambda: CombinerId.from_token("x-o"),
+        lambda: combine("x-o", "v6", ()),
+        lambda: combine("x-o", "pair", ()),
+        lambda: check_equivalence("x-o", 1),
+    ], ids=["from_token", "combine v6", "combine pair", "check_equivalence"])
+    def test_unknown_combiner_is_refused(self, refuse):
+        with pytest.raises(UnknownCombinerError) as caught:
+            refuse()
+        # Without a span, the message is all the error prints.
+        assert caught.value.span is None
+        assert str(caught.value) == "unknown combining algorithm: 'x-o'"
 
 
 class TestPermitOverrides:

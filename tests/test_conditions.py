@@ -15,6 +15,7 @@ from xpdp import (
     Compare,
     Decision3,
     FunctionValue,
+    InvalidInputError,
     Not,
     Or,
     Request,
@@ -130,6 +131,17 @@ class TestKleeneEval:
             kleene_eval(Atom("yes", (X,)), {}, index_all(GROUND_REQUEST))
         with pytest.raises(UnboundVariableError):
             kleene_eval_terms(Atom("yes", (X,)), {}, GROUND_REQUEST)
+
+    @pytest.mark.parametrize("expr", [Compare(X, "=", 1), Compare(5, ">", FunctionValue("age", X))],
+                             ids=["bare", "function argument"])
+    def test_unbound_variable_in_comparison(self, expr):
+        with pytest.raises(UnboundVariableError, match="no binding for variable X"):
+            kleene_eval(expr, {}, index_all(GROUND_REQUEST))
+
+    @pytest.mark.parametrize("expr", ["yes", None, Not(Variable("X"))], ids=repr)
+    def test_non_expression_is_refused(self, expr):
+        with pytest.raises(InvalidInputError, match="not a condition expression"):
+            kleene_eval(expr, {}, index_all(GROUND_REQUEST))
 
 
 class TestKleeneLaws:

@@ -127,7 +127,7 @@ class TestMatchAndTarget:
             assert eval_target_lattice(Target(()), req) is D3.TOP
 
     def test_none_is_not_a_target(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidInputError, match="Target.any_ofs must be a tuple"):
             Target(None)
 
     def test_null_reads_and_writes_as_the_empty_conjunction(self):

@@ -29,6 +29,7 @@ from xpdp import (
     ParseError,
     Policy,
     PolicySet,
+    STANDARD_COMBINERS,
     UnknownCombinerError,
     UnknownLatticeError,
     Variable,
@@ -41,12 +42,16 @@ from xpdp import (
 
 import strategies
 from documents import wide_document
-from oracles import ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets, one_findall_texts
+from oracles import (
+    _LEX_SYMBOLS, ORDERS, REFERENCE_TOKEN_RE, lex_with_offsets, one_findall_texts
+)
 from xpdp import textio
 from xpdp.policy import _check_name
 from xpdp.values import Value
+from xpdp.conditions import COMPARISON_OPERATORS
 from xpdp.textio import (
-    _COMBINER_TOKENS, _SYMBOLS, _TOKEN_RE, MAX_NESTING, _ident_text, _span_at, _tokenize
+    _COMBINER_TOKENS, _TOKEN_RE, MAX_NESTING, RESERVED_CONDITION_WORDS, _ident_text, _span_at,
+    _tokenize,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -104,6 +109,30 @@ class TestParsePolicy:
         span = err.value.span
         assert text[span.start:span.end] == "all-permit"
         assert "pair encoding" in str(err.value)
+
+    @pytest.mark.parametrize("combiner", CombinerId, ids=lambda c: c.token)
+    def test_every_combiner_token(self, combiner):
+        # A standard combiner reads as a policy's; any other is refused
+        # at its token, as defined under the pair encoding only.
+        text = MINIMAL.replace("d-o", combiner.token)
+        if combiner in STANDARD_COMBINERS:
+            assert parse_policy(text).combiner is combiner
+        else:
+            with pytest.raises(ParseError, match="only defined under the pair encoding"):
+                parse_policy(text)
+
+    @pytest.mark.parametrize("op", COMPARISON_OPERATORS)
+    def test_every_comparison_reads_and_writes_back(self, op):
+        condition = f"p(X) /\\ X {op} 1"
+        node = parse_policy(MINIMAL.replace("condition: true", f"condition: {condition}"))
+        assert node.rules[0].condition.children[1] == Compare(Variable("X"), op, 1)
+        assert f"condition: {condition};" in serialize_policy(node)
+
+    @pytest.mark.parametrize("word", sorted(RESERVED_CONDITION_WORDS))
+    def test_reserved_word_is_not_a_term(self, word):
+        text = MINIMAL.replace("condition: true", f"condition: p({word})")
+        with pytest.raises(ParseError, match=f"'{word}' cannot be used as a term"):
+            parse_policy(text)
 
     def test_mixed_children_rejected(self):
         text = """
@@ -327,6 +356,9 @@ class TestSerialize:
         Atom("owns", (Variable("X\u00e9"),)),
         Atom("owns", (Variable("X-Y"),)),
         Atom("owns", (Variable("X Y"),)),
+        Atom("owns", ("true",)),
+        Compare("not", "=", 1),
+        Not("owns"),
     ])
     def test_unreadable_values_are_refused(self, condition):
         rule = Rule("R", Effect.PERMIT, NULL_TARGET, condition)
@@ -629,7 +661,7 @@ def lexed(lex, text: str):
         return exc.message, exc.span
 
 
-_SYMBOL_KINDS = {text: kind for kind, text in _SYMBOLS.items()}
+_SYMBOL_KINDS = {text: kind for kind, text in _LEX_SYMBOLS.items()}
 
 
 def token_kind(text: str) -> str:
@@ -661,7 +693,7 @@ def tokens_with_offsets(text: str) -> list[tuple[str, str, int]]:
 # lone first characters of two-character symbols and non-ASCII text.
 _SOUP_PIECES = st.one_of(
     st.sampled_from([
-        *_SYMBOLS.values(), *_COMBINER_TOKENS, "p-ox", "all-permitx", "o-1-a1", "p-", "all-",
+        *_LEX_SYMBOLS.values(), *_COMBINER_TOKENS, "p-ox", "all-permitx", "o-1-a1", "p-", "all-",
         "o-1", "d-o-", "f-a_", "12ab", "007", "x9", "_a", "-", "!", "/", "\\", "#", "# note",
         "# note\n", "\r\n", "\n", "\r", "\t", " ", "é", "ß", "€", "\x00", "\u2028",
     ]),

@@ -288,6 +288,59 @@ def test_validation_runs_on_construction():
     assert DDecision(members=["p"]).members == frozenset({"p"})
 
 
+# (what is built, the error it raises, text its message holds)
+REFUSALS = [
+    (lambda: Variable("x"), "variable names start with an uppercase letter"),
+    (lambda: Atom("doctor", ()), "atom 'doctor' needs at least one term"),
+    (lambda: Compare(AGE, "=>", 18), "unknown comparison operator: '=>'"),
+    (lambda: And((ATOM,)), "a conjunction needs at least two members"),
+    (lambda: Or((ATOM,)), "a disjunction needs at least two members"),
+    (lambda: AllOf(()), "an all-of group needs at least one match"),
+    (lambda: AnyOf(()), "an any-of group needs at least one all-of"),
+    (lambda: AttributeTerm("subject", ()), "attribute 'subject' needs arguments"),
+    (lambda: AttributeTerm("owns", (X,)), "arguments must be ground constants"),
+    (lambda: AttributeTerm("subject", ("a", "b")),
+     "category attribute 'subject' takes exactly one argument"),
+    (lambda: Request(frozenset()), "a request needs at least one attribute fact"),
+    (lambda: Request(frozenset({DOCTOR}), frozenset({DOCTOR})),
+     "attributes listed both as facts and as errors: ['subject(doctor)']"),
+    (lambda: DDecision(frozenset({"p", "maybe"})), "not decision elements: ['maybe']"),
+    # A field that holds a tuple or a frozenset is refused as a list or
+    # a set, which would build an unhashable value.
+    (lambda: AttributeTerm("subject", ["doctor"]), "AttributeTerm.args must be a tuple, not list"),
+    (lambda: AllOf([DOCTOR]), "AllOf.matches must be a tuple, not list"),
+    (lambda: AnyOf([ALL_OF]), "AnyOf.all_ofs must be a tuple, not list"),
+    (lambda: Target([ANY_OF]), "Target.any_ofs must be a tuple, not list"),
+    (lambda: Policy("p", NULL_TARGET, [RULE], PO), "Policy.rules must be a tuple, not list"),
+    (lambda: PolicySet("s", NULL_TARGET, [POLICY], PO),
+     "PolicySet.children must be a tuple, not list"),
+    (lambda: Atom("doctor", [X]), "Atom.terms must be a tuple, not list"),
+    (lambda: And([ATOM, OLD]), "And.children must be a tuple, not list"),
+    (lambda: Or([ATOM, OLD]), "Or.children must be a tuple, not list"),
+    (lambda: Request({DOCTOR}), "Request.facts must be a frozenset, not set"),
+    (lambda: Request(frozenset({DOCTOR}), set()),
+     "Request.error_attributes must be a frozenset, not set"),
+]
+
+
+@pytest.mark.parametrize("build, message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_refused_on_construction(build, message):
+    with pytest.raises(xpdp.InvalidInputError) as caught:
+        build()
+    assert message in str(caught.value)
+
+
+def test_a_list_target_fails_at_its_constructor_not_in_a_gate():
+    # A list of any-ofs used to build a target that compared unequal to
+    # its tuple twin and failed, unhashable, when a policy compiled its
+    # gate, with a bare TypeError.
+    assert Target((ANY_OF,)) == TARGET
+    rule = Rule("r", Effect.PERMIT, TARGET, TRUE_CONDITION)
+    assert Policy("p", NULL_TARGET, (rule,), PO).gate.keys == {DOCTOR.key: (0,)}
+    with pytest.raises(xpdp.InvalidInputError):
+        Rule("r", Effect.PERMIT, Target([ANY_OF]), TRUE_CONDITION)
+
+
 def test_startup_leaves_out_dataclasses_and_inspect():
     """``xpdp eval`` imports no code generator. ``import xpdp`` still
     loads ``altlogics``, whose import time the benchmark reads."""
