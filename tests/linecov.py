@@ -12,8 +12,8 @@ It traces with ``sys.settrace`` and ``threading.settrace`` from
 module-level statements count. Only frames whose code lives in the
 package directory are traced line by line. At the end of the session
 it lists every statement of the package that no line event reached, as
-``path:line: source``, in the terminal summary. Tracing makes the run
-several times slower.
+``path:line: source``, in the terminal summary. The whole suite runs
+about twice as long traced.
 
 It cannot see statements that run only in a child process, such as the
 command line tests' ``python -m xpdp`` runs: those are listed as not

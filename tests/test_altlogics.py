@@ -27,6 +27,7 @@ from xpdp import (
     dalg_permit_overrides,
     map_v6,
 )
+from xpdp import altlogics
 from xpdp.altlogics import (
     D_CARRIER,
     D_DENY,
@@ -187,6 +188,22 @@ class TestDecisionSetAlgebra:
         assert report.elements_checked == 8
         assert report.pairs_checked == 64
         assert report.triples_checked == 512
+
+    @pytest.mark.parametrize("name, broken, axioms", [
+        ("dalg_neg", lambda x: x, {5}),
+        ("dalg_neg", lambda x: D_EMPTY, {4, 5, 6}),
+        ("dalg_otimes", lambda x, y: D_EMPTY, {7}),
+        ("dalg_oplus", lambda x, y: x, {1, 5, 6}),
+        ("dalg_oplus", lambda x, y: DDecision(D_FULL.members - x.members - y.members),
+         {2, 3, 5, 6}),
+    ], ids=["neg identity", "neg empty", "otimes empty", "oplus left", "oplus nor"])
+    def test_a_broken_operation_is_reported(self, monkeypatch, name, broken, axioms):
+        # The check reads the operations as module globals, so each of
+        # the seven axioms is seen to fail for some broken operation.
+        monkeypatch.setattr(altlogics, name, broken)
+        report = dalg_axiom_check()
+        assert not report.ok
+        assert {v.axiom for v in report.violations} == axioms
 
     def test_permit_overrides_examples(self):
         assert dalg_permit_overrides(dset("p", "na"), dset("d")) == dset("p", "d")
