@@ -27,6 +27,7 @@ the command computes (for ``eval``, the decision's).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -288,4 +289,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # Exit-time collections skip frozen objects: what the imports built is
+    # left to the operating system instead of being traversed and freed.
+    gc.freeze()
+    sys.exit(code)

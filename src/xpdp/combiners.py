@@ -187,6 +187,8 @@ ABSORBING: Mapping[CombinerId, tuple[Decision6, ...]] = {
 
 # The standard combining algorithms: those with a six-valued definition.
 STANDARD_COMBINERS: tuple[CombinerId, ...] = tuple(FOLD_TABLES)
+# Their tokens as error messages list them: "p-o, d-o, f-a or o-1-a".
+STANDARD_TOKENS_TEXT = " or ".join(", ".join(c.token for c in STANDARD_COMBINERS).rsplit(", ", 1))
 
 _PAIR_COMBINERS: dict[CombinerId, Callable] = {
     CombinerId.PERMIT_OVERRIDES: combine_po_pair,

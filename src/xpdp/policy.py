@@ -79,7 +79,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping, Optional, Sequence, Union
 
-from .combiners import ABSORBING, STANDARD_COMBINERS, CombinerId, combine
+from .combiners import ABSORBING, STANDARD_COMBINERS, STANDARD_TOKENS_TEXT, CombinerId, combine
 from .conditions import (
     ConditionExpr,
     ConditionPlan,
@@ -104,8 +104,7 @@ def _check_name(name: str) -> None:
 def _check_combiner(combiner: CombinerId) -> None:
     if combiner not in STANDARD_COMBINERS:
         raise EncodingUnsupportedError(
-            f"{combiner} is not defined over six-valued decisions; "
-            "use p-o, d-o, f-a or o-1-a"
+            f"{combiner} is not defined over six-valued decisions; use {STANDARD_TOKENS_TEXT}"
         )
 
 

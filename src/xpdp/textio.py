@@ -55,7 +55,7 @@ import re
 from typing import Callable, NoReturn
 
 from . import altlogics
-from .combiners import STANDARD_COMBINERS, CombinerId
+from .combiners import STANDARD_COMBINERS, STANDARD_TOKENS_TEXT, CombinerId
 from .conditions import (
     COMPARISON_OPERATORS,
     And,
@@ -343,7 +343,7 @@ class _Parser:
             if combiner not in STANDARD_COMBINERS:
                 self._fail(
                     f"{text} is only defined under the pair encoding; "
-                    "a policy needs p-o, d-o, f-a or o-1-a",
+                    f"a policy needs {STANDARD_TOKENS_TEXT}",
                     i,
                 )
         elif text.isidentifier():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import xpdp.cli
 from documents import benchmark_workloads
+from test_cli_recorded import DATA as RECORDED, runs as recorded_runs
 from xpdp import STANDARD_COMBINERS, CombinerId, PairValue, ZERO
 from xpdp.cli import (
     EXIT_CHECK_FAILED,
@@ -29,6 +30,7 @@ from xpdp.cli import (
     MAX_EQUIVALENCE_LENGTH,
     main,
 )
+from xpdp.textio import MAX_NESTING
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 POLICY = str(SAMPLES / "patient_policy.pol")
@@ -324,14 +326,25 @@ class TestLattice:
         assert "nope" in err
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child process that imports this ``xpdp``."""
+    return dict(os.environ, PYTHONPATH=str(Path(xpdp.cli.__file__).resolve().parent.parent))
+
+
+def run_process(*argv: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``python -m xpdp *argv``."""
+    proc = subprocess.run([sys.executable, "-m", "xpdp", *argv], capture_output=True,
+                          env=child_env(), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def first_line_then_close(*argv: str) -> tuple[bytes, int, bytes]:
     """Run ``xpdp *argv`` in its own process, read one line of its stdout
     and close the pipe, as ``| head -1`` does. Returns that line, the
     exit code and everything written to stderr."""
-    src = str(Path(xpdp.cli.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "xpdp", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -377,6 +390,50 @@ class TestEarlyReader:
         first, code, err = first_line_then_close("check-equivalence", "--max-len", "3")
         assert (first, code, err) == (b"p-o: 259 sequences (length <= 3), 0 counterexamples\n",
                                       0, b"")
+
+
+class TestProcess:
+    """``python -m xpdp`` as its own process: the entry point ``run()``
+    adds only the exit and its freeze, so each run matches ``main()``
+    in process."""
+
+    @pytest.mark.parametrize("name, argv", [
+        pytest.param(name, argv, id=name) for name, argv, _ in recorded_runs()
+        if name.startswith("eval --trace") or name == "lattice nosuch"
+    ])
+    def test_matches_the_recording(self, name, argv):
+        code, out, err = run_process(*argv)
+        recorded = json.loads(RECORDED.read_text(encoding="utf-8"))[name]
+        assert [code, out.decode("utf-8"), err.decode("utf-8")] == recorded
+
+    @pytest.mark.parametrize("option, data", [
+        ("--request", b"{ subject(doctor), action(read) \xff }\n"),
+        ("--request", b"{ subject(doctor), n(" + b"9" * 5000 + b") }"),
+        ("--policy", b"policyset S { target: null; combiner: p-o; children: [ "
+         * (MAX_NESTING + 1) + b" ]; }" * (MAX_NESTING + 1)),
+    ], ids=["non-utf8", "long-number", "deep-nesting"])
+    def test_data_error_is_one_line(self, capsys, tmp_path, option, data):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        inputs = {"--policy": POLICY, "--request": READ_REQ, option: str(bad)}
+        argv = ("eval", *(x for kv in inputs.items() for x in kv))
+        code, out, err = run_process(*argv)
+        assert (code, out, err.count(b"\n"), err[:6]) == (EXIT_DATA, b"", 1, b"xpdp: ")
+        assert (code, out.decode(), err.decode()) == run(capsys, *argv)
+
+    def test_exit_freezes_the_collector(self):
+        # Freezing leaves the imports' objects to the operating system at
+        # exit; only timing shows it otherwise. atexit hooks still run.
+        hook = (
+            "import atexit, gc, sys, xpdp.cli\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv[1:] = ['eval', '--policy', sys.argv[1], '--request', sys.argv[2]]\n"
+            "xpdp.cli.run()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", hook, POLICY, READ_REQ],
+                              capture_output=True, env=child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_PERMIT, b"Permit\n")
+        assert int(proc.stderr) > 0
 
 
 class TestUsage:

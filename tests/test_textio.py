@@ -22,6 +22,7 @@ from xpdp import (
     CombinerId,
     Compare,
     EmptyRequestError,
+    EncodingUnsupportedError,
     FunctionValue,
     InvalidInputError,
     Not,
@@ -109,6 +110,19 @@ class TestParsePolicy:
         span = err.value.span
         assert text[span.start:span.end] == "all-permit"
         assert "pair encoding" in str(err.value)
+
+    @pytest.mark.parametrize("standard", STANDARD_COMBINERS, ids=lambda c: c.token)
+    def test_refusals_name_every_standard_combiner(self, standard):
+        # A non-standard combiner is refused by the parser at its token and
+        # by the node constructor; both messages list the standard tokens.
+        other = next(c for c in CombinerId if c not in STANDARD_COMBINERS)
+        with pytest.raises(ParseError) as parsed:
+            parse_policy(MINIMAL.replace("d-o", other.token))
+        with pytest.raises(EncodingUnsupportedError) as built:
+            PolicySet("ps", NULL_TARGET, (), other)
+        token = rf"(?<![\w-]){re.escape(standard.token)}(?![\w-])"
+        for message in (str(parsed.value), str(built.value)):
+            assert re.search(token, message.split(";", 1)[1]), message
 
     @pytest.mark.parametrize("combiner", CombinerId, ids=lambda c: c.token)
     def test_every_combiner_token(self, combiner):
