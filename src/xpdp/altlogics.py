@@ -12,26 +12,21 @@ carriers and flags the divergences.
 
 from __future__ import annotations
 
-import enum
 import itertools
 
 from .combiners import CombinerId, combine_po_pair, combine_po_v6
-from .decisions import Decision6, FiniteLattice, PairValue, delta, delta_seq
+from .decisions import Decision6, FiniteLattice, PairValue, TokenEnum, delta, delta_seq
 from .errors import InvalidInputError, UnsupportedCombinerError
 from .values import Value
 
 
-class BelnapValue(enum.Enum):
+class BelnapValue(TokenEnum):
     """The four truth values: no information, true, false, both."""
 
     NONE = "NN"
     TRUE = "tt"
     FALSE = "ff"
     BOTH = "TT"
-
-    @property
-    def token(self) -> str:
-        return self.value
 
 
 _B = BelnapValue

@@ -14,12 +14,13 @@ enumerates decision sequences exhaustively and confirms that what
 ``combine`` returns agrees with the pair encoding.
 
 The all-permit algorithm exists only in the pair encoding; asking for
-it under v6 is an error rather than an invented extension.
+it under v6 is an error rather than an invented extension. ``fold_table``
+raises that one refusal for every caller: ``combine``, the check,
+policies, policy sets and the parser.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Callable, Mapping, Sequence
 
@@ -34,6 +35,7 @@ from .decisions import (
     ZERO,
     Decision6,
     PairValue,
+    TokenEnum,
     delta,
     delta_seq,
     lub_order,
@@ -48,7 +50,7 @@ from .errors import (
 from .values import Value
 
 
-class CombinerId(enum.Enum):
+class CombinerId(TokenEnum):
     PERMIT_OVERRIDES = "p-o"
     DENY_OVERRIDES = "d-o"
     FIRST_APPLICABLE = "f-a"
@@ -60,10 +62,6 @@ class CombinerId(enum.Enum):
     # in Python on every lookup of ``ABSORBING``, ``FOLD_TABLES`` and
     # the pair combiners.
     __hash__ = object.__hash__
-
-    @property
-    def token(self) -> str:
-        return self.value
 
     @classmethod
     def from_token(cls, token: str) -> "CombinerId":
@@ -187,8 +185,21 @@ ABSORBING: Mapping[CombinerId, tuple[Decision6, ...]] = {
 
 # The standard combining algorithms: those with a six-valued definition.
 STANDARD_COMBINERS: tuple[CombinerId, ...] = tuple(FOLD_TABLES)
-# Their tokens as error messages list them: "p-o, d-o, f-a or o-1-a".
-STANDARD_TOKENS_TEXT = " or ".join(", ".join(c.token for c in STANDARD_COMBINERS).rsplit(", ", 1))
+
+
+def fold_table(combiner: CombinerId) -> tuple[Decision6, ...]:
+    """The six-valued fold table of ``combiner``, or the one refusal of a
+    combiner that has none, for folding, checking and policies alike."""
+    if combiner in STANDARD_COMBINERS:
+        return FOLD_TABLES[combiner]
+    if not isinstance(combiner, CombinerId):
+        raise UnknownCombinerError(f"unknown combining algorithm: {combiner!r}")
+    *standard, last = [c.token for c in STANDARD_COMBINERS]
+    raise EncodingUnsupportedError(
+        f"{combiner.token} is only defined under the pair encoding; "
+        f"the six-valued algorithms are {', '.join(standard)} or {last}"
+    )
+
 
 _PAIR_COMBINERS: dict[CombinerId, Callable] = {
     CombinerId.PERMIT_OVERRIDES: combine_po_pair,
@@ -203,22 +214,15 @@ def combine(combiner: CombinerId, encoding: str, decisions: Sequence):
     """The named algorithm under the named encoding. Under v6 it folds
     ``decisions`` over the algorithm's table, in one call."""
     if encoding == "v6":
-        table = FOLD_TABLES.get(combiner)
-        if table is not None:
-            result = NOT_APPLICABLE
-            for d in decisions:
-                result = table[6 * result + d]
-            return result
-        fn = None
-    elif encoding == "pair":
-        fn = _PAIR_COMBINERS.get(combiner)
-    else:
+        table = FOLD_TABLES.get(combiner) or fold_table(combiner)
+        result = NOT_APPLICABLE
+        for d in decisions:
+            result = table[6 * result + d]
+        return result
+    if encoding != "pair":
         raise InvalidInputError(f"unknown encoding: {encoding!r}")
+    fn = _PAIR_COMBINERS.get(combiner)
     if fn is None:
-        if combiner in _PAIR_COMBINERS:  # all-permit, under v6
-            raise EncodingUnsupportedError(
-                "all-permit is only defined under the pair encoding"
-            )
         raise UnknownCombinerError(f"unknown combining algorithm: {combiner!r}")
     return fn(decisions)
 
@@ -249,12 +253,7 @@ def check_equivalence(algorithm: CombinerId, max_length: int) -> EquivalenceRepo
     ``Decision6`` member order, so the report (counts and the order of
     any counterexamples) is deterministic.
     """
-    if algorithm is CombinerId.ALL_PERMIT:
-        raise EncodingUnsupportedError(
-            "all-permit has no v6 formulation to compare against"
-        )
-    if algorithm not in FOLD_TABLES:
-        raise UnknownCombinerError(f"unknown combining algorithm: {algorithm!r}")
+    fold_table(algorithm)
     if max_length < 0:
         raise InvalidInputError("max_length must be >= 0")
 

@@ -29,8 +29,9 @@ comparison by looking each function operand up by its ``(f, c)`` key
 and comparing the values in place; it builds no terms.
 
 ``compile_condition`` plans a condition once, in one walk over it: it
-checks the range restriction, collects the names the condition reads,
-sorts the free variables and gives each one of three binding rules.
+refuses anything but a condition expression, checks the range
+restriction, collects the names the condition reads, sorts the free
+variables and gives each one of three binding rules.
 
 * A variable occurring in an atom of the top-level conjunction (nested
   conjunctions flattened) is a join variable. It ranges over the values
@@ -144,8 +145,10 @@ class Atom(Value, derived=("pattern",)):
                 j = first.setdefault(term.name, i)
                 if j != i:
                     same.append((i, j))
-            else:
+            elif isinstance(term, (str, int)):
                 fixed.append((i, term))
+            else:
+                raise InvalidInputError(f"atom {self.name!r}: {term!r} is not a term")
         pattern = (tuple(fixed), tuple(same)) if fixed or same else None
         object.__setattr__(self, "pattern", pattern)
 
@@ -158,6 +161,11 @@ class Compare(Value):
     def __post_init__(self) -> None:
         if self.op not in COMPARISON_OPERATORS:
             raise InvalidInputError(f"unknown comparison operator: {self.op!r}")
+        for term in (self.left, self.right):
+            if isinstance(term, FunctionValue):
+                term = term.arg
+            if not isinstance(term, (str, int, Variable)):
+                raise InvalidInputError(f"comparison {self.op!r}: {term!r} is not a term")
 
 
 class Not(Value):
@@ -240,6 +248,8 @@ def _collect_uses(expr: ConditionExpr, top: bool, uses: dict[str, _Uses], reads:
             _collect_uses(child, False, uses, reads)
     elif isinstance(expr, Not):
         _collect_uses(expr.expr, False, uses, reads)
+    elif not isinstance(expr, BoolLiteral):
+        raise InvalidInputError(f"not a condition expression: {expr!r}")
 
 
 # Strong Kleene negation, indexed by value.

@@ -66,13 +66,17 @@ def lub3(values: Iterable[Decision3]) -> Decision3:
     return max(values, default=BOTTOM)
 
 
-class Effect(enum.Enum):
-    DENY = "deny"
-    PERMIT = "permit"
+class TokenEnum(enum.Enum):
+    """An enum whose members are written as their values."""
 
     @property
     def token(self) -> str:
         return self.value
+
+
+class Effect(TokenEnum):
+    DENY = "deny"
+    PERMIT = "permit"
 
 
 class Decision6(enum.IntEnum):

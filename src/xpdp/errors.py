@@ -5,6 +5,14 @@ from __future__ import annotations
 from .values import Value
 
 
+class PolicyEngineError(Exception):
+    """Base class for every error this package raises deliberately."""
+
+
+class InvalidInputError(PolicyEngineError, ValueError):
+    """A value outside an operation's declared domain."""
+
+
 class SourceSpan(Value):
     """Byte range plus line/column of the start, for diagnostics."""
 
@@ -15,24 +23,16 @@ class SourceSpan(Value):
 
     def __post_init__(self) -> None:
         if self.start > self.end:
-            raise ValueError(f"span start {self.start} past end {self.end}")
+            raise InvalidInputError(f"span start {self.start} past end {self.end}")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-class PolicyEngineError(Exception):
-    """Base class for every error this package raises deliberately."""
-
-
-class InvalidInputError(PolicyEngineError, ValueError):
-    """A value outside an operation's declared domain."""
-
-
 def check_type(value: object, field: str, kind: type) -> None:
     """Refuse a field that is not a ``kind``, naming the value's class
-    and the field: a list where a tuple belongs would build a value that
-    fails later, and far away, as unhashable."""
+    and the field: a list where a tuple belongs, or None where a target
+    does, would build a value that fails later, and far away."""
     got = getattr(value, field)
     if not isinstance(got, kind):
         raise InvalidInputError(

@@ -71,7 +71,8 @@ its targets' match names and its plans' ``reads``. ``evaluate``
 indexes the request once, for the root's ``needs`` only
 (``index_request``), and hands the index down the walk.
 Policies and policy sets accept only the four standard combining
-algorithms, the ones defined over six-valued decisions.
+algorithms, the ones defined over six-valued decisions
+(``combiners.fold_table``).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping, Optional, Sequence, Union
 
-from .combiners import ABSORBING, STANDARD_COMBINERS, STANDARD_TOKENS_TEXT, CombinerId, combine
+from .combiners import ABSORBING, CombinerId, combine, fold_table
 from .conditions import (
     ConditionExpr,
     ConditionPlan,
@@ -92,20 +93,13 @@ from .conditions import (
 from .decisions import (
     BOTTOM, INDET, NOT_APPLICABLE, PERMIT_EFFECT, TOP, Decision3, Decision6, Effect, sigma
 )
-from .errors import EncodingUnsupportedError, InvalidInputError, check_type
+from .errors import InvalidInputError, check_type
 from .requests import AttributeTerm, Request
 from .values import Value
 
 def _check_name(name: str) -> None:
     if not (name.isidentifier() and name.isascii()):
         raise InvalidInputError(f"not a usable node name: {name!r}")
-
-
-def _check_combiner(combiner: CombinerId) -> None:
-    if combiner not in STANDARD_COMBINERS:
-        raise EncodingUnsupportedError(
-            f"{combiner} is not defined over six-valued decisions; use {STANDARD_TOKENS_TEXT}"
-        )
 
 
 class AllOf(Value, derived=("keys",)):
@@ -225,8 +219,13 @@ class Rule(Value, derived=("plan",)):
     condition: ConditionExpr
     plan: ConditionPlan
 
+    # The node's word in traces and documents.
+    kind = "rule"
+
     def __post_init__(self) -> None:
         _check_name(self.name)
+        check_type(self, "effect", Effect)
+        check_type(self, "target", Target)
         object.__setattr__(self, "plan", compile_condition(self.condition))
 
     def _sharing_condition(self, name: str, effect: Effect, target: Target) -> Rule:
@@ -251,9 +250,12 @@ class Policy(Value, derived=("gate", "needs")):
     gate: MemberGate
     needs: frozenset[str]
 
+    kind = "policy"
+
     def __post_init__(self) -> None:
         _check_name(self.name)
-        _check_combiner(self.combiner)
+        fold_table(self.combiner)
+        check_type(self, "target", Target)
         check_type(self, "rules", tuple)
         if not self.rules:
             raise InvalidInputError(f"policy {self.name!r} needs at least one rule")
@@ -278,9 +280,12 @@ class PolicySet(Value, derived=("gate", "needs")):
     gate: MemberGate
     needs: frozenset[str]
 
+    kind = "policyset"
+
     def __post_init__(self) -> None:
         _check_name(self.name)
-        _check_combiner(self.combiner)
+        fold_table(self.combiner)
+        check_type(self, "target", Target)
         check_type(self, "children", tuple)
         kinds = {type(c) for c in self.children}
         if len(kinds) > 1:
@@ -453,13 +458,9 @@ class EvalTrace(Value):
 def _bottom_trace(member: Rule | PolicyNode, path: tuple[int, ...]) -> TraceNode:
     """The trace node of a member whose target is BOTTOM: a rule with no
     condition, or a node with no members visited."""
-    if isinstance(member, Rule):
-        kind, combiner = "rule", None
-    else:
-        kind = "policy" if isinstance(member, Policy) else "policyset"
-        combiner = member.combiner
+    combiner = None if isinstance(member, Rule) else member.combiner
     return TraceNode(
-        path, kind, member.name, BOTTOM, None, combiner, (), None,
+        path, member.kind, member.name, BOTTOM, None, combiner, (), None,
         NOT_APPLICABLE, (), "target",
     )
 
@@ -541,7 +542,7 @@ def _eval_node(
             value = rule_decision(rule_target, condition_value, member.effect)
             if path is not None:
                 traces.append(TraceNode(
-                    (*path, i), "rule", member.name, rule_target, condition_value, None, (),
+                    (*path, i), member.kind, member.name, rule_target, condition_value, None, (),
                     None, value, (), None if condition_value is not None else "target",
                 ))
         else:
@@ -565,7 +566,7 @@ def _eval_node(
         return result, None
     return result, TraceNode(
         path,
-        "policy" if is_policy else "policyset",
+        node.kind,
         node.name,
         target_value,
         None,

@@ -43,8 +43,10 @@ in the request's error-attribute set instead of its facts:
     { subject(doctor), action(read), error:resource(db) }
 
 ``serialize_policy`` emits a canonical form that parses back to a
-structurally identical tree, and ``emit_lattice_dot`` renders any of
-the package's finite orders as a DOT Hasse diagram (cover edges only).
+structurally identical tree, or refuses with ``InvalidInputError`` a
+value the grammar cannot read (a negative or overlong int, a bool, a
+name that is not an ASCII identifier). ``emit_lattice_dot`` renders any
+of the package's finite orders as a DOT Hasse diagram (cover edges only).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import re
 from typing import Callable, NoReturn
 
 from . import altlogics
-from .combiners import STANDARD_COMBINERS, STANDARD_TOKENS_TEXT, CombinerId
+from .combiners import CombinerId, fold_table
 from .conditions import (
     COMPARISON_OPERATORS,
     And,
@@ -82,6 +84,7 @@ from .decisions import (
 from .errors import (
     ArityError,
     EmptyRequestError,
+    EncodingUnsupportedError,
     InvalidInputError,
     ParseError,
     SourceSpan,
@@ -284,11 +287,9 @@ class _Parser:
             if texts[i] != ",":
                 break
             i += 1
-        if texts[i] != "]":
-            self._expected("']'", i)
+        i = self._want(i, "]")
         if not members and not is_set:
-            raise ArityError("a policy needs at least one rule", self._span(i))
-        i += 1
+            raise ArityError("a policy needs at least one rule", self._span(i - 1))
         if texts[i] == ";":
             i += 1
         i = self._want(i, "}")
@@ -326,26 +327,23 @@ class _Parser:
         condition, end = self._cor(i)
         if texts[end] == ";":
             end += 1
-        if texts[end] != "}":
-            self._expected("'}'", end)
+        end = self._want(end, "}")
         try:
             rule = Rule(name, effect, target, condition)
         except UnboundVariableError as exc:
             raise ParseError(str(exc), self._span(i)) from None
         self._conditions[key] = rule
-        return rule, end + 1
+        return rule, end
 
     def _combiner_field(self, i: int) -> tuple[CombinerId, int]:
         i = self._want(i, "combiner", ":")
         text = self._texts[i]
         if text in _COMBINER_TOKENS:
             combiner = CombinerId.from_token(text)
-            if combiner not in STANDARD_COMBINERS:
-                self._fail(
-                    f"{text} is only defined under the pair encoding; "
-                    f"a policy needs {STANDARD_TOKENS_TEXT}",
-                    i,
-                )
+            try:
+                fold_table(combiner)
+            except EncodingUnsupportedError as exc:
+                self._fail(str(exc), i)
         elif text.isidentifier():
             raise UnknownCombinerError(f"unknown combining algorithm: {text!r}", self._span(i))
         else:
@@ -408,9 +406,7 @@ class _Parser:
         texts = self._texts
         if texts[i] == "(":
             part, i = self._nested(i, self._texpr, i + 1)
-            if texts[i] != ")":
-                self._expected("')'", i)
-            return part, i + 1
+            return part, self._want(i, ")")
         if not texts[i].isidentifier():
             self._expected("a category match", i)
         category = texts[i]
@@ -453,9 +449,7 @@ class _Parser:
             return Not(inner), i
         if text == "(":
             inner, i = self._nested(i, self._cor, i + 1)
-            if texts[i] != ")":
-                self._expected("')'", i)
-            return inner, i + 1
+            return inner, self._want(i, ")")
         if text in _LITERALS:
             return _LITERALS[text], i + 1
         start = i
@@ -485,9 +479,7 @@ class _Parser:
         while texts[i] == ",":
             args.append(self._term(i + 1))
             i += 2
-        if texts[i] != ")":
-            self._expected("')'", i)
-        return value, tuple(args), i + 1
+        return value, tuple(args), self._want(i, ")")
 
     def _operand(self, i: int, value, args) -> Operand:
         if args is None:
@@ -545,20 +537,18 @@ class _Parser:
         if not texts[i].isidentifier():
             self._expected("an attribute name", i)
         name = texts[i]
-        if texts[i + 1] != "(":
-            self._expected("'('", i + 1)
+        self._want(i + 1, "(")
         args = [self._constant(i + 2, "an attribute argument")]
         end = i + 3
         while texts[end] == ",":
             args.append(self._constant(end + 1, "an attribute argument"))
             end += 2
-        if texts[end] != ")":
-            self._expected("')'", end)
+        end = self._want(end, ")")
         if name in CATEGORIES and len(args) != 1:
             raise ArityError(
                 f"category attribute {name!r} takes exactly one argument", self._span(i)
             )
-        return AttributeTerm(name, tuple(args)), end + 1
+        return AttributeTerm(name, tuple(args)), end
 
 
 def parse_policy(text: str) -> PolicyNode:
@@ -626,10 +616,8 @@ def _cond_text(expr: ConditionExpr, parent_level: int = 0) -> str:
         text = f"not {_cond_text(expr.expr, _COND_LEVELS[And])}"
     elif isinstance(expr, And):
         text = " /\\ ".join(_cond_text(c, _COND_LEVELS[And]) for c in expr.children)
-    elif isinstance(expr, Or):
+    else:  # an Or: a rule's plan refuses anything but a condition expression
         text = " \\/ ".join(_cond_text(c, _COND_LEVELS[Or]) for c in expr.children)
-    else:
-        raise InvalidInputError(f"not a condition expression: {expr!r}")
     if _COND_LEVELS.get(type(expr), 4) <= parent_level:
         return f"({text})"
     return text
@@ -661,12 +649,12 @@ def _node_lines(node: PolicyNode, depth: int) -> list[str]:
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if isinstance(node, Policy):
-        kind, field, member_lines = "policy", "rules", _rule_lines
+        field, member_lines = "rules", _rule_lines
     else:
-        kind, field, member_lines = "policyset", "children", _node_lines
+        field, member_lines = "children", _node_lines
     members = getattr(node, field)
     lines = [
-        f"{pad}{kind} {node.name} {{",
+        f"{pad}{node.kind} {node.name} {{",
         f"{inner}target: {_target_text(node.target)};",
         f"{inner}combiner: {node.combiner.token};",
     ]

@@ -61,3 +61,28 @@ def test_sources_parse_with_the_oldest_supported_grammar():
 def test_grammar_check_rejects_newer_syntax():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
+
+
+# The deliberate refusals that are not a ``PolicyEngineError``: a value
+# constructor's arity, refused as Python refuses a call's, and an
+# assignment to a frozen field.
+BUILTIN_REFUSALS = {("values.py", "TypeError"), ("values.py", "AttributeError")}
+
+
+def test_every_refusal_is_a_policy_engine_error():
+    """Each ``raise Name(...)`` in the package names a subclass of
+    ``PolicyEngineError``, so a caller catches every refusal with one
+    class, except for ``BUILTIN_REFUSALS``."""
+    raised = set()
+    for path in sorted(Path(xpdp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if isinstance(node.exc.func, ast.Name):
+                    raised.add((path.name, node.exc.func.id, node.lineno))
+    assert len(raised) > 40
+    odd = [
+        f"{file}:{line}: {name}" for file, name, line in sorted(raised)
+        if (file, name) not in BUILTIN_REFUSALS
+        and not issubclass(getattr(xpdp.errors, name, Exception), xpdp.PolicyEngineError)
+    ]
+    assert odd == []

@@ -48,6 +48,7 @@ from xpdp import (
     FunctionValue,
     InvalidInputError,
     NULL_TARGET,
+    ParseError,
     Not,
     Or,
     Policy,
@@ -58,8 +59,10 @@ from xpdp import (
     Target,
     TRUE_CONDITION,
     TraceNode,
+    UnknownCombinerError,
     Variable,
     arrow,
+    check_equivalence,
     combine,
     eval_target,
     evaluate,
@@ -344,6 +347,40 @@ class TestPolicyEvaluation:
             Policy("p", NULL_TARGET, rules, CombinerId.ALL_PERMIT)
         with pytest.raises(EncodingUnsupportedError):
             PolicySet("ps", NULL_TARGET, (), CombinerId.ALL_PERMIT)
+
+    def test_one_refusal_for_a_pair_only_combiner(self):
+        # The fold, the check, both node kinds and the parser refuse
+        # all-permit with one message; the parser puts the token's
+        # position before it.
+        rules = (rule_with_value("r", Effect.PERMIT, D3.TOP),)
+        pair_only = CombinerId.ALL_PERMIT
+        messages = set()
+        for refuse in (
+            lambda: combine(pair_only, "v6", ()),
+            lambda: check_equivalence(pair_only, 1),
+            lambda: Policy("p", NULL_TARGET, rules, pair_only),
+            lambda: PolicySet("ps", NULL_TARGET, (), pair_only),
+        ):
+            with pytest.raises(EncodingUnsupportedError) as caught:
+                refuse()
+            messages.add(str(caught.value))
+        assert messages == {
+            "all-permit is only defined under the pair encoding; "
+            "the six-valued algorithms are p-o, d-o, f-a or o-1-a"
+        }
+        text = "policy P { target: null; combiner: all-permit; rules: [] }"
+        with pytest.raises(ParseError) as parsed:
+            parse_policy(text)
+        span = parsed.value.span
+        assert text[span.start:span.end] == "all-permit"
+        assert str(parsed.value) == f"1:{span.start + 1}: {messages.pop()}"
+
+    def test_a_combiner_token_is_not_a_combiner(self):
+        rules = (rule_with_value("r", Effect.PERMIT, D3.TOP),)
+        with pytest.raises(UnknownCombinerError, match="unknown combining algorithm: 'p-o'"):
+            Policy("p", NULL_TARGET, rules, "p-o")
+        with pytest.raises(UnknownCombinerError, match="unknown combining algorithm: 'p-o'"):
+            PolicySet("ps", NULL_TARGET, (), "p-o")
 
 
 class TestNodeResult:

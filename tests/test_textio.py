@@ -372,7 +372,6 @@ class TestSerialize:
         Atom("owns", (Variable("X Y"),)),
         Atom("owns", ("true",)),
         Compare("not", "=", 1),
-        Not("owns"),
     ])
     def test_unreadable_values_are_refused(self, condition):
         rule = Rule("R", Effect.PERMIT, NULL_TARGET, condition)

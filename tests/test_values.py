@@ -305,6 +305,7 @@ REFUSALS = [
     (lambda: Request(frozenset({DOCTOR}), frozenset({DOCTOR})),
      "attributes listed both as facts and as errors: ['subject(doctor)']"),
     (lambda: DDecision(frozenset({"p", "maybe"})), "not decision elements: ['maybe']"),
+    (lambda: SourceSpan(5, 1, 1, 1), "span start 5 past end 1"),
     # A field that holds a tuple or a frozenset is refused as a list or
     # a set, which would build an unhashable value.
     (lambda: AttributeTerm("subject", ["doctor"]), "AttributeTerm.args must be a tuple, not list"),
@@ -320,6 +321,23 @@ REFUSALS = [
     (lambda: Request({DOCTOR}), "Request.facts must be a frozenset, not set"),
     (lambda: Request(frozenset({DOCTOR}), set()),
      "Request.error_attributes must be a frozenset, not set"),
+    # A field of the wrong kind, which would build a value that fails
+    # at decision time or when written.
+    (lambda: Rule("r", "permit", NULL_TARGET, TRUE_CONDITION),
+     "Rule.effect must be a Effect, not str"),
+    (lambda: Rule("r", Effect.PERMIT, None, TRUE_CONDITION),
+     "Rule.target must be a Target, not NoneType"),
+    (lambda: Policy("p", None, (RULE,), PO), "Policy.target must be a Target, not NoneType"),
+    (lambda: PolicySet("s", None, (POLICY,), PO),
+     "PolicySet.target must be a Target, not NoneType"),
+    (lambda: Rule("r", Effect.PERMIT, NULL_TARGET, "true"), "not a condition expression: 'true'"),
+    (lambda: Rule("r", Effect.PERMIT, NULL_TARGET, Not("x")), "not a condition expression: 'x'"),
+    (lambda: Rule("r", Effect.PERMIT, NULL_TARGET, And((ATOM, "y"))),
+     "not a condition expression: 'y'"),
+    (lambda: Atom("p", (["a"],)), "atom 'p': ['a'] is not a term"),
+    (lambda: Compare(["a"], "<", 1), "comparison '<': ['a'] is not a term"),
+    (lambda: Compare(1, "<", FunctionValue("age", ("a",))),
+     "comparison '<': ('a',) is not a term"),
 ]
 
 
