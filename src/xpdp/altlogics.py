@@ -16,7 +16,7 @@ import itertools
 
 from .combiners import CombinerId, combine_po_pair, combine_po_v6
 from .decisions import Decision6, FiniteLattice, PairValue, TokenEnum, delta, delta_seq
-from .errors import InvalidInputError, UnsupportedCombinerError
+from .errors import InvalidInputError, UnknownCombinerError, UnsupportedCombinerError
 from .values import Value
 
 
@@ -100,6 +100,8 @@ def belnap_combine(combiner: CombinerId, p: BelnapValue, q: BelnapValue) -> Beln
     if combiner is CombinerId.ONLY_ONE_APPLICABLE:
         both_sides = meet(join(p, belnap_negate(p)), join(q, belnap_negate(q)))
         return join(join(p, q), both_sides)
+    if not isinstance(combiner, CombinerId):
+        raise UnknownCombinerError(f"unknown combining algorithm: {combiner!r}")
     raise UnsupportedCombinerError(
         f"no Belnap encoding for {combiner.token}"
     )

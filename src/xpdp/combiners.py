@@ -214,16 +214,20 @@ def combine(combiner: CombinerId, encoding: str, decisions: Sequence):
     """The named algorithm under the named encoding. Under v6 it folds
     ``decisions`` over the algorithm's table, in one call."""
     if encoding == "v6":
-        table = FOLD_TABLES.get(combiner) or fold_table(combiner)
+        try:
+            table = FOLD_TABLES[combiner]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            table = fold_table(combiner)
         result = NOT_APPLICABLE
         for d in decisions:
             result = table[6 * result + d]
         return result
     if encoding != "pair":
         raise InvalidInputError(f"unknown encoding: {encoding!r}")
-    fn = _PAIR_COMBINERS.get(combiner)
-    if fn is None:
-        raise UnknownCombinerError(f"unknown combining algorithm: {combiner!r}")
+    try:
+        fn = _PAIR_COMBINERS[combiner]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnknownCombinerError(f"unknown combining algorithm: {combiner!r}") from None
     return fn(decisions)
 
 

@@ -55,14 +55,15 @@ variables and gives each one of three binding rules.
 
 ``eval_condition`` draws the join variables' pools first, so a join
 variable with no candidate makes the condition false before any other
-pool is drawn, and without a binding. Each pool is in the domain's
-order (``order_constants``): a join pool of two or more values is
-sorted by that rule, not filtered out of the whole domain. Only a
-request with error attributes, whose rows may hold constants outside
-the domain, has its pools cut down to the domain. A variable whose
-pool holds one value is bound once, and the bindings are the product
-of the other pools, in the order of the full product; a condition
-whose pools all hold one value is evaluated once.
+pool is drawn, and without a binding. Every pool is read off the
+domain, in its order: a pool of two or more values, and any pool of a
+request with error attributes, is the domain constants that the
+binding rule allows, which also drops the constants that only error
+rows hold. A one-value pool of a request without error attributes
+holds a fact row's constant, which is in the domain, and is taken as
+it is. A variable whose pool holds one value is bound once, and the
+bindings are the product of the other pools, in the order of the full
+product; a condition whose pools all hold one value is evaluated once.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import AbstractSet, Mapping, Optional, Union
 
 from .decisions import BOTTOM, INDET, TOP, Decision3
 from .errors import InvalidInputError, UnboundVariableError, check_type
-from .requests import CATEGORIES, Constant, Request, order_constants
+from .requests import CATEGORIES, Constant, Request
 from .values import Value
 
 # Each comparison operator and the function it applies.
@@ -266,23 +267,20 @@ class RequestIndex:
     is a plain slots class, not a ``Value``, with no equality of its own.
 
     ``domain`` is ``request.constants()``, the constants variables range
-    over, from every fact of the request. ``domain_set`` is the same as
-    a set, or None until a pool first reads it (``_domain_set``); only
-    a request with error attributes has a pool that does, since fact
-    rows hold domain constants only. ``tuples`` maps a ``(name, arity)``
-    signature to the argument tuples of the facts and error attributes
-    with it. ``facts`` and ``errors`` hold the ``(name, args)`` keys of
-    the facts and of the error attributes. ``functions`` maps ``(f, c)``
-    to the values ``v`` of the facts ``f(c,v)``, and ``function_errors``
-    holds ``(f, c)`` for every error attribute ``f(c,...)``, of any
-    arity. ``category_keys`` holds the keys of the category facts and
-    error attributes, the only keys a target match can hit. All but
-    ``domain`` hold only the attributes whose names the tree reads (see
+    over, from every fact of the request, in the order every pool is
+    read in. ``tuples`` maps a ``(name, arity)`` signature to the
+    argument tuples of the facts and error attributes with it. ``facts``
+    and ``errors`` hold the ``(name, args)`` keys of the facts and of
+    the error attributes. ``functions`` maps ``(f, c)`` to the values
+    ``v`` of the facts ``f(c,v)``, and ``function_errors`` holds
+    ``(f, c)`` for every error attribute ``f(c,...)``, of any arity.
+    ``category_keys`` holds the keys of the category facts and error
+    attributes, the only keys a target match can hit. All but ``domain``
+    hold only the attributes whose names the tree reads (see
     ``index_request``).
     """
 
     domain: tuple[Constant, ...]
-    domain_set: Optional[frozenset[Constant]]
     tuples: dict[tuple[str, int], list[tuple[Constant, ...]]]
     facts: set[TermKey]
     errors: set[TermKey]
@@ -290,8 +288,8 @@ class RequestIndex:
     function_errors: set[tuple[str, Constant]]
     category_keys: set[TermKey]
 
-    __slots__ = ("domain", "domain_set", "tuples", "facts", "errors",
-                 "functions", "function_errors", "category_keys")
+    __slots__ = ("domain", "tuples", "facts", "errors", "functions",
+                 "function_errors", "category_keys")
 
 
 def index_request(request: Request, needs: AbstractSet[str]) -> RequestIndex:
@@ -306,7 +304,6 @@ def index_request(request: Request, needs: AbstractSet[str]) -> RequestIndex:
     look it up; its constants stay in ``domain``.
     """
     index = RequestIndex()
-    index.domain_set = None
     index.tuples = tuples = {}
     index.functions = functions = {}
     index.facts = facts = set()
@@ -458,14 +455,6 @@ def compile_condition(expr: ConditionExpr) -> ConditionPlan:
     return ConditionPlan(expr, variables, tuple(sources), tuple(sites), frozenset(reads))
 
 
-def _domain_set(index: RequestIndex) -> frozenset[Constant]:
-    """``index.domain`` as a set, built the first time a pool reads it."""
-    domain_set = index.domain_set
-    if domain_set is None:
-        domain_set = index.domain_set = frozenset(index.domain)
-    return domain_set
-
-
 def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
     """Evaluate a planned condition existentially over variable bindings.
 
@@ -513,11 +502,13 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
             allowed = values if allowed is None else allowed & values
             if not allowed:
                 return BOTTOM
-        if errors:
-            allowed &= _domain_set(index)
-            if not allowed:
+        if len(allowed) > 1 or errors:
+            pool = tuple(filter(allowed.__contains__, index.domain))
+            if not pool:
                 return BOTTOM
-        pools.append(order_constants(allowed) if len(allowed) > 1 else tuple(allowed))
+        else:
+            pool = tuple(allowed)
+        pools.append(pool)
     binding = {}
     names = []
     spread = []
@@ -537,9 +528,10 @@ def eval_condition(plan: ConditionPlan, index: RequestIndex) -> Decision3:
                             seen.add(c)
                 else:
                     seen.update(map(operator.itemgetter(position), tuples.get((site, arity), ())))
-            if errors and seen:
-                seen &= _domain_set(index)
-            pool = order_constants(seen) if len(seen) > 1 else tuple(seen)
+            if len(seen) > 1 or errors:
+                pool = tuple(filter(seen.__contains__, index.domain))
+            else:
+                pool = tuple(seen)
             for constant in index.domain:
                 if constant not in seen:
                     pool += (constant,)

@@ -102,10 +102,10 @@ class Decision6(enum.IntEnum):
 
     @classmethod
     def from_canonical(cls, text: str) -> "Decision6":
-        member = _D6_BY_NAME.get(text)
-        if member is None:
-            raise InvalidInputError(f"unknown decision name: {text!r}")
-        return member
+        try:
+            return _D6_BY_NAME[text]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise InvalidInputError(f"unknown decision name: {text!r}") from None
 
     @property
     def is_applicable(self) -> bool:
@@ -324,9 +324,10 @@ def lub_order(order: str, values: Iterable[Decision6]) -> Decision6:
     The empty collection yields the lattice bottom, NOT_APPLICABLE in
     all three.
     """
-    lattice = V6_LATTICES.get(order)
-    if lattice is None:
-        raise UnknownLatticeError(f"unknown decision lattice: {order!r}")
+    try:
+        lattice = V6_LATTICES[order]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnknownLatticeError(f"unknown decision lattice: {order!r}") from None
     result = NOT_APPLICABLE
     for v in values:
         result = lattice.join(result, v)

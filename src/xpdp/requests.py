@@ -10,7 +10,7 @@ miss, which makes indeterminacy reproducible from the request text.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import InvalidInputError, check_type
 from .values import Value
@@ -77,12 +77,13 @@ class Request(Value):
 
     def constants(self) -> tuple[Constant, ...]:
         """Constants occurring as fact arguments, deduplicated, in the
-        domain's order (``order_constants``)."""
-        # order_constants written out over the facts, splitting the
-        # arguments as they are read, with no call or second pass: this
-        # runs once per evaluation, and with cold caches, as perfbench
-        # times a decision, it takes about 10 of 56 us (fact_heavy,
-        # timed inside the decision, 2-vCPU VM).
+        domain's order: the strings sorted, then the numbers sorted.
+        Every condition pool is read off this tuple, in this order."""
+        # Strings and numbers do not compare, so the arguments are split
+        # as they are read, with no call or second pass: this runs once
+        # per evaluation, and with cold caches, as perfbench times a
+        # decision, it takes about 10 of 56 us (fact_heavy, timed inside
+        # the decision, 2-vCPU VM).
         strings = set()
         numbers = set()
         for fact in self.facts:
@@ -95,20 +96,3 @@ class Request(Value):
             return tuple(sorted(strings))
         return (*sorted(strings), *sorted(numbers))
 
-
-def order_constants(values: Iterable[Constant]) -> tuple[Constant, ...]:
-    """Distinct constants in the domain's order: the strings sorted, then
-    the numbers sorted. Strings and numbers do not compare, so one pass
-    splits them first."""
-    strings = []
-    numbers = []
-    for value in values:
-        if isinstance(value, str):
-            strings.append(value)
-        else:
-            numbers.append(value)
-    strings.sort()
-    if not numbers:
-        return tuple(strings)
-    numbers.sort()
-    return (*strings, *numbers)

@@ -723,10 +723,10 @@ def _cover_edges(elements: tuple, leq: Callable) -> list[tuple]:
 
 def emit_lattice_dot(name: str) -> str:
     """Render the named finite order as a DOT digraph of its cover edges."""
-    order = _ORDERS.get(name)
-    if order is None:
-        raise UnknownLatticeError(f"unknown lattice: {name!r}")
-    elements, leq, label = order
+    try:
+        elements, leq, label = _ORDERS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnknownLatticeError(f"unknown lattice: {name!r}") from None
     index = {e: i for i, e in enumerate(elements)}
     covers = sorted(_cover_edges(elements, leq), key=lambda e: (index[e[0]], index[e[1]]))
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]

@@ -316,7 +316,7 @@ def constants_with_fallback(request: Request) -> tuple:
 def full_index(request: Request) -> dict:
     """The fields of the request index as ``index_request`` built it before
     it read only the names a tree reads: every fact and error attribute
-    indexed, and ``domain_set`` built eagerly."""
+    indexed."""
     tuples: dict = {}
     functions: dict = {}
     facts = set()
@@ -340,10 +340,8 @@ def full_index(request: Request) -> dict:
         function_errors.add((name, args[0]))
         if term.is_category:
             category_keys.add(key)
-    domain = constants_with_fallback(request)
     return {
-        "domain": domain,
-        "domain_set": frozenset(domain),
+        "domain": constants_with_fallback(request),
         "tuples": tuples,
         "facts": facts,
         "errors": errors,

@@ -75,18 +75,22 @@ class TestCombinerId:
         assert STANDARD_COMBINERS == tuple(c for c in CombinerId if c in FOLD_TABLES)
         assert CombinerId.ALL_PERMIT not in STANDARD_COMBINERS
 
-    @pytest.mark.parametrize("refuse", [
-        lambda: CombinerId.from_token("x-o"),
-        lambda: combine("x-o", "v6", ()),
-        lambda: combine("x-o", "pair", ()),
-        lambda: check_equivalence("x-o", 1),
-    ], ids=["from_token", "combine v6", "combine pair", "check_equivalence"])
-    def test_unknown_combiner_is_refused(self, refuse):
+    @pytest.mark.parametrize("name, refuse", [
+        ("x-o", CombinerId.from_token),
+        ("x-o", lambda name: combine(name, "v6", ())),
+        ("x-o", lambda name: combine(name, "pair", ())),
+        ("x-o", lambda name: check_equivalence(name, 1)),
+        # An unhashable name misses the tables as an unknown one does.
+        (["x-o"], lambda name: combine(name, "v6", ())),
+        (["x-o"], lambda name: combine(name, "pair", ())),
+    ], ids=["from_token", "combine v6", "combine pair", "check_equivalence",
+            "combine v6 unhashable", "combine pair unhashable"])
+    def test_unknown_combiner_is_refused(self, name, refuse):
         with pytest.raises(UnknownCombinerError) as caught:
-            refuse()
+            refuse(name)
         # Without a span, the message is all the error prints.
         assert caught.value.span is None
-        assert str(caught.value) == "unknown combining algorithm: 'x-o'"
+        assert str(caught.value) == f"unknown combining algorithm: {name!r}"
 
 
 class TestPermitOverrides:

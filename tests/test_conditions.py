@@ -384,6 +384,24 @@ class TestJoin:
         self.check(expr, req, D3.BOTTOM, bindings_tried)
         assert bindings_tried == [{"X": "a"}, {"X": "b"}, {"X": 1}, {"X": 2}]
 
+    def test_join_pools_keep_the_domain_order_under_errors(self, bindings_tried):
+        # Error rows add z and 9, which no fact holds: the pool is the
+        # domain constants the rows allow, in the domain's order.
+        expr = And((Atom("r", (X,)), Compare(X, "!=", X)))
+        facts = [fact("r", 2), fact("r", "b"), fact("r", 1), fact("r", "a")]
+        req = request(facts, [fact("r", "z"), fact("r", 9)])
+        self.check(expr, req, D3.BOTTOM, bindings_tried)
+        assert bindings_tried == [{"X": "a"}, {"X": "b"}, {"X": 1}, {"X": 2}]
+
+    def test_sited_pools_keep_the_domain_order_under_errors(self, bindings_tried):
+        # X's site ok holds a, b and 1 from facts and z and 9 from error
+        # rows only; u, seen at no site, is the representative, last.
+        expr = Not(Atom("ok", (X,)))
+        facts = [fact("ok", "b"), fact("ok", 1), fact("ok", "a"), fact("subject", "u")]
+        req = request(facts, [fact("ok", "z"), fact("ok", 9)])
+        self.check(expr, req, D3.TOP, bindings_tried)
+        assert bindings_tried == [{"X": "a"}, {"X": "b"}, {"X": 1}, {"X": "u"}]
+
     def test_bindings_follow_the_full_product_order(self, bindings_tried):
         # Single-value pools are bound once; the others vary in variable
         # order, the last fastest, as in the product of every pool.

@@ -935,11 +935,8 @@ def padded(draw, case):
 
 
 def index_fields(index) -> dict:
-    """An index's fields, ``domain_set`` as the set of ``domain``, which
-    the index builds only when a pool reads it."""
-    fields = {name: getattr(index, name) for name in index.__slots__}
-    fields["domain_set"] = frozenset(index.domain)
-    return fields
+    """An index's fields, by slot name."""
+    return {name: getattr(index, name) for name in index.__slots__}
 
 
 def request_of(args: list[tuple]) -> Request:
